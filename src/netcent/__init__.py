@@ -6,8 +6,8 @@ from .errors import (DataError, DegenerateBaseline, EmptyInput, InsufficientData
                      UsageError, ZeroMatrix)
 from .generators import preferential_attachment, random_digraph
 from .graph import (DIRECTIONS, ENDORSEMENT, INFO_FLOW, DirectedGraph,
-                    InteractionRecord, build_graph, degree, from_edges,
-                    remove_nodes, transpose)
+                    InteractionRecord, Interactions, build_graph, degree,
+                    from_edges, remove_nodes, transpose)
 from .novel import (DicConfig, MvcConfig, NodeAttributes, PcConfig, dic, mvc,
                     propagation_centrality)
 from .ranking import (CorrelationResult, OverlapReport, RankingTable,
@@ -22,7 +22,8 @@ from .traditional import (PowerIterationConfig, betweenness_centrality,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DirectedGraph", "InteractionRecord", "build_graph", "from_edges",
+    "DirectedGraph", "InteractionRecord", "Interactions", "build_graph",
+    "from_edges",
     "transpose", "remove_nodes", "degree",
     "INFO_FLOW", "ENDORSEMENT", "DIRECTIONS",
     "ScoreVector", "METRICS", "TRADITIONAL_METRICS", "NOVEL_METRICS",

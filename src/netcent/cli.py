@@ -217,8 +217,7 @@ def _print_or_write(obj, out_path):
 
 
 def _cmd_ingest(args) -> int:
-    records = _io.read_interactions_csv(args.input)
-    g = build_graph(records, _direction(args.direction))
+    g = build_graph(_io.read_interactions_csv(args.input), _direction(args.direction))
     _io.write_edge_csv(g, args.out)
     print(f"wrote {args.out}: {g.n} nodes, {g.num_edges} edges "
           f"({g.self_loops_dropped} self-loops dropped)")

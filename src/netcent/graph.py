@@ -18,6 +18,8 @@ that need the opposite orientation work on :meth:`DirectedGraph.transpose`.
 from __future__ import annotations
 
 import logging
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,9 +54,69 @@ class InteractionRecord:
     weight: float = 1.0
 
 
-def _as_kind(raw: str) -> str:
-    k = raw.strip().lower()
-    return k if k in INTERACTION_KINDS else "other"
+_KIND_CODES = {k: i for i, k in enumerate(INTERACTION_KINDS)}
+
+
+def _check_weight(w):
+    """Raise ValueError unless ``w`` is finite and positive."""
+    if w is None or not 0 < w < math.inf:
+        raise ValueError(f"weight must be finite and positive, got {w}")
+
+
+class Interactions:
+    """Interaction rows held as columns, one entry per row.
+
+    ``actor`` and ``target`` are provisional ids into ``labels`` (first
+    appearance order); ``kind`` codes index :data:`INTERACTION_KINDS`;
+    ``timestamp`` is NaN where a row has none. ``len()`` is the row
+    count. Rows are checked as they are appended, so a column set
+    always builds a graph.
+    """
+
+    __slots__ = ("_ids", "actor", "target", "kind", "timestamp", "weight")
+
+    def __init__(self):
+        self._ids: dict[str, int] = {}
+        self.actor = array("q")
+        self.target = array("q")
+        self.kind = array("b")
+        self.timestamp = array("d")
+        self.weight = array("d")
+
+    @property
+    def labels(self) -> list[str]:
+        return list(self._ids)
+
+    def __len__(self):
+        return len(self.weight)
+
+    def append(self, actor: str, target: str, kind: str = "other",
+               timestamp: float | None = None, weight: float = 1.0):
+        """Add one row; ValueError if an endpoint is empty or the weight bad.
+
+        Unknown kinds become ``other``.
+        """
+        if not actor or not target:
+            raise ValueError("missing actor or target")
+        _check_weight(weight)
+        ids = self._ids
+        self.actor.append(ids.setdefault(actor, len(ids)))
+        self.target.append(ids.setdefault(target, len(ids)))
+        self.kind.append(_KIND_CODES.get(kind.strip().lower(), _KIND_CODES["other"]))
+        self.timestamp.append(math.nan if timestamp is None else timestamp)
+        self.weight.append(weight)
+
+    @classmethod
+    def from_records(cls, records: Iterable[InteractionRecord]) -> "Interactions":
+        """Columns from records; a bad record's ParseError line is its 1-based index."""
+        cols = cls()
+        for i, rec in enumerate(records, start=1):
+            try:
+                cols.append(rec.actor, rec.target, rec.kind or "other",
+                            rec.timestamp, rec.weight)
+            except ValueError as exc:
+                raise ParseError(f"record {exc}", line=i) from None
+        return cols
 
 
 def _aggregate_edges(src, dst, w):
@@ -113,8 +175,8 @@ class DirectedGraph:
         src, dst, w = _aggregate_edges(src, dst, weights)
         if src.size and (src.min() < 0 or max(src.max(), dst.max()) >= self.n):
             raise InvalidNode("edge endpoint outside node range")
-        if np.any(w <= 0):
-            raise InvalidParameter("edge weights must be positive")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise InvalidParameter("edge weights must be finite and positive")
         if np.any(src == dst):
             raise InvalidParameter("self-loops must be dropped before construction")
 
@@ -234,6 +296,31 @@ class DirectedGraph:
 
 # -- builders ------------------------------------------------------------
 
+def _graph_from_columns(labels: Sequence[str], src, dst, w,
+                        direction: str) -> DirectedGraph:
+    """Build from edges given as positions in ``labels``.
+
+    Ids are remapped to sorted-label order; self-loops are dropped with
+    a counted warning. Every label becomes a node.
+    """
+    if not labels:
+        raise EmptyInput("no edges and no nodes")
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = np.empty(len(labels), dtype=np.int64)
+    rank[order] = np.arange(len(labels))
+    src = rank[np.asarray(src, dtype=np.int64)]
+    dst = rank[np.asarray(dst, dtype=np.int64)]
+    w = np.asarray(w, dtype=np.float64)
+    loops = src == dst
+    dropped = int(np.count_nonzero(loops))
+    if dropped:
+        log.warning("dropped %d self-loop edge(s)", dropped)
+        keep = ~loops
+        src, dst, w = src[keep], dst[keep], w[keep]
+    return DirectedGraph([labels[i] for i in order], src, dst, w,
+                         direction=direction, self_loops_dropped=dropped)
+
+
 def from_edges(edges, direction: str = INFO_FLOW,
                extra_labels: Iterable[str] = ()) -> DirectedGraph:
     """Build from (src_label, dst_label[, weight]) triples.
@@ -242,63 +329,40 @@ def from_edges(edges, direction: str = INFO_FLOW,
     with a counted warning. Labels mentioned only in ``extra_labels``
     become isolated nodes.
     """
-    labels = set(extra_labels)
-    cleaned = []
-    dropped = 0
+    ids = {lab: i for i, lab in enumerate(dict.fromkeys(extra_labels))}
+    src, dst, weights = array("q"), array("q"), array("d")
     for e in edges:
-        if len(e) == 2:
-            s, d, w = e[0], e[1], 1.0
-        else:
-            s, d, w = e[0], e[1], float(e[2])
-        if w <= 0:
-            raise InvalidParameter(f"edge ({s!r}, {d!r}) has non-positive weight {w}")
-        labels.add(s)
-        labels.add(d)
-        if s == d:
-            dropped += 1
-            continue
-        cleaned.append((s, d, w))
-    if not labels:
-        raise EmptyInput("no edges and no nodes")
-    if dropped:
-        log.warning("dropped %d self-loop edge(s)", dropped)
-
-    ordered = sorted(labels)
-    idx = {lab: i for i, lab in enumerate(ordered)}
-    src = np.fromiter((idx[s] for s, _, _ in cleaned), dtype=np.int64, count=len(cleaned))
-    dst = np.fromiter((idx[d] for _, d, _ in cleaned), dtype=np.int64, count=len(cleaned))
-    w = np.fromiter((x for _, _, x in cleaned), dtype=np.float64, count=len(cleaned))
-    return DirectedGraph(ordered, src, dst, w, direction=direction,
-                         self_loops_dropped=dropped)
+        s, d = e[0], e[1]
+        w = float(e[2]) if len(e) > 2 else 1.0
+        try:
+            _check_weight(w)
+        except ValueError as exc:
+            raise InvalidParameter(f"edge ({s!r}, {d!r}): {exc}") from None
+        src.append(ids.setdefault(s, len(ids)))
+        dst.append(ids.setdefault(d, len(ids)))
+        weights.append(w)
+    return _graph_from_columns(list(ids), src, dst, weights, direction)
 
 
-def build_graph(records: Sequence[InteractionRecord],
+def build_graph(records: Interactions | Sequence[InteractionRecord],
                 convention: str = INFO_FLOW) -> DirectedGraph:
-    """Build the canonical graph from interaction records.
+    """Build the canonical graph from interaction columns or records.
 
-    ``info_flow`` orients each record target -> actor (author to
+    ``info_flow`` orients each row target -> actor (author to
     resharer); ``endorsement`` orients actor -> target. Duplicate pairs
-    aggregate into the edge weight; actor == target records are counted
+    aggregate into the edge weight; actor == target rows are counted
     and dropped but still contribute the node.
     """
     if convention not in DIRECTIONS:
         raise InvalidParameter(f"unknown direction convention {convention!r}")
-    if not records:
+    if not isinstance(records, Interactions):
+        records = Interactions.from_records(records)
+    if not len(records):
         raise EmptyInput("no interaction records")
-    edges = []
-    labels = set()
-    for i, rec in enumerate(records, start=1):
-        if not rec.actor or not rec.target:
-            raise ParseError("record missing actor or target", line=i)
-        if rec.weight is None or rec.weight <= 0:
-            raise ParseError(f"record weight must be positive, got {rec.weight}", line=i)
-        labels.add(rec.actor)
-        labels.add(rec.target)
-        if convention == ENDORSEMENT:
-            edges.append((rec.actor, rec.target, rec.weight))
-        else:
-            edges.append((rec.target, rec.actor, rec.weight))
-    return from_edges(edges, direction=convention, extra_labels=labels)
+    src, dst = records.target, records.actor
+    if convention == ENDORSEMENT:
+        src, dst = dst, src
+    return _graph_from_columns(records.labels, src, dst, records.weight, convention)
 
 
 # -- operation-style free functions (thin wrappers over the methods) ------

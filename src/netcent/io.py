@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, EmptyInput, ParseError
-from .graph import INFO_FLOW, DirectedGraph, InteractionRecord, _as_kind, from_edges
+from .graph import INFO_FLOW, DirectedGraph, Interactions, _check_weight, from_edges
 from .scores import ScoreVector
 
 INTERACTION_COLUMNS = ("actor", "target", "kind", "timestamp", "weight")
@@ -33,69 +33,70 @@ def _rows(path):
             yield lineno, raw
 
 
+def _split(raw):
+    """Fields of one line; a line with a quote is parsed on its own by csv."""
+    if '"' in raw:
+        return next(csv.reader([raw]))
+    return raw.split(",")
+
+
 def _parse_csv(path, required, optional):
-    """Parse a headered CSV into dicts; raises ParseError with line numbers."""
+    """Yield (line_number, fields) per data row of a headered CSV.
+
+    ``fields`` lists the stripped values of the required then optional
+    columns; a column the header or a short row lacks reads ``''``.
+    Raises ParseError with the file line for a missing required column
+    or a row with more fields than the header.
+    """
     rows = _rows(path)
     try:
         header_line_no, header_raw = next(rows)
     except StopIteration:
         raise EmptyInput(f"{path}: no header row") from None
-    header = next(csv.reader([header_raw]))
-    header = [h.strip().lower() for h in header]
+    header = [h.strip().lower() for h in _split(header_raw)]
     for col in required:
         if col not in header:
             raise ParseError(f"{path}: missing required column {col!r}",
                              line=header_line_no)
-    known = set(required) | set(optional)
-    out = []
+    position = {h: i for i, h in enumerate(header)}
+    # len(header) is past the end of every row, so an absent column reads ''
+    wanted = [position.get(col, len(header)) for col in (*required, *optional)]
     for lineno, raw in rows:
-        values = next(csv.reader([raw]))
+        values = _split(raw)
         if len(values) > len(header):
             raise ParseError(f"{path}: row has {len(values)} fields, header has "
                              f"{len(header)}", line=lineno)
-        rec = {h: v.strip() for h, v in zip(header, values) if h in known}
-        out.append((lineno, rec))
-    return out
+        yield lineno, [values[i].strip() if i < len(values) else "" for i in wanted]
 
 
-def read_interactions_csv(path) -> list[InteractionRecord]:
+def read_interactions_csv(path) -> Interactions:
     """Read ``actor,target,kind,timestamp,weight`` rows (last three optional)."""
-    records = []
-    for lineno, rec in _parse_csv(path, ("actor", "target"),
-                                  ("kind", "timestamp", "weight")):
-        actor = rec.get("actor", "")
-        target = rec.get("target", "")
-        if not actor or not target:
-            raise ParseError(f"{path}: missing actor or target", line=lineno)
-        ts = rec.get("timestamp", "")
-        weight = rec.get("weight", "")
+    rows = Interactions()
+    for lineno, (actor, target, kind, ts, weight) in _parse_csv(
+            path, ("actor", "target"), ("kind", "timestamp", "weight")):
         try:
-            records.append(InteractionRecord(
-                actor=actor,
-                target=target,
-                kind=_as_kind(rec.get("kind", "other") or "other"),
-                timestamp=float(ts) if ts else None,
-                weight=float(weight) if weight else 1.0,
-            ))
+            rows.append(actor, target, kind,
+                        float(ts) if ts else None,
+                        float(weight) if weight else 1.0)
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from None
-    if not records:
+    if not len(rows):
         raise EmptyInput(f"{path}: no interaction records")
-    return records
+    return rows
 
 
 def read_edge_csv(path, direction: str = INFO_FLOW) -> DirectedGraph:
     """Read a pre-built ``src,dst,weight`` edge list (weight optional, default 1)."""
     edges = []
-    for lineno, rec in _parse_csv(path, ("src", "dst"), ("weight",)):
-        s, d = rec.get("src", ""), rec.get("dst", "")
+    for lineno, (s, d, w) in _parse_csv(path, ("src", "dst"), ("weight",)):
         if not s or not d:
             raise ParseError(f"{path}: missing src or dst", line=lineno)
-        w = rec.get("weight", "")
         try:
-            edges.append((s, d, float(w) if w else 1.0))
+            w = float(w) if w else 1.0
+            _check_weight(w)
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from None
+        edges.append((s, d, w))
     if not edges:
         raise EmptyInput(f"{path}: no edges")
     return from_edges(edges, direction=direction)
@@ -147,12 +148,14 @@ def read_scores_csv(path, metric: str | None = None) -> ScoreVector:
     if metric is None:
         metric = Path(path).name.split(".")[0]
     labels, values = [], []
-    for lineno, rec in _parse_csv(path, ("node_label", "score"), ()):
+    for lineno, (label, score) in _parse_csv(path, ("node_label", "score"), ()):
+        if not label:
+            raise ParseError(f"{path}: missing node label", line=lineno)
         try:
-            labels.append(rec["node_label"])
-            values.append(float(rec["score"]))
-        except (KeyError, ValueError) as exc:
+            values.append(float(score))
+        except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from None
+        labels.append(label)
     if not labels:
         raise EmptyInput(f"{path}: no scores")
     if len(set(labels)) != len(labels):

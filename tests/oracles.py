@@ -30,6 +30,22 @@ def bfs_dist(adj, source, n):
     return dist
 
 
+def interaction_graph(rows, convention):
+    """(sorted labels, {(src, dst): summed weight}, self-loop count) from
+    (actor, target, weight) rows; info_flow orients target -> actor."""
+    labels = set()
+    edges = {}
+    loops = 0
+    for actor, target, weight in rows:
+        labels.update((actor, target))
+        if actor == target:
+            loops += 1
+            continue
+        key = (target, actor) if convention == "info_flow" else (actor, target)
+        edges[key] = edges.get(key, 0.0) + weight
+    return sorted(labels), edges, loops
+
+
 def degree_counts(edges, n):
     """(in, out, total) per node by scanning the raw edge list."""
     ind = [0] * n

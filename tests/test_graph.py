@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_graph
-from netcent import (EmptyInput, InteractionRecord, InvalidNode, ParseError,
-                     build_graph, degree, from_edges, remove_nodes, transpose)
+from netcent import (DirectedGraph, EmptyInput, InteractionRecord, Interactions,
+                     InvalidNode, InvalidParameter, ParseError, build_graph,
+                     degree, from_edges, remove_nodes, transpose)
 
 
 def rec(actor, target, kind="retweet"):
@@ -165,7 +166,6 @@ def test_graph_arrays_are_read_only():
 
 
 def test_non_positive_edge_weight_rejected():
-    from netcent import InvalidParameter
     with pytest.raises(InvalidParameter):
         from_edges([("a", "b", 0.0)])
     with pytest.raises(InvalidParameter):
@@ -176,3 +176,28 @@ def test_record_with_non_positive_weight_names_line():
     with pytest.raises(ParseError) as exc:
         build_graph([rec("a", "b"), InteractionRecord("b", "c", weight=0.0)])
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("w", [float("nan"), float("inf")])
+def test_non_finite_edge_weight_rejected(w):
+    with pytest.raises(InvalidParameter):
+        from_edges([("a", "b", w)])
+    with pytest.raises(InvalidParameter):
+        DirectedGraph(["a", "b"], [0], [1], [w])
+
+
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), None])
+def test_record_with_non_finite_weight_names_line(w):
+    with pytest.raises(ParseError) as exc:
+        build_graph([rec("a", "b"), InteractionRecord("b", "c", weight=w)])
+    assert exc.value.line == 2
+
+
+def test_columns_and_records_build_the_same_graph():
+    records = [InteractionRecord("b", "a", "reply", 5.0, 2.0),
+               InteractionRecord("c", "c"), InteractionRecord("a", "b")]
+    cols = Interactions.from_records(records)
+    assert len(cols) == 3 and cols.labels == ["b", "a", "c"]
+    assert list(cols.kind) == [2, 4, 4]
+    assert build_graph(cols, "endorsement") == build_graph(records, "endorsement")
+    assert build_graph(cols).self_loops_dropped == 1

@@ -1,15 +1,40 @@
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netcent import EmptyInput, ParseError, ScoreVector, from_edges
+import oracles
+from netcent import EmptyInput, ParseError, ScoreVector, build_graph, from_edges
 from netcent import io as ncio
+from netcent.cli import main
+from netcent.graph import INTERACTION_KINDS
+
+
+def table(rows):
+    """(actor, target, kind, timestamp or None, weight) per row, from the columns."""
+    labels = rows.labels
+    return [(labels[a], labels[t], INTERACTION_KINDS[k],
+             None if math.isnan(ts) else ts, w)
+            for a, t, k, ts, w in zip(rows.actor, rows.target, rows.kind,
+                                      rows.timestamp, rows.weight)]
+
+
+def read_text(tmp_path, text):
+    p = tmp_path / "i.csv"
+    p.write_bytes(text.encode())
+    return ncio.read_interactions_csv(p)
 
 
 def test_interactions_csv_optional_columns(tmp_path):
     p = tmp_path / "i.csv"
     p.write_text("actor,target\nu1,u2\n# comment\nu2,u3\n\n")
-    records = ncio.read_interactions_csv(p)
-    assert [(r.actor, r.target, r.kind, r.weight) for r in records] == [
+    rows = ncio.read_interactions_csv(p)
+    assert len(rows) == 2
+    assert [(a, t, k, w) for a, t, k, _, w in table(rows)] == [
         ("u1", "u2", "other", 1.0), ("u2", "u3", "other", 1.0)]
 
 
@@ -18,9 +43,134 @@ def test_interactions_csv_full_columns(tmp_path):
     p.write_text("actor,target,kind,timestamp,weight\n"
                  "a,b,RETWEET,1600000000,2.5\n"
                  "b,c,oddkind,,\n")
-    r1, r2 = ncio.read_interactions_csv(p)
-    assert r1.kind == "retweet" and r1.timestamp == 1600000000.0 and r1.weight == 2.5
-    assert r2.kind == "other" and r2.timestamp is None and r2.weight == 1.0
+    r1, r2 = table(ncio.read_interactions_csv(p))
+    assert r1[2:] == ("retweet", 1600000000.0, 2.5)
+    assert r2[2:] == ("other", None, 1.0)
+
+
+# -- per-line parsing: each case pins the result of the csv-per-line reader
+
+def test_unbalanced_quote_leaves_next_line_its_own_row(tmp_path):
+    rows = read_text(tmp_path, 'actor,target\na,"b\nc,d\n')
+    assert table(rows) == [("a", "b", "other", None, 1.0),
+                           ("c", "d", "other", None, 1.0)]
+
+
+def test_quoted_field_keeps_its_comma(tmp_path):
+    rows = read_text(tmp_path, 'actor,target,kind\n"x,y",z,reply\nz,"x,y"\n')
+    assert table(rows) == [("x,y", "z", "reply", None, 1.0),
+                           ("z", "x,y", "other", None, 1.0)]
+
+
+def test_quote_inside_unquoted_field_is_literal(tmp_path):
+    rows = read_text(tmp_path, 'actor,target\nx"y,z\n')
+    assert table(rows) == [('x"y', "z", "other", None, 1.0)]
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"])
+def test_crlf_and_cr_line_endings(tmp_path, eol):
+    text = eol.join(["actor,target,kind,timestamp,weight",
+                     "a,b,mention,5,2", "b,c", ""])
+    assert table(read_text(tmp_path, text)) == [
+        ("a", "b", "mention", 5.0, 2.0), ("b", "c", "other", None, 1.0)]
+
+
+def test_blank_and_comment_lines_skipped(tmp_path):
+    rows = read_text(tmp_path, "actor,target\n\n# c\n   \n  # indented\n"
+                               "a,b\n\n#x,y\nb,a\n")
+    assert table(rows) == [("a", "b", "other", None, 1.0),
+                           ("b", "a", "other", None, 1.0)]
+
+
+def test_short_rows_lack_optional_columns(tmp_path):
+    rows = read_text(tmp_path, "actor,target,kind,timestamp,weight\n"
+                               "a,b\nb,c,share\nc,a,reply,7\n")
+    assert table(rows) == [("a", "b", "other", None, 1.0),
+                           ("b", "c", "share", None, 1.0),
+                           ("c", "a", "reply", 7.0, 1.0)]
+
+
+def test_row_with_too_many_fields_names_line(tmp_path):
+    with pytest.raises(ParseError) as exc:
+        read_text(tmp_path, "actor,target\n# c\na,b,c\n")
+    assert exc.value.line == 3
+
+
+# -- weights: finite and positive, errors name the file line
+
+BAD_WEIGHTS = ["nan", "inf", "-1", "0"]
+
+
+@pytest.mark.parametrize("weight", BAD_WEIGHTS)
+def test_interactions_csv_bad_weight_names_line(tmp_path, weight):
+    with pytest.raises(ParseError) as exc:
+        read_text(tmp_path, f"actor,target,weight\na,b,1\nb,c,{weight}\n")
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("weight", BAD_WEIGHTS)
+def test_edge_csv_bad_weight_names_line(tmp_path, weight):
+    p = tmp_path / "e.csv"
+    p.write_text(f"src,dst,weight\nx,y,1\ny,z,{weight}\n")
+    with pytest.raises(ParseError) as exc:
+        ncio.read_edge_csv(p)
+    assert exc.value.line == 3
+
+
+def test_weight_error_counts_file_lines_not_records(tmp_path):
+    with pytest.raises(ParseError) as exc:
+        read_text(tmp_path, "actor,target,kind,timestamp,weight\n"
+                            "# exported 2020-01-01\n"
+                            "a,b,retweet,1,1\n"
+                            "b,c,retweet,2,0\n")
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("fmt,text", [
+    ("interactions", "actor,target,weight\na,b,1\nb,c,nan\n"),
+    ("edges", "src,dst,weight\na,b,1\nb,c,inf\n"),
+])
+def test_cli_run_rejects_non_finite_weight_with_exit_2(tmp_path, capsys, fmt, text):
+    p = tmp_path / "in.csv"
+    p.write_text(text)
+    code = main(["run", "--input", str(p), "--format", fmt, "--pc-weighted",
+                 "--metrics", "pc", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+# -- equivalence: streamed ingest == dict oracle == from_edges
+
+LABELS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
+ROWS = st.lists(
+    st.tuples(LABELS, LABELS, st.sampled_from(INTERACTION_KINDS),
+              st.one_of(st.none(), st.integers(1, 8).map(lambda q: q / 4))),
+    min_size=1, max_size=40)
+
+
+@given(rows=ROWS, seed=st.randoms(use_true_random=False),
+       convention=st.sampled_from(["info_flow", "endorsement"]))
+@settings(max_examples=60, deadline=None)
+def test_ingest_matches_dict_oracle_and_from_edges(tmp_path_factory, rows, seed,
+                                                   convention):
+    rows = rows + rows[: len(rows) // 2]     # guaranteed duplicates
+    seed.shuffle(rows)
+    lines = ["actor,target,kind,weight"] + [
+        f"{a},{t},{k},{'' if w is None else w}" for a, t, k, w in rows]
+    p = tmp_path_factory.mktemp("eq") / "i.csv"
+    p.write_text("\n".join(lines) + "\n")
+    g = build_graph(ncio.read_interactions_csv(p), convention)
+
+    weighted = [(a, t, 1.0 if w is None else w) for a, t, _, w in rows]
+    labels, edges, loops = oracles.interaction_graph(weighted, convention)
+    src, dst, w = g.edge_arrays()
+    assert g.labels == tuple(labels)
+    assert {(g.labels[s], g.labels[d]): x for s, d, x in zip(src, dst, w)} == edges
+    assert g.self_loops_dropped == loops
+
+    oriented = [(t, a, x) if convention == "info_flow" else (a, t, x)
+                for a, t, x in weighted]
+    assert g == from_edges(oriented, direction=convention)
 
 
 def test_interactions_csv_missing_actor_line_number(tmp_path):
@@ -99,3 +249,10 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     ncio.write_atomic(target, "two")
     assert target.read_text() == "two"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, netcent.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
