@@ -18,13 +18,12 @@ from . import __version__
 from .errors import NetcentError, UsageError, exit_code_for
 from .graph import build_graph
 from .novel import NodeAttributes
-from .pipeline import (DEFAULT_METRICS, RunConfig, compute_metric,
-                       emit_plot_data, load_config_file, load_graph,
-                       run_pipeline)
+from .pipeline import (DEFAULT_METRICS, RunConfig, cascade_config,
+                       compute_metric, emit_plot_data, load_config_file,
+                       load_graph, removal_for, run_pipeline)
 from .ranking import overlap_report, rank_correlation, top_k
-from .rng import derive_seed
 from .scores import TRADITIONAL_METRICS
-from .simulate import CascadeConfig, intervention_experiment, metric_removal_set
+from .simulate import MODELS, STRATEGIES, intervention_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="misinformation originator labels")
     p.add_argument("--random-seeds", type=int, default=0,
                    help="draw this many originators at random instead")
-    p.add_argument("--model", choices=("independent_cascade", "reachability"),
-                   default="independent_cascade")
+    p.add_argument("--model", choices=MODELS, default="independent_cascade")
     p.add_argument("--ic-p", type=float, default=0.1)
     p.add_argument("--ic-trials", type=int, default=1000)
     p.add_argument("--ic-weight-scaled", action="store_true")
@@ -98,9 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--remove", type=_csv_list, default=(),
                    help="explicit node labels to remove")
     p.add_argument("--removal-file", help="file with one label per line")
-    p.add_argument("--strategy",
-                   choices=("traditional_union", "combined_union", "single",
-                            "random"),
+    p.add_argument("--strategy", choices=STRATEGIES,
                    help="derive the removal set from score CSVs instead")
     p.add_argument("--scores", nargs="*", default=(),
                    help="score CSVs for --strategy")
@@ -128,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-random-seeds", type=int)
     p.add_argument("--sim-strategies", type=_csv_list)
     p.add_argument("--sim-budget", choices=("equal", "natural"))
-    p.add_argument("--sim-model",
-                   choices=("independent_cascade", "reachability"))
+    p.add_argument("--sim-model", choices=MODELS)
     _add_metric_overrides(p)
 
     p = sub.add_parser("emit-plots", help="report.json -> figure data CSVs")
@@ -265,17 +260,13 @@ def _cmd_simulate(args) -> int:
     cfg = RunConfig.from_dict({
         "input": args.input, "format": args.format,
         "direction": _direction(args.direction), "seed": args.seed,
+        "k": args.k, "workers": args.workers, "sim_seeds": args.seeds,
+        "sim_random_seeds": args.random_seeds, "sim_model": args.model,
+        "sim_p": args.ic_p, "sim_trials": args.ic_trials,
+        "sim_weight_scaled": args.ic_weight_scaled,
     })
     g = load_graph(cfg)
-
-    seeds = args.seeds
-    if not seeds:
-        if args.random_seeds < 1:
-            raise UsageError("provide --seeds or --random-seeds")
-        from .rng import substream
-        picks = substream(args.seed, "sim_seeds").choice(
-            g.n, size=min(args.random_seeds, g.n), replace=False)
-        seeds = tuple(sorted(g.labels[i] for i in picks))
+    cascade = cascade_config(g, cfg)
 
     removal = set(args.remove)
     if args.removal_file:
@@ -288,19 +279,13 @@ def _cmd_simulate(args) -> int:
             rankings[sv.metric] = top_k(sv, sv.n)
         if not rankings and args.strategy != "random":
             raise UsageError("--strategy needs --scores files")
-        removal |= metric_removal_set(
-            rankings, args.strategy, metric=args.metric, k=args.k,
-            budget=args.budget, universe=g.labels,
-            seed=derive_seed(args.seed, "removal_random"))
+        strategy = f"{args.strategy}:{args.metric}" if args.metric else args.strategy
+        removal |= removal_for(g, rankings, strategy, cfg, args.budget)
     if not removal:
         raise UsageError("nothing to remove: use --remove, --removal-file, "
                          "or --strategy")
 
-    cascade = CascadeConfig(seeds=tuple(seeds), model=args.model, p=args.ic_p,
-                            trials=args.ic_trials,
-                            seed=derive_seed(args.seed, "cascade"),
-                            weight_scaled=args.ic_weight_scaled)
-    result = intervention_experiment(g, removal, cascade, workers=args.workers)
+    result = intervention_experiment(g, removal, cascade, workers=cfg.workers)
     _print_or_write(result.to_dict(), args.out)
     return 0
 

@@ -284,45 +284,43 @@ def _metric_summary(sv: ScoreVector, k: int) -> dict:
                     for r, lab, s in table.entries]}
 
 
-def _pick_sim_seeds(g: DirectedGraph, cfg: RunConfig) -> tuple[str, ...]:
-    if cfg.sim_seeds:
-        return cfg.sim_seeds
-    if cfg.sim_random_seeds < 1:
-        raise InvalidParameter("simulation needs sim_seeds or sim_random_seeds")
-    count = min(cfg.sim_random_seeds, g.n)
-    rng = substream(cfg.seed, "sim_seeds")
-    picks = rng.choice(g.n, size=count, replace=False)
-    return tuple(sorted(g.labels[i] for i in picks))
+def cascade_config(g: DirectedGraph, cfg: RunConfig) -> CascadeConfig:
+    """The run's spread model; originators not given are drawn, seeded."""
+    seeds = cfg.sim_seeds
+    if not seeds:
+        if cfg.sim_random_seeds < 1:
+            raise InvalidParameter("simulation needs sim_seeds or sim_random_seeds")
+        picks = substream(cfg.seed, "sim_seeds").choice(
+            g.n, size=min(cfg.sim_random_seeds, g.n), replace=False)
+        seeds = tuple(sorted(g.labels[i] for i in picks))
+    return CascadeConfig(seeds=seeds, model=cfg.sim_model, p=cfg.sim_p,
+                         trials=cfg.sim_trials,
+                         seed=derive_seed(cfg.seed, "cascade"),
+                         weight_scaled=cfg.sim_weight_scaled)
+
+
+def removal_for(g: DirectedGraph, deep_rankings, strategy: str,
+                cfg: RunConfig, budget: int | None) -> frozenset[str]:
+    """Removal set of one strategy; ``single:<metric>`` targets one ranking."""
+    name, _, metric = strategy.partition(":")
+    if name == "random":
+        return metric_removal_set(
+            deep_rankings, "random", budget=budget if budget is not None else cfg.k,
+            universe=g.labels, seed=derive_seed(cfg.seed, "removal_random"))
+    return metric_removal_set(
+        deep_rankings, name, metric=metric or None, k=cfg.k, budget=budget,
+        universe=g.labels, seed=derive_seed(cfg.seed, "removal_pad"))
 
 
 def _run_interventions(g: DirectedGraph, deep_rankings, cfg: RunConfig) -> list:
-    seeds = _pick_sim_seeds(g, cfg)
-    cascade = CascadeConfig(seeds=seeds, model=cfg.sim_model, p=cfg.sim_p,
-                            trials=cfg.sim_trials,
-                            seed=derive_seed(cfg.seed, "cascade"),
-                            weight_scaled=cfg.sim_weight_scaled)
-    natural = {}
-    for s in cfg.sim_strategies:
-        name, _, metric = s.partition(":")
-        if name != "random":
-            natural[s] = len(metric_removal_set(deep_rankings, name,
-                                                metric=metric or None, k=cfg.k))
-    budget = max(natural.values()) if (cfg.sim_budget == "equal" and natural) else None
+    cascade = cascade_config(g, cfg)
+    natural = [len(removal_for(g, deep_rankings, s, cfg, None))
+               for s in cfg.sim_strategies if s.partition(":")[0] != "random"]
+    budget = max(natural) if (cfg.sim_budget == "equal" and natural) else None
 
     results = []
     for strategy in cfg.sim_strategies:
-        # "single:<metric>" targets one metric's ranking
-        name, _, metric = strategy.partition(":")
-        if name == "random":
-            size = budget if budget is not None else cfg.k
-            removal = metric_removal_set(
-                deep_rankings, "random", budget=size, universe=g.labels,
-                seed=derive_seed(cfg.seed, "removal_random"))
-        else:
-            removal = metric_removal_set(
-                deep_rankings, name, metric=metric or None, k=cfg.k,
-                budget=budget, universe=g.labels,
-                seed=derive_seed(cfg.seed, "removal_pad"))
+        removal = removal_for(g, deep_rankings, strategy, cfg, budget)
         res = intervention_experiment(g, removal, cascade, workers=cfg.workers)
         entry = {"strategy": strategy, "budget": len(removal)}
         entry.update(res.to_dict())

@@ -2,21 +2,28 @@
 
 Two spread models ship: deterministic reachability (nodes reachable from
 the seed set along the info-flow direction) and the one-shot independent
-cascade, estimated by Monte Carlo. Cascade trials draw from
-counter-based streams keyed by (seed, trial index), so a result never
-depends on trial ordering or parallel scheduling, and baseline/treated
-runs of an experiment share the same stream structure for variance
-pairing.
+cascade, estimated by Monte Carlo over its live-edge form (Kempe,
+Kleinberg & Tardos 2003). Edge e is live in trial t iff
+``rng.trial_stream(seed, t).random(m)[e]`` is below p, or below
+1 - (1-p)**w when weight-scaled, where e indexes the in-adjacency
+(edges sorted by destination, then source); the trial's spread is the
+number of nodes the seeds reach over live edges. Trials run 64 to a
+``uint64`` lane, bit j of a node's word being trial 64*lane + j, so one
+sweep over the edges advances 64 cascades. Reachability is the same
+sweep with one trial and every edge live.
+
+An intervention runs baseline and treated on the same lanes: the
+treated run clears the live bits of every edge touching a removed node
+and drops removed seeds, so no trial's treated spread exceeds its
+baseline, and the paired difference has its own standard error.
 
 Node identity in this module is the node *label*: removal sets come from
-rankings and must survive the id re-densification that node removal
-performs.
+rankings, and seed sets are given by label.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -26,12 +33,11 @@ from .errors import DegenerateBaseline, InvalidParameter
 from .graph import DirectedGraph
 from .ranking import RankingTable
 from .scores import NOVEL_METRICS, TRADITIONAL_METRICS
-from .traditional import _frontier_edges
 
 MODELS = ("independent_cascade", "reachability")
 STRATEGIES = ("traditional_union", "combined_union", "single", "random")
 
-_TRIAL_CHUNK = 256
+_LANE = 64
 
 
 @dataclass
@@ -67,134 +73,145 @@ class CascadeConfig:
 
 @dataclass
 class InterventionResult:
-    """Baseline vs treated spread volumes for one removal experiment."""
+    """Baseline vs treated spread volumes for one removal experiment.
+
+    ``*_se`` are the Monte Carlo standard errors of the two means and of
+    their per-trial difference: None with one trial or under reachability.
+    """
 
     baseline_volume: float
     treated_volume: float
     removed: tuple[str, ...]
     reduction_pct: float
     model: dict
+    baseline_se: float | None = None
+    treated_se: float | None = None
+    difference_se: float | None = None
 
     def to_dict(self) -> dict:
-        return {"baseline_volume": self.baseline_volume,
-                "treated_volume": self.treated_volume,
-                "removed": list(self.removed),
-                "reduction_pct": self.reduction_pct,
-                "model": self.model,
-                "trials": self.model.get("trials"),
-                "seed": self.model.get("seed")}
+        d = {"baseline_volume": self.baseline_volume,
+             "treated_volume": self.treated_volume,
+             "removed": list(self.removed),
+             "reduction_pct": self.reduction_pct,
+             "model": self.model,
+             "trials": self.model.get("trials"),
+             "seed": self.model.get("seed")}
+        if self.model["model"] == "independent_cascade":
+            d.update(baseline_se=self.baseline_se, treated_se=self.treated_se,
+                     difference_se=self.difference_se)
+        return d
 
 
-def _seed_ids(g: DirectedGraph, labels: Iterable[str]) -> np.ndarray:
-    ids = np.array(sorted(g.id_of(lab) for lab in labels), dtype=np.int64)
-    return ids
+def _node_ids(g: DirectedGraph, labels: Iterable[str]) -> np.ndarray:
+    return np.array(sorted(g.id_of(lab) for lab in labels), dtype=np.int64)
 
 
-def _reachable_count(g: DirectedGraph, seed_ids: np.ndarray) -> int:
-    seen = np.zeros(g.n, dtype=bool)
-    seen[seed_ids] = True
-    frontier = seed_ids
-    while frontier.size:
-        _, edst = _frontier_edges(g.out_ptr, g.out_dst, frontier)
-        fresh = edst[~seen[edst]]
-        if fresh.size == 0:
-            break
-        frontier = np.unique(fresh)
-        seen[frontier] = True
-    return int(seen.sum())
+class _Sweep:
+    """In-edges grouped by destination, swept 64 trials at a time."""
+
+    def __init__(self, g: DirectedGraph):
+        in_degree = np.diff(g.in_ptr)
+        self.n = g.n
+        self.src = g.in_src
+        self.dst = np.repeat(np.arange(g.n), in_degree)
+        self.w = g.in_w
+        self.targets = np.flatnonzero(in_degree)
+        self.heads = g.in_ptr[self.targets]
+
+    def lanes(self, cfg: CascadeConfig):
+        """Yield (live, width) per lane: bit j of live[e] is trial j's edge e."""
+        m = self.src.size
+        if cfg.model == "reachability":
+            yield np.ones(m, dtype=np.uint64), 1
+            return
+        prob = 1.0 - (1.0 - cfg.p) ** self.w if cfg.weight_scaled else cfg.p
+        for first in range(0, cfg.trials, _LANE):
+            width = min(_LANE, cfg.trials - first)
+            live = np.zeros(m, dtype=np.uint64)
+            for j in range(width):
+                bits = (_rng.trial_stream(cfg.seed, first + j).random(m)
+                        < prob).astype(np.uint64)
+                bits <<= np.uint64(j)
+                live |= bits
+            yield live, width
+
+    def spread(self, seed_ids: np.ndarray, live: np.ndarray,
+               width: int) -> np.ndarray:
+        """Activated count of each of the lane's ``width`` trials."""
+        active = np.zeros(self.n, dtype=np.uint64)
+        active[seed_ids] = np.uint64(2**width - 1)
+        frontier = active.copy()
+        while self.src.size:
+            reached = np.bitwise_or.reduceat(frontier[self.src] & live,
+                                             self.heads)
+            reached &= ~active[self.targets]
+            if not reached.any():
+                break
+            frontier[:] = 0
+            frontier[self.targets] = reached
+            active[self.targets] |= reached
+        bits = np.unpackbits(active.astype("<u8").view(np.uint8).reshape(-1, 8),
+                             axis=1, bitorder="little")
+        return bits[:, :width].sum(axis=0, dtype=np.int64)
 
 
-def _cascade_trial(g: DirectedGraph, seed_ids: np.ndarray, p: float,
-                   weight_scaled: bool, rng: np.random.Generator) -> int:
-    """One independent-cascade realisation; returns the activated count.
+def _trial_counts(g: DirectedGraph, cfg: CascadeConfig,
+                  removal: Iterable[str] | None = None) -> list[np.ndarray]:
+    """Per-trial spread counts, then with a removal the treated counts.
 
-    Each edge gets at most one activation attempt (when its source
-    activates), which makes the expectation identical to reachability
-    over a live-edge graph with per-edge probability p, or
-    1 - (1-p)**w when weight-scaled.
+    The treated run drops removed seeds and clears the live bits of every
+    edge touching a removed node, so each trial's runs share its draws.
     """
-    active = np.zeros(g.n, dtype=bool)
-    active[seed_ids] = True
-    frontier = seed_ids
-    while frontier.size:
-        starts = g.out_ptr[frontier]
-        counts = g.out_ptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        idx = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
-        edst = g.out_dst[idx]
-        open_edge = ~active[edst]
-        edst = edst[open_edge]
-        if edst.size == 0:
-            break
-        if weight_scaled:
-            ew = g.out_w[idx][open_edge]
-            prob = 1.0 - (1.0 - p) ** ew
-        else:
-            prob = p
-        hits = edst[rng.random(edst.size) < prob]
-        if hits.size == 0:
-            break
-        frontier = np.unique(hits)
-        active[frontier] = True
-    return int(active.sum())
+    sweep = _Sweep(g)
+    seed_ids = _node_ids(g, cfg.seeds)
+    every = np.uint64(2**64 - 1)
+    runs = [(seed_ids, every)]
+    if removal is not None:
+        gone = np.zeros(g.n, dtype=bool)
+        gone[_node_ids(g, removal)] = True  # raises InvalidNode for unknown labels
+        runs.append((seed_ids[~gone[seed_ids]],
+                     np.where(gone[sweep.src] | gone[sweep.dst], np.uint64(0),
+                              every)))
+    counts = [[] for _ in runs]
+    for live, width in sweep.lanes(cfg):
+        for out, (ids, keep) in zip(counts, runs):
+            out.append(sweep.spread(ids, live & keep, width))
+    return [np.concatenate(c) for c in counts]
+
+
+def _standard_error(x: np.ndarray) -> float | None:
+    return float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else None
 
 
 def spread_volume(g: DirectedGraph, cfg: CascadeConfig,
                   workers: int = 1) -> float:
-    """Expected infected count from the seed set under the chosen model."""
-    seed_ids = _seed_ids(g, cfg.seeds)
-    if cfg.model == "reachability":
-        return float(_reachable_count(g, seed_ids))
-
-    def run_range(span):
-        t0, t1 = span
-        out = np.empty(t1 - t0)
-        for t in range(t0, t1):
-            rng = _rng.trial_stream(cfg.seed, t)
-            out[t - t0] = _cascade_trial(g, seed_ids, cfg.p, cfg.weight_scaled, rng)
-        return out
-
-    spans = [(t, min(t + _TRIAL_CHUNK, cfg.trials))
-             for t in range(0, cfg.trials, _TRIAL_CHUNK)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            chunks = list(ex.map(run_range, spans))
-    else:
-        chunks = [run_range(s) for s in spans]
-    counts = np.concatenate(chunks)
+    """Expected infected count from the seed set; ``workers`` is inert."""
+    counts, = _trial_counts(g, cfg)
     return float(counts.mean())
 
 
 def intervention_experiment(g: DirectedGraph, removal: Iterable[str],
                             cfg: CascadeConfig,
                             workers: int = 1) -> InterventionResult:
-    """Baseline spread on g vs spread after removing the given nodes.
+    """Baseline spread on g vs spread with the given nodes removed.
 
-    Removed seeds are treated as neutralised originators: they are
-    dropped from the treated run's seed set. Baseline and treated runs
-    reuse the same per-trial streams.
+    Removed nodes lose every edge; removed seeds are treated as
+    neutralised originators and dropped from the treated seed set. Both
+    runs of a trial share its live edges. ``workers`` is inert.
     """
     removal = sorted(set(removal))
-    for label in removal:
-        g.id_of(label)  # raises InvalidNode for unknown labels
-    baseline = spread_volume(g, cfg, workers=workers)
-    if baseline == 0.0:
+    baseline, treated = _trial_counts(g, cfg, removal)
+    base_volume = float(baseline.mean())
+    if base_volume == 0.0:
         raise DegenerateBaseline("baseline spread volume is zero")
-
-    surviving = tuple(s for s in cfg.seeds if s not in set(removal))
-    if not surviving:
-        treated = 0.0
-    else:
-        treated_graph, _ = g.remove_nodes([g.id_of(lab) for lab in removal])
-        treated = spread_volume(treated_graph, replace(cfg, seeds=surviving),
-                                workers=workers)
-    reduction = 100.0 * (baseline - treated) / baseline
-    return InterventionResult(baseline_volume=baseline, treated_volume=treated,
-                              removed=tuple(removal), reduction_pct=reduction,
-                              model=cfg.to_dict())
+    treated_volume = float(treated.mean())
+    return InterventionResult(
+        baseline_volume=base_volume, treated_volume=treated_volume,
+        removed=tuple(removal),
+        reduction_pct=100.0 * (base_volume - treated_volume) / base_volume,
+        model=cfg.to_dict(), baseline_se=_standard_error(baseline),
+        treated_se=_standard_error(treated),
+        difference_se=_standard_error(baseline - treated))
 
 
 def _merged_order(tables: list[RankingTable], k: int | None) -> tuple[list[str], int]:

@@ -195,6 +195,37 @@ def live_edge_expectation(edges, n, seeds, p, weights=None):
     return mean, second - mean * mean
 
 
+def keyed_cascade_sizes(edges, n, seeds, probs, stream_seed, trials,
+                        removed=()):
+    """Per-trial cascade sizes by BFS over each trial's keyed live edges.
+
+    ``edges`` are in the graph's in-adjacency order, sorted by
+    (dst, src); edge i is live in trial t iff draw i of
+    ``trial_stream(stream_seed, t)`` is below ``probs[i]``. Removed
+    nodes neither seed nor pass on the cascade.
+    """
+    from netcent.rng import trial_stream
+
+    removed = set(removed)
+    sizes = []
+    for t in range(trials):
+        draws = trial_stream(stream_seed, t).random(len(edges))
+        adj = {v: [] for v in range(n)}
+        for i, (s, d) in enumerate(edges):
+            if draws[i] < probs[i] and s not in removed and d not in removed:
+                adj[s].append(d)
+        reached = {v for v in seeds if v not in removed}
+        q = deque(reached)
+        while q:
+            u = q.popleft()
+            for v in adj[u]:
+                if v not in reached:
+                    reached.add(v)
+                    q.append(v)
+        sizes.append(len(reached))
+    return sizes
+
+
 def sort_by_exact(values, labels):
     """Descending exact-value order with ascending-label tie-break."""
     return [lab for _, lab in sorted(zip(values, labels),

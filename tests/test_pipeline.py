@@ -2,12 +2,14 @@ import json
 
 import pytest
 
-from netcent import NothingToEmit
+from netcent import NothingToEmit, preferential_attachment
 from netcent.cli import main
 from netcent.pipeline import (RunConfig, emit_plot_data, load_config_file,
                               run_pipeline)
 from test_ranking import TRADITIONAL_IDS, fixture_rankings
-from netcent.ranking import overlap_report
+from netcent.io import read_scores_csv
+from netcent.ranking import overlap_report, top_k
+from netcent.simulate import metric_removal_set
 
 
 INTERACTIONS = """\
@@ -245,6 +247,37 @@ class TestStandaloneCommands:
                        "--seed", "9", "--out", result_path) == 0
         payload = json.loads(result_path.read_text())
         assert len(payload["removed"]) == 3
+
+    def test_simulate_matches_the_pipeline_intervention(self, tmp_path):
+        g = preferential_attachment(80, 2, seed=3)
+        src, dst, _ = g.edge_arrays()
+        interactions_csv = tmp_path / "interactions.csv"
+        interactions_csv.write_text("actor,target\n" + "".join(
+            f"{g.labels[s]},{g.labels[d]}\n" for s, d in zip(src, dst)))
+        out = tmp_path / "out"
+        cfg = RunConfig(input=str(interactions_csv), out=str(out), seed=5, k=1,
+                        simulate=True, sim_random_seeds=2, sim_p=0.4,
+                        sim_trials=150,
+                        sim_strategies=("traditional_union", "combined_union"))
+        entry = run_pipeline(cfg).interventions[0]
+        scores = sorted(out.glob("*.scores.csv"))
+        natural = metric_removal_set(
+            {sv.metric: top_k(sv, sv.n) for sv in map(read_scores_csv, scores)},
+            "traditional_union", k=1)
+        assert entry["budget"] > len(natural)  # the set is padded
+
+        result_path = tmp_path / "sim.json"
+        assert run_cli("simulate", "--input", interactions_csv,
+                       "--random-seeds", "2", "--ic-p", "0.4",
+                       "--ic-trials", "150", "--seed", "5", "--k", "1",
+                       "--strategy", "traditional_union",
+                       "--budget", entry["budget"], "--scores", *scores,
+                       "--out", result_path) == 0
+        payload = json.loads(result_path.read_text())
+        for key in ("removed", "model", "baseline_volume", "treated_volume",
+                    "reduction_pct", "baseline_se", "treated_se",
+                    "difference_se"):
+            assert payload[key] == entry[key], key
 
     def test_usage_error_exit_code(self, capsys):
         assert run_cli("compute", "--nope") == 1

@@ -1,12 +1,19 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_graph
-from netcent import (CascadeConfig, InvalidNode,
+from netcent import (CascadeConfig, DirectedGraph, InvalidNode,
                      InvalidParameter, from_edges,
                      intervention_experiment, metric_removal_set,
                      spread_volume)
+from netcent.rng import stream
+from netcent.simulate import _trial_counts
 from test_ranking import (DEGREE_TOP10, EIGEN_TOP10, BETWEENNESS_TOP10,
                           CLOSENESS_TOP10, PC_TOP10, MVC_EXCLUSIVE,
                           DIC_EXCLUSIVE, fixture_rankings, table)
@@ -14,6 +21,48 @@ from test_ranking import (DEGREE_TOP10, EIGEN_TOP10, BETWEENNESS_TOP10,
 
 def reach_cfg(*seeds):
     return CascadeConfig(seeds=tuple(seeds), model="reachability")
+
+
+TRIAL_COUNTS = (1, 13, 63, 64, 65, 130)
+
+
+def weighted_graph(n, edges, weights):
+    """Graph over ids 0..n-1 with one weight per (sorted) edge."""
+    labels = [f"n{i}" for i in range(n)]
+    return DirectedGraph(labels, [s for s, _ in edges], [d for _, d in edges],
+                         weights)
+
+
+@st.composite
+def cascade_cases(draw, model="independent_cascade", p=None):
+    """(graph, edges, weights, seed ids, removed ids, config) on <= 9 nodes."""
+    n = draw(st.integers(2, 9))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=24))
+    edges = sorted({(s, d) for s, d in pairs if s != d})
+    weights = draw(st.lists(st.floats(0.25, 4.0), min_size=len(edges),
+                            max_size=len(edges)))
+    g = weighted_graph(n, edges, np.array(weights))
+    seeds = sorted(draw(st.sets(node, min_size=1)))
+    removed = sorted(draw(st.sets(node)))
+    cfg = CascadeConfig(
+        seeds=tuple(g.labels[v] for v in seeds), model=model,
+        p=draw(st.floats(0.05, 1.0)) if p is None else p,
+        trials=draw(st.sampled_from(TRIAL_COUNTS)),
+        seed=draw(st.integers(0, 2**64 - 1)), weight_scaled=draw(st.booleans()))
+    return g, edges, weights, seeds, removed, cfg
+
+
+def in_order(edges, weights):
+    """Edges and their weights sorted by (dst, src): the draw order."""
+    pairs = sorted(zip(edges, weights), key=lambda t: (t[0][1], t[0][0]))
+    return [e for e, _ in pairs], [w for _, w in pairs]
+
+
+def edge_probs(cfg, weights):
+    if cfg.weight_scaled:
+        return [1.0 - (1.0 - cfg.p) ** w for w in weights]
+    return [cfg.p] * len(weights)
 
 
 class TestSpreadVolume:
@@ -124,12 +173,102 @@ class TestInterventionExperiment:
         res_large = intervention_experiment(g, large, cfg)
         assert res_large.treated_volume <= res_small.treated_volume + 2.0
 
+    def test_monte_carlo_standard_errors(self):
+        g, _ = random_graph(60, 240, seed=12)
+        cfg = CascadeConfig(seeds=(g.labels[0], g.labels[1]), p=0.3,
+                            trials=500, seed=17)
+        removal = [g.labels[i] for i in (2, 3, 4, 5, 6)]
+        res = intervention_experiment(g, removal, cfg)
+        assert res == intervention_experiment(g, removal, cfg)
+        assert (res.baseline_se, res.treated_se, res.difference_se) \
+            == pytest.approx((0.40823667935738633, 0.32246217096491614,
+                              0.18474667701839367), rel=1e-12)
+        # baseline and treated share each trial's draw, so they co-vary
+        assert res.difference_se < math.hypot(res.baseline_se, res.treated_se)
+        baseline, treated = _trial_counts(g, cfg, removal)
+        assert res.difference_se == pytest.approx(
+            np.std(baseline - treated, ddof=1) / math.sqrt(500), rel=1e-12)
+        entry = res.to_dict()
+        assert entry["difference_se"] == res.difference_se
+
+    def test_single_trial_and_reachability_standard_errors(self, path_abc):
+        one = intervention_experiment(path_abc, ["b"], CascadeConfig(
+            seeds=("a",), p=0.5, trials=1, seed=2))
+        assert one.to_dict()["baseline_se"] is None
+        reach = intervention_experiment(path_abc, ["b"], reach_cfg("a"))
+        assert not {"baseline_se", "treated_se", "difference_se"} \
+            & set(reach.to_dict())
+
     def test_bit_identical_result(self):
         g, _ = random_graph(30, 120, seed=8)
         cfg = CascadeConfig(seeds=(g.labels[2],), p=0.4, trials=400, seed=3)
         a = intervention_experiment(g, [g.labels[5]], cfg)
         b = intervention_experiment(g, [g.labels[5]], cfg, workers=3)
         assert a == b
+
+
+class TestLiveEdgeEngine:
+    @given(cascade_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_trials_are_keyed_live_edge_draws(self, case):
+        g, edges, weights, seeds, removed, cfg = case
+        baseline, treated = _trial_counts(
+            g, cfg, [g.labels[v] for v in removed])
+        edges, weights = in_order(edges, weights)
+        probs = edge_probs(cfg, weights)
+        assert baseline.tolist() == oracles.keyed_cascade_sizes(
+            edges, g.n, seeds, probs, cfg.seed, cfg.trials)
+        assert treated.tolist() == oracles.keyed_cascade_sizes(
+            edges, g.n, seeds, probs, cfg.seed, cfg.trials, removed=removed)
+
+    @given(cascade_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_treated_never_exceeds_baseline(self, case):
+        g, _, _, _, removed, cfg = case
+        removal = [g.labels[v] for v in removed]
+        baseline, treated = _trial_counts(g, cfg, removal)
+        assert np.all(treated <= baseline)
+        assert intervention_experiment(g, removal, cfg).reduction_pct >= 0.0
+
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    def test_trial_counts_fill_partial_lanes(self, trials):
+        g, edges = random_graph(12, 30, seed=trials)
+        cfg = CascadeConfig(seeds=(g.labels[0], g.labels[3]), p=0.4,
+                            trials=trials, seed=21)
+        baseline, treated = _trial_counts(g, cfg, [g.labels[5]])
+        assert baseline.size == treated.size == trials
+        edges = sorted(edges, key=lambda e: (e[1], e[0]))
+        want = oracles.keyed_cascade_sizes(edges, 12, [0, 3],
+                                           [0.4] * len(edges), 21, trials)
+        assert baseline.tolist() == want
+        assert spread_volume(g, cfg) == float(np.mean(want))
+
+    @given(st.data(), st.sampled_from(["independent_cascade", "reachability"]))
+    @settings(max_examples=60, deadline=None)
+    def test_masking_equals_rebuilding(self, data, model):
+        g, _, _, seeds, removed, cfg = data.draw(cascade_cases(model, p=1.0))
+        res = intervention_experiment(g, [g.labels[v] for v in removed], cfg)
+        surviving = tuple(g.labels[v] for v in seeds if v not in removed)
+        if not surviving:
+            assert res.treated_volume == 0.0
+            return
+        rebuilt, _ = g.remove_nodes(removed)
+        assert res.treated_volume == spread_volume(
+            rebuilt, replace(cfg, seeds=surviving))
+
+    def test_weight_scaled_matches_exhaustive_enumeration(self):
+        trials = 4000
+        for gseed in (3, 8, 19):
+            _, edges = random_graph(7, 9, seed=gseed)
+            weights = 0.5 + 3.0 * stream(gseed).random(len(edges))
+            g = weighted_graph(7, edges, weights)
+            for p in (0.2, 0.5):
+                mean, var = oracles.live_edge_expectation(
+                    edges, 7, [edges[0][0]], p, weights=list(weights))
+                got = spread_volume(g, CascadeConfig(
+                    seeds=(g.labels[edges[0][0]],), p=p, trials=trials,
+                    seed=gseed, weight_scaled=True))
+                assert abs(got - mean) <= 3 * math.sqrt(var / trials)
 
 
 class TestMetricRemovalSet:
