@@ -8,9 +8,10 @@ Kleinberg & Tardos 2003). Edge e is live in trial t iff
 1 - (1-p)**w when weight-scaled, where e indexes the in-adjacency
 (edges sorted by destination, then source); the trial's spread is the
 number of nodes the seeds reach over live edges. Trials run 64 to a
-``uint64`` lane, bit j of a node's word being trial 64*lane + j, so one
-sweep over the edges advances 64 cascades. Reachability is the same
-sweep with one trial and every edge live.
+``uint64`` lane of the traversal kernel in :mod:`netcent.sweep`, bit j
+of a node's word being trial 64*lane + j, so one level advances 64
+cascades. Reachability is the same traversal with one trial and every
+edge live.
 
 An intervention runs baseline and treated on the same lanes: the
 treated run clears the live bits of every edge touching a removed node
@@ -33,11 +34,10 @@ from .errors import DegenerateBaseline, InvalidParameter
 from .graph import DirectedGraph
 from .ranking import RankingTable
 from .scores import NOVEL_METRICS, TRADITIONAL_METRICS
+from .sweep import LANE, Sweep, bit_counts
 
 MODELS = ("independent_cascade", "reachability")
 STRATEGIES = ("traditional_union", "combined_union", "single", "random")
-
-_LANE = 64
 
 
 @dataclass
@@ -106,53 +106,31 @@ def _node_ids(g: DirectedGraph, labels: Iterable[str]) -> np.ndarray:
     return np.array(sorted(g.id_of(lab) for lab in labels), dtype=np.int64)
 
 
-class _Sweep:
-    """In-edges grouped by destination, swept 64 trials at a time."""
+def _lanes(sweep: Sweep, cfg: CascadeConfig):
+    """Yield (live, width) per lane: bit j of live[e] is trial j's edge e."""
+    if cfg.model == "reachability":
+        yield np.ones(sweep.m, dtype=np.uint64), 1
+        return
+    prob = 1.0 - (1.0 - cfg.p) ** sweep.w if cfg.weight_scaled else cfg.p
+    for first in range(0, cfg.trials, LANE):
+        width = min(LANE, cfg.trials - first)
+        live = np.zeros(sweep.m, dtype=np.uint64)
+        for j in range(width):
+            bits = (_rng.trial_stream(cfg.seed, first + j).random(sweep.m)
+                    < prob).astype(np.uint64)
+            bits <<= np.uint64(j)
+            live |= bits
+        yield live, width
 
-    def __init__(self, g: DirectedGraph):
-        in_degree = np.diff(g.in_ptr)
-        self.n = g.n
-        self.src = g.in_src
-        self.dst = np.repeat(np.arange(g.n), in_degree)
-        self.w = g.in_w
-        self.targets = np.flatnonzero(in_degree)
-        self.heads = g.in_ptr[self.targets]
 
-    def lanes(self, cfg: CascadeConfig):
-        """Yield (live, width) per lane: bit j of live[e] is trial j's edge e."""
-        m = self.src.size
-        if cfg.model == "reachability":
-            yield np.ones(m, dtype=np.uint64), 1
-            return
-        prob = 1.0 - (1.0 - cfg.p) ** self.w if cfg.weight_scaled else cfg.p
-        for first in range(0, cfg.trials, _LANE):
-            width = min(_LANE, cfg.trials - first)
-            live = np.zeros(m, dtype=np.uint64)
-            for j in range(width):
-                bits = (_rng.trial_stream(cfg.seed, first + j).random(m)
-                        < prob).astype(np.uint64)
-                bits <<= np.uint64(j)
-                live |= bits
-            yield live, width
-
-    def spread(self, seed_ids: np.ndarray, live: np.ndarray,
-               width: int) -> np.ndarray:
-        """Activated count of each of the lane's ``width`` trials."""
-        active = np.zeros(self.n, dtype=np.uint64)
-        active[seed_ids] = np.uint64(2**width - 1)
-        frontier = active.copy()
-        while self.src.size:
-            reached = np.bitwise_or.reduceat(frontier[self.src] & live,
-                                             self.heads)
-            reached &= ~active[self.targets]
-            if not reached.any():
-                break
-            frontier[:] = 0
-            frontier[self.targets] = reached
-            active[self.targets] |= reached
-        bits = np.unpackbits(active.astype("<u8").view(np.uint8).reshape(-1, 8),
-                             axis=1, bitorder="little")
-        return bits[:, :width].sum(axis=0, dtype=np.int64)
+def _spread(sweep: Sweep, seed_ids: np.ndarray, live: np.ndarray,
+            width: int) -> np.ndarray:
+    """Activated count of each of the lane's ``width`` trials."""
+    active = np.zeros(sweep.n, dtype=np.uint64)
+    start = np.full(seed_ids.size, np.uint64(2**width - 1))
+    for _ in sweep.levels(seed_ids, start, live, active):
+        pass
+    return bit_counts(active)[:width]
 
 
 def _trial_counts(g: DirectedGraph, cfg: CascadeConfig,
@@ -162,7 +140,7 @@ def _trial_counts(g: DirectedGraph, cfg: CascadeConfig,
     The treated run drops removed seeds and clears the live bits of every
     edge touching a removed node, so each trial's runs share its draws.
     """
-    sweep = _Sweep(g)
+    sweep = Sweep(g)
     seed_ids = _node_ids(g, cfg.seeds)
     every = np.uint64(2**64 - 1)
     runs = [(seed_ids, every)]
@@ -173,9 +151,9 @@ def _trial_counts(g: DirectedGraph, cfg: CascadeConfig,
                      np.where(gone[sweep.src] | gone[sweep.dst], np.uint64(0),
                               every)))
     counts = [[] for _ in runs]
-    for live, width in sweep.lanes(cfg):
+    for live, width in _lanes(sweep, cfg):
         for out, (ids, keep) in zip(counts, runs):
-            out.append(sweep.spread(ids, live & keep, width))
+            out.append(_spread(sweep, ids, live & keep, width))
     return [np.concatenate(c) for c in counts]
 
 

@@ -7,9 +7,12 @@ weights encode interaction frequency, not cost. A weighted mode
 
 Exact all-pairs traversal is O(n(n+m)); above ``EXACT_NODE_LIMIT`` nodes
 the auto mode switches to seeded pivot sampling with
-``k = max(256, n // 100)`` and rescales by n/k. Per-pivot contributions
-are accumulated in fixed ascending-pivot order inside fixed-size chunks,
-so results do not depend on the worker count.
+``k = max(256, n // 100)`` and rescales by n/k. Hop-count closeness
+runs 64 sources to a lane of the bit-parallel traversal in
+:mod:`netcent.sweep` and adds count/L level by level, so a score depends
+only on the node's distance histogram. Betweenness and weighted
+closeness accumulate per-pivot contributions in fixed ascending-pivot
+order inside fixed-size chunks, so no result depends on the worker count.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import heapq
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from . import rng as _rng
 from .errors import InvalidParameter, ZeroMatrix
 from .graph import DEGREE_MODES, INFO_FLOW, DirectedGraph
 from .scores import ScoreVector
+from .sweep import LANE, Sweep, bit_counts, popcounts, unit_words
 
 EXACT_NODE_LIMIT = 20_000
 _SOURCE_CHUNK = 64
@@ -61,25 +66,6 @@ def _frontier_edges(ptr, adj, frontier):
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     idx = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
     return esrc, adj[idx]
-
-
-def bfs_distances(ptr, adj, source: int, n: int) -> np.ndarray:
-    """Hop counts from source over the given adjacency; -1 = unreachable."""
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        _, edst = _frontier_edges(ptr, adj, frontier)
-        if edst.size == 0:
-            break
-        fresh = edst[dist[edst] < 0]
-        if fresh.size == 0:
-            break
-        dist[fresh] = level
-        frontier = np.unique(fresh)
-    return dist
 
 
 def _dijkstra_distances(ptr, adj, w, source: int, n: int) -> np.ndarray:
@@ -156,6 +142,57 @@ def degree_centrality(g: DirectedGraph, mode: str = "total") -> ScoreVector:
 
 # -- harmonic closeness ------------------------------------------------------
 
+def _hop_closeness(sweep: Sweep) -> np.ndarray:
+    """Each node's sum of 1/L over the nodes it reaches at hop L."""
+    scores = np.zeros(sweep.n)
+    for first in range(0, sweep.n, LANE):
+        lane = np.arange(first, min(first + LANE, sweep.n))
+        steps = sweep.levels(lane, unit_words(lane.size))
+        for level, (_, words) in enumerate(steps, 1):
+            scores[lane] += bit_counts(words)[:lane.size] / level
+    return scores
+
+
+def _hop_closeness_to(sweep: Sweep, pivots: np.ndarray) -> np.ndarray:
+    """Each node's sum of 1/L over the pivots it reaches at hop L.
+
+    ``sweep`` runs on the transpose, and every lane advances one level
+    at a time so each node's count at hop L is a whole-sample integer.
+    """
+    lanes = [sweep.levels(lane, unit_words(lane.size))
+             for lane in (pivots[i:i + LANE] for i in range(0, pivots.size, LANE))]
+    scores = np.zeros(sweep.n)
+    for level, steps in enumerate(zip_longest(*lanes), 1):
+        count = np.zeros(sweep.n, dtype=np.int64)
+        for nodes, words in filter(None, steps):
+            count[nodes] += popcounts(words)
+        scores += count / level
+    return scores
+
+
+def _weighted_closeness(g: DirectedGraph) -> np.ndarray:
+    """Each node's sum of reciprocal Dijkstra distances to the others."""
+    scores = np.zeros(g.n)
+    for v in range(g.n):
+        d = _dijkstra_distances(g.out_ptr, g.out_dst, g.out_w, v, g.n)
+        scores[v] = (1.0 / d[np.isfinite(d) & (d > 0)]).sum()
+    return scores
+
+
+def _weighted_closeness_to(g: DirectedGraph, pivots: np.ndarray) -> np.ndarray:
+    """Each node's sum of reciprocal Dijkstra distances to the pivots."""
+    def per_chunk(chunk):
+        out = np.zeros(g.n)
+        for p in chunk:
+            # reverse traversal from the pivot: d(v, p) for every v
+            d = _dijkstra_distances(g.in_ptr, g.in_src, g.in_w, int(p), g.n)
+            reach = np.isfinite(d) & (d > 0)
+            out[reach] += 1.0 / d[reach]
+        return out
+
+    return _accumulate_over_sources(pivots, per_chunk, g.n)
+
+
 def closeness_centrality(g: DirectedGraph, mode: str = "auto",
                          sample_size: int | None = None, seed: int = 0,
                          weighted: bool = False, workers: int = 1) -> ScoreVector:
@@ -165,6 +202,11 @@ def closeness_centrality(g: DirectedGraph, mode: str = "auto",
     fine and isolated nodes score 0. Sampled mode estimates the sum
     from k seeded target pivots (reverse traversals) rescaled by n/k.
     Supply ``g.transpose()`` to measure reachability-to instead.
+
+    Hop scores add count_L / L in ascending L from each node's distance
+    histogram, so nodes with equal histograms score bit-identically and
+    sampled mode with k = n equals exact bit for bit. ``workers`` has no
+    effect.
     """
     n = g.n
     k = _resolve_sampling(n, mode, sample_size, "closeness")
@@ -172,37 +214,14 @@ def closeness_centrality(g: DirectedGraph, mode: str = "auto",
               "mode": "exact" if k is None else "sampled"}
 
     if k is None:
-        def per_chunk(chunk):
-            out = np.zeros(n)
-            for v in chunk:
-                if weighted:
-                    d = _dijkstra_distances(g.out_ptr, g.out_dst, g.out_w, int(v), n)
-                    reach = np.isfinite(d) & (d > 0)
-                else:
-                    d = bfs_distances(g.out_ptr, g.out_dst, int(v), n)
-                    reach = d > 0
-                out[v] = (1.0 / d[reach]).sum()
-            return out
-
-        scores = _accumulate_over_sources(np.arange(n), per_chunk, n, workers)
+        scores = _weighted_closeness(g) if weighted else _hop_closeness(Sweep(g))
     else:
         params.update({"sample_size": k, "seed": seed})
         pivots = _pick_pivots(n, k, seed)
-
-        def per_chunk(chunk):
-            out = np.zeros(n)
-            for p in chunk:
-                # reverse traversal from the pivot: d(v, p) for every v
-                if weighted:
-                    d = _dijkstra_distances(g.in_ptr, g.in_src, g.in_w, int(p), n)
-                    reach = np.isfinite(d) & (d > 0)
-                else:
-                    d = bfs_distances(g.in_ptr, g.in_src, int(p), n)
-                    reach = d > 0
-                out[reach] += 1.0 / d[reach]
-            return out
-
-        scores = _accumulate_over_sources(pivots, per_chunk, n, workers)
+        if weighted:
+            scores = _weighted_closeness_to(g, pivots)
+        else:
+            scores = _hop_closeness_to(Sweep(g.transpose()), pivots)
         scores *= n / k
 
     return ScoreVector(metric="closeness", labels=g.labels, scores=scores,

@@ -69,6 +69,18 @@ def harmonic_closeness(edges, n):
     return np.array(scores)
 
 
+def sampled_harmonic_closeness(edges, n, pivots):
+    """Pivot estimate: one reverse BFS per pivot p adds 1/d(v, p) to each
+    v that reaches it, and the sum is rescaled by n/len(pivots)."""
+    radj = adjacency_dict([(d, s) for s, d in edges], n)
+    scores = [0.0] * n
+    for p in pivots:
+        for v, d in bfs_dist(radj, int(p), n).items():
+            if v != p:
+                scores[v] += 1.0 / d
+    return np.array(scores) * (n / len(pivots))
+
+
 def betweenness(edges, n):
     """Freeman betweenness from forward/backward path counting.
 

@@ -5,7 +5,9 @@ import oracles
 from conftest import graph_from_ids, random_graph, strongly_connected_graph
 from netcent import (InvalidParameter, PowerIterationConfig, ZeroMatrix,
                      betweenness_centrality, closeness_centrality,
-                     degree_centrality, eigenvector_centrality, from_edges)
+                     degree_centrality, eigenvector_centrality, from_edges,
+                     preferential_attachment, top_k)
+from netcent.traditional import _pick_pivots
 
 
 class TestDegreeCentrality:
@@ -60,6 +62,41 @@ class TestCloseness:
         sampled = closeness_centrality(g, mode="sampled", sample_size=40,
                                        seed=1).scores
         assert np.allclose(sampled, exact, atol=1e-9)
+
+    def test_sampled_with_all_pivots_is_bit_identical_to_exact(self):
+        for seed in range(4):
+            g, _ = random_graph(130, 500, seed=seed)
+            exact = closeness_centrality(g, mode="exact").scores
+            sampled = closeness_centrality(g, mode="sampled", sample_size=130,
+                                           seed=seed).scores
+            assert np.array_equal(sampled, exact)
+
+    def test_equal_distance_histograms_tie_in_label_order(self):
+        # the three nodes have equal distance histograms; summing 1/d per
+        # target in node order used to split them in the last bit
+        g = preferential_attachment(300, 3, seed=0)
+        sv = closeness_centrality(g, mode="exact")
+        tied = ["137", "222", "237"]
+        scores = {lab: sv.scores[g.id_of(lab)] for lab in tied}
+        assert len(set(scores.values())) == 1
+        ranked = [lab for _, lab, _ in top_k(sv, g.n).entries if lab in tied]
+        assert ranked == tied
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_lane_boundaries_match_bfs_oracle(self, n):
+        g, edges = random_graph(n, 4 * n, seed=n)
+        got = closeness_centrality(g, mode="exact").scores
+        want = oracles.harmonic_closeness(edges, n)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("k", [1, 63, 64, 65])
+    def test_sampled_lane_boundaries_match_pivot_oracle(self, k):
+        g, edges = random_graph(130, 520, seed=k)
+        got = closeness_centrality(g, mode="sampled", sample_size=k,
+                                   seed=k).scores
+        want = oracles.sampled_harmonic_closeness(
+            edges, 130, _pick_pivots(130, k, k))
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     def test_sampled_estimator_is_reasonable(self):
         g, _ = random_graph(300, 2500, seed=4)
