@@ -6,8 +6,7 @@ from .errors import (DataError, DegenerateBaseline, EmptyInput, InsufficientData
                      UsageError, ZeroMatrix)
 from .generators import preferential_attachment, random_digraph
 from .graph import (DIRECTIONS, ENDORSEMENT, INFO_FLOW, DirectedGraph,
-                    InteractionRecord, Interactions, build_graph, degree,
-                    from_edges, remove_nodes, transpose)
+                    InteractionRecord, Interactions, build_graph, from_edges)
 from .novel import (DicConfig, MvcConfig, NodeAttributes, PcConfig, dic, mvc,
                     propagation_centrality)
 from .ranking import (CorrelationResult, OverlapReport, RankingTable,
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DirectedGraph", "InteractionRecord", "Interactions", "build_graph",
     "from_edges",
-    "transpose", "remove_nodes", "degree",
     "INFO_FLOW", "ENDORSEMENT", "DIRECTIONS",
     "ScoreVector", "METRICS", "TRADITIONAL_METRICS", "NOVEL_METRICS",
     "degree_centrality", "closeness_centrality", "betweenness_centrality",

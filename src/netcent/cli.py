@@ -9,6 +9,7 @@ intermediate files: ``ingest``, ``compute``, ``compare``, ``correlate``,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,12 +19,12 @@ from . import __version__
 from .errors import NetcentError, UsageError, exit_code_for
 from .graph import build_graph
 from .novel import NodeAttributes
-from .pipeline import (DEFAULT_METRICS, RunConfig, cascade_config,
-                       compute_metric, emit_plot_data, load_config_file,
-                       load_graph, removal_for, run_pipeline)
+from .pipeline import (RunConfig, boolean, cascade_config, compute_metric,
+                       emit_plot_data, load_config_file, load_graph,
+                       option_parser, removal_for, run_pipeline, str_list)
 from .ranking import overlap_report, rank_correlation, top_k
 from .scores import TRADITIONAL_METRICS
-from .simulate import MODELS, STRATEGIES, intervention_experiment
+from .simulate import STRATEGIES, intervention_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,20 +33,46 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _csv_list(raw: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in raw.split(",") if x.strip())
+_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_INPUT = ("input", "format", "direction")
+_CASCADE = ("sim_p", "sim_trials", "sim_weight_scaled")
+_METRIC_OPTIONS = tuple(
+    name for name, f in _CONFIG_FIELDS.items()
+    if f.metadata["ini"][0] in ("pc", "eigenvector", "mvc", "dic",
+                                "betweenness", "closeness"))
 
 
-def _add_input_args(p):
-    p.add_argument("--input", required=True, help="input CSV path")
-    p.add_argument("--format", choices=("interactions", "edges"),
-                   default="interactions")
-    p.add_argument("--direction", choices=("info-flow", "endorsement"),
-                   default="info-flow")
+def _add_config_flags(p, names, spellings=None):
+    """One flag per named RunConfig field; an unset flag leaves it None.
+
+    ``spellings`` renames a field's flag for this subcommand only.
+    """
+    for name in names:
+        f = _CONFIG_FIELDS[name]
+        section, key = f.metadata["ini"]
+        flag = ((spellings or {}).get(name) or f.metadata["flag"]
+                or "--" + name.replace("_", "-"))
+        help = f"{f.metadata['help']} ([{section}] {key})".lstrip()
+        parse = option_parser(f)
+        if parse is boolean and f.default is False:
+            p.add_argument(flag, dest=name, action="store_true", default=None,
+                           help=help)
+        else:
+            p.add_argument(flag, dest=name, type=parse, help=help,
+                           choices=f.metadata["choices"],
+                           metavar="BOOL" if parse is boolean else None)
 
 
-def _direction(flag: str) -> str:
-    return flag.replace("-", "_")
+def _config_from_args(args) -> RunConfig:
+    config = getattr(args, "config", None)
+    values = load_config_file(config) if config else {}
+    for name in _CONFIG_FIELDS:
+        flag = getattr(args, name, None)
+        if flag is not None:
+            values[name] = flag
+    if not values.get("input"):
+        raise UsageError("an input file is required (--input or config [run] input)")
+    return RunConfig.from_dict(values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,23 +81,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="interactions CSV -> canonical edge-list CSV")
-    _add_input_args(p)
-    p.add_argument("--out", required=True, help="edge-list CSV to write")
+    _add_config_flags(p, _INPUT)
+    p.add_argument("--out", dest="out_file", required=True,
+                   help="edge-list CSV to write")
 
     p = sub.add_parser("compute", help="compute metrics, write score CSVs")
-    _add_input_args(p)
-    p.add_argument("--metrics", type=_csv_list, default=DEFAULT_METRICS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--attributes", help="node attributes CSV (for mvc attribute init)")
-    p.add_argument("--out", required=True, help="output directory")
-    _add_metric_overrides(p)
+    _add_config_flags(p, (*_INPUT, "metrics", "seed", "attributes", "out",
+                          *_METRIC_OPTIONS, *_CASCADE))
+    p.add_argument("--workers", type=int, help="accepted and ignored")
 
     p = sub.add_parser("compare", help="score CSVs -> overlap report JSON")
     p.add_argument("--scores", nargs="+", required=True,
                    help="per-metric <metric>.scores.csv files")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--traditional", type=_csv_list, default=None,
+    p.add_argument("--traditional", type=str_list, default=None,
                    help="metric ids forming the baseline union "
                         "(default: the traditional family)")
     p.add_argument("--out", help="overlap JSON path (default stdout)")
@@ -82,18 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="result JSON path (default stdout)")
 
     p = sub.add_parser("simulate", help="node-removal intervention experiment")
-    _add_input_args(p)
-    p.add_argument("--seeds", type=_csv_list, default=(),
-                   help="misinformation originator labels")
-    p.add_argument("--random-seeds", type=int, default=0,
-                   help="draw this many originators at random instead")
-    p.add_argument("--model", choices=MODELS, default="independent_cascade")
-    p.add_argument("--ic-p", type=float, default=0.1)
-    p.add_argument("--ic-trials", type=int, default=1000)
-    p.add_argument("--ic-weight-scaled", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--remove", type=_csv_list, default=(),
+    _add_config_flags(p, (*_INPUT, "sim_seeds", "sim_random_seeds", "sim_model",
+                          *_CASCADE, "seed", "k"),
+                      spellings={"sim_seeds": "--seeds",
+                                 "sim_random_seeds": "--random-seeds",
+                                 "sim_model": "--model"})
+    p.add_argument("--workers", type=int, help="accepted and ignored")
+    p.add_argument("--remove", type=str_list, default=(),
                    help="explicit node labels to remove")
     p.add_argument("--removal-file", help="file with one label per line")
     p.add_argument("--strategy", choices=STRATEGIES,
@@ -101,107 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", nargs="*", default=(),
                    help="score CSVs for --strategy")
     p.add_argument("--metric", help="metric for --strategy single")
-    p.add_argument("--k", type=int, default=10)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--out", help="result JSON path (default stdout)")
+    p.add_argument("--out", dest="out_file",
+                   help="result JSON path (default stdout)")
 
     p = sub.add_parser("run", help="full pipeline from a config file and/or flags")
     p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--input")
-    p.add_argument("--format", choices=("interactions", "edges"))
-    p.add_argument("--direction", choices=("info-flow", "endorsement"))
-    p.add_argument("--metrics", type=_csv_list)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--attributes")
-    p.add_argument("--emit-plots", action="store_true", default=None)
-    p.add_argument("--correlate", type=_csv_list,
-                   help="metric:proxy pairs, comma separated")
-    p.add_argument("--simulate", action="store_true", default=None)
-    p.add_argument("--sim-seeds", type=_csv_list)
-    p.add_argument("--sim-random-seeds", type=int)
-    p.add_argument("--sim-strategies", type=_csv_list)
-    p.add_argument("--sim-budget", choices=("equal", "natural"))
-    p.add_argument("--sim-model", choices=MODELS)
-    _add_metric_overrides(p)
+    _add_config_flags(p, _CONFIG_FIELDS)
+    p.add_argument("--workers", type=int, help="accepted and ignored")
 
     p = sub.add_parser("emit-plots", help="report.json -> figure data CSVs")
     p.add_argument("--report", required=True)
     p.add_argument("--out", required=True, help="output directory")
 
     return parser
-
-
-def _flag_bool(raw: str) -> bool:
-    value = raw.strip().lower()
-    if value in ("true", "yes", "1", "on"):
-        return True
-    if value in ("false", "no", "0", "off"):
-        return False
-    raise UsageError(f"expected a boolean, got {raw!r}")
-
-
-def _add_metric_overrides(p):
-    p.add_argument("--pc-damping", type=float, default=None)
-    p.add_argument("--pc-tolerance", type=float, default=None)
-    p.add_argument("--pc-max-iterations", type=int, default=None)
-    p.add_argument("--pc-weighted", action="store_true", default=None)
-    p.add_argument("--pc-reverse", type=_flag_bool, default=None,
-                   metavar="BOOL")
-    p.add_argument("--eig-tolerance", type=float, default=None)
-    p.add_argument("--eig-max-iterations", type=int, default=None)
-    p.add_argument("--eig-reverse", type=_flag_bool, default=None,
-                   metavar="BOOL")
-    p.add_argument("--mvc-steps", type=int, default=None)
-    p.add_argument("--mvc-init", choices=("seeded_uniform", "attribute"),
-                   default=None)
-    p.add_argument("--mvc-attribute", default=None)
-    p.add_argument("--mvc-exposure",
-                   choices=("in_degree", "out_degree", "total_degree"),
-                   default=None)
-    p.add_argument("--dic-steps", type=int, default=None)
-    p.add_argument("--dic-reverse", type=_flag_bool, default=None,
-                   metavar="BOOL")
-    p.add_argument("--betweenness-mode", choices=("auto", "exact", "sampled"),
-                   default=None)
-    p.add_argument("--betweenness-samples", type=int, default=None)
-    p.add_argument("--closeness-mode", choices=("auto", "exact", "sampled"),
-                   default=None)
-    p.add_argument("--closeness-samples", type=int, default=None)
-    p.add_argument("--closeness-weighted", action="store_true", default=None)
-    p.add_argument("--ic-p", type=float, default=None, dest="sim_p")
-    p.add_argument("--ic-trials", type=int, default=None, dest="sim_trials")
-    p.add_argument("--ic-weight-scaled", action="store_true", default=None,
-                   dest="sim_weight_scaled")
-
-
-_FLAG_FIELDS = (
-    "input", "format", "metrics", "k", "seed", "out", "workers", "attributes",
-    "emit_plots", "correlate", "simulate", "sim_seeds", "sim_random_seeds",
-    "sim_strategies", "sim_budget", "sim_model", "sim_p", "sim_trials",
-    "sim_weight_scaled",
-    "pc_damping", "pc_tolerance", "pc_max_iterations", "pc_weighted",
-    "pc_reverse", "eig_tolerance", "eig_max_iterations", "eig_reverse",
-    "mvc_steps", "mvc_init", "mvc_attribute", "mvc_exposure",
-    "dic_steps", "dic_reverse",
-    "betweenness_mode", "betweenness_samples",
-    "closeness_mode", "closeness_samples", "closeness_weighted",
-)
-
-
-def _config_from_args(args) -> RunConfig:
-    values = load_config_file(args.config) if args.config else {}
-    for name in _FLAG_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    if getattr(args, "direction", None) is not None:
-        values["direction"] = _direction(args.direction)
-    if not values.get("input"):
-        raise UsageError("an input file is required (--input or config [run] input)")
-    return RunConfig.from_dict(values)
 
 
 def _print_or_write(obj, out_path):
@@ -212,19 +144,16 @@ def _print_or_write(obj, out_path):
 
 
 def _cmd_ingest(args) -> int:
-    g = build_graph(_io.read_interactions_csv(args.input), _direction(args.direction))
-    _io.write_edge_csv(g, args.out)
-    print(f"wrote {args.out}: {g.n} nodes, {g.num_edges} edges "
+    cfg = _config_from_args(args)
+    g = build_graph(_io.read_interactions_csv(cfg.input), cfg.direction)
+    _io.write_edge_csv(g, args.out_file)
+    print(f"wrote {args.out_file}: {g.n} nodes, {g.num_edges} edges "
           f"({g.self_loops_dropped} self-loops dropped)")
     return 0
 
 
 def _cmd_compute(args) -> int:
-    overrides = {name: getattr(args, name) for name in _FLAG_FIELDS
-                 if getattr(args, name, None) is not None}
-    overrides["direction"] = _direction(args.direction)
-    overrides["out"] = args.out
-    cfg = RunConfig.from_dict(overrides)
+    cfg = _config_from_args(args)
     g = load_graph(cfg)
     attrs = NodeAttributes.from_csv(cfg.attributes) if cfg.attributes else None
     out_dir = Path(cfg.out)
@@ -257,14 +186,7 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = RunConfig.from_dict({
-        "input": args.input, "format": args.format,
-        "direction": _direction(args.direction), "seed": args.seed,
-        "k": args.k, "workers": args.workers, "sim_seeds": args.seeds,
-        "sim_random_seeds": args.random_seeds, "sim_model": args.model,
-        "sim_p": args.ic_p, "sim_trials": args.ic_trials,
-        "sim_weight_scaled": args.ic_weight_scaled,
-    })
+    cfg = _config_from_args(args)
     g = load_graph(cfg)
     cascade = cascade_config(g, cfg)
 
@@ -285,8 +207,8 @@ def _cmd_simulate(args) -> int:
         raise UsageError("nothing to remove: use --remove, --removal-file, "
                          "or --strategy")
 
-    result = intervention_experiment(g, removal, cascade, workers=cfg.workers)
-    _print_or_write(result.to_dict(), args.out)
+    result = intervention_experiment(g, removal, cascade)
+    _print_or_write(result.to_dict(), args.out_file)
     return 0
 
 

@@ -200,21 +200,9 @@ class DirectedGraph:
         except KeyError:
             raise InvalidNode(f"unknown node label {label!r}") from None
 
-    def label_of(self, v: int) -> str:
-        self._check_node(v)
-        return self.labels[v]
-
     def _check_node(self, v: int):
         if not 0 <= int(v) < self.n:
             raise InvalidNode(f"node id {v} out of range 0..{self.n - 1}")
-
-    def out_neighbors(self, v: int) -> np.ndarray:
-        self._check_node(v)
-        return self.out_dst[self.out_ptr[v]:self.out_ptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        self._check_node(v)
-        return self.in_src[self.in_ptr[v]:self.in_ptr[v + 1]]
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_ptr)
@@ -363,17 +351,3 @@ def build_graph(records: Interactions | Sequence[InteractionRecord],
     if convention == ENDORSEMENT:
         src, dst = dst, src
     return _graph_from_columns(records.labels, src, dst, records.weight, convention)
-
-
-# -- operation-style free functions (thin wrappers over the methods) ------
-
-def transpose(g: DirectedGraph) -> DirectedGraph:
-    return g.transpose()
-
-
-def remove_nodes(g: DirectedGraph, victims: Iterable[int]):
-    return g.remove_nodes(victims)
-
-
-def degree(g: DirectedGraph, v: int, mode: str = "total") -> int:
-    return g.degree(v, mode)

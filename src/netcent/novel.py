@@ -105,14 +105,10 @@ class DicConfig:
     # on the info-flow orientation so influence travels with information;
     # True/False force the transpose / stored orientation
     reverse: bool | None = None
-    # reserved: decay is deliberately unimplemented
-    decay: float | None = None
 
     def __post_init__(self):
         if self.steps < 1:
             raise InvalidParameter("steps must be >= 1")
-        if self.decay is not None:
-            raise InvalidParameter("decay is reserved and must be None")
 
 
 def propagation_centrality(g: DirectedGraph,

