@@ -17,7 +17,6 @@ from pathlib import Path
 from . import io as _io
 from . import __version__
 from .errors import NetcentError, UsageError, exit_code_for
-from .graph import build_graph
 from .novel import NodeAttributes
 from .pipeline import (RunConfig, boolean, cascade_config, compute_metric,
                        emit_plot_data, load_config_file, load_graph,
@@ -80,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="interactions CSV -> canonical edge-list CSV")
+    p = sub.add_parser("ingest", help="input CSV -> canonical edge-list CSV")
     _add_config_flags(p, _INPUT)
     p.add_argument("--out", dest="out_file", required=True,
                    help="edge-list CSV to write")
@@ -145,7 +144,7 @@ def _print_or_write(obj, out_path):
 
 def _cmd_ingest(args) -> int:
     cfg = _config_from_args(args)
-    g = build_graph(_io.read_interactions_csv(cfg.input), cfg.direction)
+    g = load_graph(cfg)
     _io.write_edge_csv(g, args.out_file)
     print(f"wrote {args.out_file}: {g.n} nodes, {g.num_edges} edges "
           f"({g.self_loops_dropped} self-loops dropped)")

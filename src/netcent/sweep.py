@@ -35,6 +35,17 @@ _POPCOUNT8 = _BITS8.sum(axis=1).astype(np.int64)
 _BYTE_BINS = 256 * np.arange(8)
 
 
+def out_edges(out_ptr: np.ndarray, nodes: np.ndarray,
+              fanout: np.ndarray) -> np.ndarray:
+    """Out-adjacency indices of the edges leaving ``nodes``, node by node.
+
+    ``fanout`` is the nodes' out-degrees; each node's edges keep their
+    CSR order, so the result ascends when ``nodes`` does.
+    """
+    return (np.repeat(out_ptr[nodes] - np.cumsum(fanout) + fanout, fanout)
+            + np.arange(fanout.sum()))
+
+
 def unit_words(width: int) -> np.ndarray:
     """Start words of a lane's ``width`` single-node traversals: bit j for j."""
     return np.uint64(1) << np.arange(width, dtype=np.uint64)
@@ -117,9 +128,7 @@ class Sweep:
         return self.targets[hit], reached[hit]
 
     def _push(self, nodes, words, fanout, live, active):
-        starts = self.out_ptr[nodes]
-        edges = (np.repeat(starts - np.cumsum(fanout) + fanout, fanout)
-                 + np.arange(fanout.sum()))
+        edges = out_edges(self.out_ptr, nodes, fanout)
         dst = self.out_dst[edges]
         carried = np.repeat(words, fanout)
         if live is not None:

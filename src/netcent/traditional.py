@@ -10,9 +10,12 @@ the auto mode switches to seeded pivot sampling with
 ``k = max(256, n // 100)`` and rescales by n/k. Hop-count closeness
 runs 64 sources to a lane of the bit-parallel traversal in
 :mod:`netcent.sweep` and adds count/L level by level, so a score depends
-only on the node's distance histogram. Betweenness and weighted
-closeness sum per-pivot contributions in ascending pivot order within
-fixed-size chunks, then add the chunk sums in ascending order.
+only on the node's distance histogram. Betweenness runs Brandes'
+accumulation one source at a time, each BFS level one vectorised pass
+over the edges leaving it; a source without out-edges adds nothing and
+is skipped. Betweenness and weighted closeness sum per-pivot
+contributions in ascending pivot order within fixed-size chunks, then
+add the chunk sums in ascending order.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from . import rng as _rng
 from .errors import InvalidParameter, ZeroMatrix
 from .graph import DEGREE_MODES, INFO_FLOW, DirectedGraph
 from .scores import ScoreVector
-from .sweep import LANE, Sweep, bit_counts, popcounts, unit_words
+from .sweep import (LANE, Sweep, bit_counts, out_edges, popcounts,
+                    unit_words)
 
 EXACT_NODE_LIMIT = 20_000
 SAMPLING_MODES = ("auto", "exact", "sampled")
@@ -53,20 +57,6 @@ class PowerIterationConfig:
 
 
 # -- shared traversal kernels ---------------------------------------------
-
-def _frontier_edges(ptr, adj, frontier):
-    """All (src, dst) pairs leaving the frontier nodes, vectorised."""
-    starts = ptr[frontier]
-    counts = ptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    esrc = np.repeat(frontier, counts)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    idx = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
-    return esrc, adj[idx]
-
 
 def _dijkstra_distances(ptr, adj, w, source: int, n: int) -> np.ndarray:
     """Weighted distances with cost 1/weight; inf = unreachable."""
@@ -220,9 +210,13 @@ def closeness_centrality(g: DirectedGraph, mode: str = "auto",
 
 # -- betweenness (Brandes) ---------------------------------------------------
 
-def _brandes_from_source(g: DirectedGraph, s: int) -> np.ndarray:
-    """Source dependencies delta_s(.) on unweighted shortest paths."""
-    n = g.n
+def _brandes_from_source(out_ptr, out_dst, out_degree, s: int) -> np.ndarray:
+    """Source dependencies delta_s(.) on unweighted shortest paths.
+
+    Level L's tier holds the edges from the nodes at distance L-1, in
+    ascending node then CSR order, to the nodes first reached at L.
+    """
+    n = out_degree.size
     dist = np.full(n, -1, dtype=np.int64)
     dist[s] = 0
     sigma = np.zeros(n)
@@ -230,20 +224,21 @@ def _brandes_from_source(g: DirectedGraph, s: int) -> np.ndarray:
     frontier = np.array([s], dtype=np.int64)
     level = 0
     tiers = []
-    while frontier.size:
+    while True:
         level += 1
-        esrc, edst = _frontier_edges(g.out_ptr, g.out_dst, frontier)
-        if edst.size == 0:
+        fanout = out_degree[frontier]
+        edges = out_edges(out_ptr, frontier, fanout)
+        t_dst = out_dst[edges]
+        # nothing is at distance `level` yet, so every unvisited head is new
+        on_tier = dist[t_dst] < 0
+        t_dst = t_dst[on_tier]
+        if not t_dst.size:
             break
-        fresh = edst[dist[edst] < 0]
-        if fresh.size:
-            dist[fresh] = level
-        on_tier = dist[edst] == level
-        t_src, t_dst = esrc[on_tier], edst[on_tier]
-        if t_src.size:
-            sigma += np.bincount(t_dst, weights=sigma[t_src], minlength=n)
-            tiers.append((t_src, t_dst))
-        frontier = np.unique(fresh) if fresh.size else fresh
+        t_src = np.repeat(frontier, fanout)[on_tier]
+        dist[t_dst] = level
+        sigma += np.bincount(t_dst, weights=sigma[t_src], minlength=n)
+        tiers.append((t_src, t_dst))
+        frontier = np.flatnonzero(dist == level)
     delta = np.zeros(n)
     for t_src, t_dst in reversed(tiers):
         share = sigma[t_src] / sigma[t_dst] * (1.0 + delta[t_dst])
@@ -266,10 +261,14 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
     k = _resolve_sampling(n, mode, sample_size, "betweenness")
     params = {"mode": "exact" if k is None else "sampled"}
 
+    out_degree = g.out_degrees()
+
     def per_chunk(chunk):
         out = np.zeros(n)
-        for v in chunk:
-            out += _brandes_from_source(g, int(v))
+        # a source without out-edges depends on nothing: its delta is all 0
+        for v in chunk[out_degree[chunk] > 0]:
+            out += _brandes_from_source(g.out_ptr, g.out_dst, out_degree,
+                                        int(v))
         return out
 
     if k is None:

@@ -193,6 +193,16 @@ class TestStandaloneCommands:
         assert lines[0] == "src,dst,weight"
         assert any(ln.startswith("u1,u2,") for ln in lines)
 
+    def test_ingest_reads_an_edge_list_with_format_edges(self, tmp_path,
+                                                         capsys):
+        edges = tmp_path / "e.csv"
+        edges.write_text("src,dst,weight\na,b,2.0\nb,c,1.0\nc,a,0.5\n")
+        out = tmp_path / "out.csv"
+        assert run_cli("ingest", "--input", edges, "--format", "edges",
+                       "--out", out) == 0
+        assert out.read_text() == edges.read_text()
+        assert "3 nodes, 3 edges" in capsys.readouterr().out
+
     def test_compute_then_compare(self, interactions_csv, tmp_path, capsys):
         out = tmp_path / "scores"
         assert run_cli("compute", "--input", interactions_csv, "--out", out,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import graph_from_ids, random_graph, strongly_connected_graph
@@ -7,7 +9,29 @@ from netcent import (InvalidParameter, PowerIterationConfig, ZeroMatrix,
                      betweenness_centrality, closeness_centrality,
                      degree_centrality, eigenvector_centrality, from_edges,
                      preferential_attachment, top_k)
-from netcent.traditional import _pick_pivots
+from netcent.traditional import _brandes_from_source, _pick_pivots
+
+
+@st.composite
+def brandes_graphs(draw):
+    """Digraphs on <= 60 nodes with diamonds (a -> b_i -> d for 2..5
+    middles b_i, so several tier edges reach one new node and path counts
+    leave thirds and fifths), sink sources, isolated nodes and a part the
+    rest cannot reach: no edge runs from below ``cut`` to at or above it."""
+    n = draw(st.integers(1, 60))
+    node = st.integers(0, n - 1)
+    pairs = set(draw(st.lists(st.tuples(node, node), max_size=150)))
+    for a, d, middle in draw(st.lists(
+            st.tuples(node, node, st.lists(node, min_size=2, max_size=5)),
+            max_size=10)):
+        pairs |= {(a, b) for b in middle} | {(b, d) for b in middle}
+    sinks = draw(st.sets(node, max_size=6))
+    isolated = draw(st.sets(node, max_size=3))
+    cut = draw(st.integers(0, n))
+    edges = sorted((s, d) for s, d in pairs
+                   if s != d and s not in sinks and s not in isolated
+                   and d not in isolated and not s < cut <= d)
+    return graph_from_ids(n, edges)
 
 
 class TestDegreeCentrality:
@@ -115,11 +139,11 @@ class TestCloseness:
         # d(a,b)=0.5, d(a,c)=0.75
         assert scores["a"] == pytest.approx(2.0 + 1 / 0.75)
 
-    def test_worker_count_does_not_change_result(self):
+    def test_rerun_is_bit_identical(self):
         g, _ = random_graph(60, 400, seed=3)
-        one = closeness_centrality(g, mode="exact").scores
-        four = closeness_centrality(g, mode="exact").scores
-        assert np.array_equal(one, four)
+        first = closeness_centrality(g, mode="exact").scores
+        second = closeness_centrality(g, mode="exact").scores
+        assert np.array_equal(first, second)
 
     def test_sampled_weighted_full_pivots_matches_exact_weighted(self):
         g = from_edges([("a", "b", 2.0), ("b", "c", 4.0), ("c", "a", 1.0),
@@ -164,11 +188,28 @@ class TestBetweenness:
         with pytest.raises(InvalidParameter):
             betweenness_centrality(path_abc, mode="sampled", sample_size=4)
 
-    def test_worker_count_does_not_change_result(self):
+    def test_rerun_is_bit_identical(self):
         g, _ = random_graph(80, 500, seed=14)
-        one = betweenness_centrality(g, mode="exact").scores
-        three = betweenness_centrality(g, mode="exact").scores
-        assert np.array_equal(one, three)
+        first = betweenness_centrality(g, mode="exact").scores
+        second = betweenness_centrality(g, mode="exact").scores
+        assert np.array_equal(first, second)
+
+    @given(brandes_graphs(), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_pre_rewrite_kernel(self, g, seed, data):
+        out_degree = g.out_degrees()
+        for s in range(g.n):
+            got = _brandes_from_source(g.out_ptr, g.out_dst, out_degree, s)
+            assert np.array_equal(got, oracles.brandes_from_source(g, s))
+        exact = betweenness_centrality(g, mode="exact").scores
+        assert np.array_equal(exact,
+                              oracles.brandes_betweenness(g, range(g.n)))
+        if g.n > 1:
+            k = data.draw(st.integers(1, g.n - 1))
+            sampled = betweenness_centrality(g, mode="sampled",
+                                             sample_size=k, seed=seed).scores
+            want = oracles.brandes_betweenness(g, _pick_pivots(g.n, k, seed))
+            assert np.array_equal(sampled, want * (g.n / k))
 
     def test_relabelling_permutes_scores_for_every_metric(self):
         edges = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c"), ("d", "a")]
