@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="compute metrics, write score CSVs")
     _add_config_flags(p, (*_INPUT, "metrics", "seed", "attributes", "out",
-                          *_METRIC_OPTIONS, *_CASCADE))
+                          *_METRIC_OPTIONS))
     p.add_argument("--workers", type=int, help="accepted and ignored")
 
     p = sub.add_parser("compare", help="score CSVs -> overlap report JSON")
@@ -206,7 +206,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError("nothing to remove: use --remove, --removal-file, "
                          "or --strategy")
 
-    result = intervention_experiment(g, removal, cascade)
+    result, = intervention_experiment(g, [removal], cascade)
     _print_or_write(result.to_dict(), args.out_file)
     return 0
 

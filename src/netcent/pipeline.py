@@ -25,8 +25,8 @@ from .novel import (EXPOSURE_MODES, MVC_INITS, DicConfig, MvcConfig,
                     NodeAttributes, PcConfig, dic, mvc, propagation_centrality)
 from .rng import derive_seed, substream
 from .scores import METRICS, TRADITIONAL_METRICS, ScoreVector
-from .simulate import (MODELS, CascadeConfig, intervention_experiment,
-                       metric_removal_set)
+from .simulate import (MODELS, STRATEGIES, CascadeConfig,
+                       intervention_experiment, metric_removal_set)
 from .traditional import (SAMPLING_MODES, PowerIterationConfig,
                           betweenness_centrality, closeness_centrality,
                           degree_centrality, eigenvector_centrality)
@@ -165,6 +165,19 @@ class RunConfig:
             if name not in resolved:
                 resolved.append(name)
         self.metrics = tuple(resolved)
+        strategies = []
+        for entry in self.sim_strategies:
+            name, colon, metric = entry.partition(":")
+            metric = METRIC_ALIASES.get(metric, metric)
+            if name == "single" and metric in self.metrics:
+                strategies.append(f"single:{metric}")
+            elif name in STRATEGIES and name != "single" and not colon:
+                strategies.append(name)
+            else:
+                raise InvalidParameter(
+                    f"bad strategy {entry!r}: expected one of {STRATEGIES}, "
+                    f"with single:<metric> naming a computed metric")
+        self.sim_strategies = tuple(strategies)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -323,15 +336,11 @@ def _run_interventions(g: DirectedGraph, deep_rankings, cfg: RunConfig) -> list:
     natural = [len(removal_for(g, deep_rankings, s, cfg, None))
                for s in cfg.sim_strategies if s.partition(":")[0] != "random"]
     budget = max(natural) if (cfg.sim_budget == "equal" and natural) else None
-
-    results = []
-    for strategy in cfg.sim_strategies:
-        removal = removal_for(g, deep_rankings, strategy, cfg, budget)
-        res = intervention_experiment(g, removal, cascade)
-        entry = {"strategy": strategy, "budget": len(removal)}
-        entry.update(res.to_dict())
-        results.append(entry)
-    return results
+    removals = [removal_for(g, deep_rankings, s, cfg, budget)
+                for s in cfg.sim_strategies]
+    results = intervention_experiment(g, removals, cascade)
+    return [{"strategy": s, "budget": len(res.removed), **res.to_dict()}
+            for s, res in zip(cfg.sim_strategies, results)]
 
 
 def run_pipeline(cfg: RunConfig) -> AnalysisReport:

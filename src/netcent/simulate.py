@@ -13,10 +13,10 @@ of a node's word being trial 64*lane + j, so one level advances 64
 cascades. Reachability is the same traversal with one trial and every
 edge live.
 
-An intervention runs baseline and treated on the same lanes: the
-treated run clears the live bits of every edge touching a removed node
-and drops removed seeds, so no trial's treated spread exceeds its
-baseline, and the paired difference has its own standard error.
+An intervention draws each lane once for one baseline and every treated
+set: a treated run clears the live bits of every edge touching a removed
+node and drops removed seeds, so no trial's treated spread exceeds its
+baseline, and each paired difference has its own standard error.
 
 Node identity in this module is the node *label*: removal sets come from
 rankings, and seed sets are given by label.
@@ -134,17 +134,19 @@ def _spread(sweep: Sweep, seed_ids: np.ndarray, live: np.ndarray,
 
 
 def _trial_counts(g: DirectedGraph, cfg: CascadeConfig,
-                  removal: Iterable[str] | None = None) -> list[np.ndarray]:
-    """Per-trial spread counts, then with a removal the treated counts.
+                  removals: Iterable[Iterable[str]] = ()) -> list[np.ndarray]:
+    """Per-trial spread counts: the baseline's, then each removal set's.
 
-    The treated run drops removed seeds and clears the live bits of every
+    A treated run drops removed seeds and clears the live bits of every
     edge touching a removed node, so each trial's runs share its draws.
     """
     sweep = Sweep(g)
     seed_ids = _node_ids(g, cfg.seeds)
     every = np.uint64(2**64 - 1)
     runs = [(seed_ids, every)]
-    if removal is not None:
+    for removal in removals:
+        if isinstance(removal, str):
+            raise InvalidParameter(f"removal set {removal!r} is a bare string")
         gone = np.zeros(g.n, dtype=bool)
         gone[_node_ids(g, removal)] = True  # raises InvalidNode for unknown labels
         runs.append((seed_ids[~gone[seed_ids]],
@@ -167,27 +169,29 @@ def spread_volume(g: DirectedGraph, cfg: CascadeConfig) -> float:
     return float(counts.mean())
 
 
-def intervention_experiment(g: DirectedGraph, removal: Iterable[str],
-                            cfg: CascadeConfig) -> InterventionResult:
-    """Baseline spread on g vs spread with the given nodes removed.
+def intervention_experiment(g: DirectedGraph,
+                            removals: Iterable[Iterable[str]],
+                            cfg: CascadeConfig) -> list[InterventionResult]:
+    """Baseline spread on g vs spread with each set's nodes removed, in order.
 
     Removed nodes lose every edge; removed seeds are treated as
-    neutralised originators and dropped from the treated seed set. Both
-    runs of a trial share its live edges.
+    neutralised originators and dropped from the treated seed set. The
+    baseline and every treated run of a trial share its live edges.
     """
-    removal = sorted(set(removal))
-    baseline, treated = _trial_counts(g, cfg, removal)
+    removals = list(removals)
+    baseline, *treated = _trial_counts(g, cfg, removals)
     base_volume = float(baseline.mean())
     if base_volume == 0.0:
         raise DegenerateBaseline("baseline spread volume is zero")
-    treated_volume = float(treated.mean())
-    return InterventionResult(
-        baseline_volume=base_volume, treated_volume=treated_volume,
-        removed=tuple(removal),
-        reduction_pct=100.0 * (base_volume - treated_volume) / base_volume,
+    volumes = [float(counts.mean()) for counts in treated]
+    return [InterventionResult(
+        baseline_volume=base_volume, treated_volume=volume,
+        removed=tuple(sorted(set(removal))),
+        reduction_pct=100.0 * (base_volume - volume) / base_volume,
         model=cfg.to_dict(), baseline_se=_standard_error(baseline),
-        treated_se=_standard_error(treated),
-        difference_se=_standard_error(baseline - treated))
+        treated_se=_standard_error(counts),
+        difference_se=_standard_error(baseline - counts))
+        for removal, counts, volume in zip(removals, treated, volumes)]
 
 
 def _merged_order(tables: list[RankingTable], k: int | None) -> tuple[list[str], int]:

@@ -210,8 +210,8 @@ def _directional_replicate(gseed, p=0.2, trials=1000):
     rand = metric_removal_set(deep, "random", budget=budget,
                               universe=g.labels,
                               seed=derive_seed(gseed, "removal_random"))
-    return [intervention_experiment(g, rem, cascade).reduction_pct
-            for rem in (combined, traditional, rand)]
+    return [res.reduction_pct for res in intervention_experiment(
+        g, [combined, traditional, rand], cascade)]
 
 
 def test_criterion_6_intervention_directionality():

@@ -85,9 +85,9 @@ FLAGS = [
     ((RUN,), ["--sim-budget", "natural"], "sim_budget", "natural"),
     ((RUN,), ["--sim-model", "reachability"], "sim_model", "reachability"),
     ((SIMULATE,), ["--model", "reachability"], "sim_model", "reachability"),
-    (EVERY, ["--ic-p", "0.3"], "sim_p", 0.3),
-    (EVERY, ["--ic-trials", "50"], "sim_trials", 50),
-    (EVERY, ["--ic-weight-scaled"], "sim_weight_scaled", True),
+    ((RUN, SIMULATE), ["--ic-p", "0.3"], "sim_p", 0.3),
+    ((RUN, SIMULATE), ["--ic-trials", "50"], "sim_trials", 50),
+    ((RUN, SIMULATE), ["--ic-weight-scaled"], "sim_weight_scaled", True),
     (METRIC_COMMANDS, ["--pc-damping", "0.5"], "pc_damping", 0.5),
     (METRIC_COMMANDS, ["--pc-tolerance", "1e-6"], "pc_tolerance", 1e-6),
     (METRIC_COMMANDS, ["--pc-max-iterations", "50"], "pc_max_iterations", 50),

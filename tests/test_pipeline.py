@@ -290,7 +290,10 @@ class TestStandaloneCommands:
             assert payload[key] == entry[key], key
 
     def test_usage_error_exit_code(self, capsys):
-        assert run_cli("compute", "--nope") == 1
+        # compute never simulates, so it takes no cascade flags
+        for argv in (["compute", "--nope"],
+                     ["compute", "--input", "data.csv", "--ic-p", "0.3"]):
+            assert run_cli(*argv) == 1, argv
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -308,13 +311,20 @@ class TestRunConfigValidation:
                        {"k": 0}, {"sim_budget": "uneven"},
                        {"metrics": ("katz",)}, {"closeness_mode": "fast"},
                        {"betweenness_mode": "fast"}, {"mvc_init": "zero"},
-                       {"mvc_exposure": "degree"}, {"sim_model": "sir"}):
+                       {"mvc_exposure": "degree"}, {"sim_model": "sir"},
+                       {"sim_strategies": ("bogus",)},
+                       {"sim_strategies": ("single",)},
+                       {"sim_strategies": ("single:katz",)},
+                       {"sim_strategies": ("random:pc",)},
+                       {"metrics": ("pc",), "sim_strategies": ("single:dic",)}):
             with pytest.raises(InvalidParameter):
                 RunConfig(input="x", **kwargs)
 
     def test_degree_alias_and_dedup(self):
-        cfg = RunConfig(input="x", metrics=("degree", "degree_total", "pc"))
+        cfg = RunConfig(input="x", metrics=("degree", "degree_total", "pc"),
+                        sim_strategies=("single:degree", "random"))
         assert cfg.metrics == ("degree_total", "pc")
+        assert cfg.sim_strategies == ("single:degree_total", "random")
 
     def test_single_metric_strategy_in_pipeline(self, interactions_csv,
                                                 tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netcent.rng
 import oracles
 from conftest import random_graph
 from netcent import (CascadeConfig, DirectedGraph, InvalidNode,
@@ -13,7 +14,7 @@ from netcent import (CascadeConfig, DirectedGraph, InvalidNode,
                      intervention_experiment, metric_removal_set,
                      spread_volume)
 from netcent.rng import stream
-from netcent.simulate import _trial_counts
+from netcent.simulate import MODELS, _trial_counts
 from test_ranking import (DEGREE_TOP10, EIGEN_TOP10, BETWEENNESS_TOP10,
                           CLOSENESS_TOP10, PC_TOP10, MVC_EXCLUSIVE,
                           DIC_EXCLUSIVE, fixture_rankings, table)
@@ -119,25 +120,32 @@ class TestSpreadVolume:
 
 class TestInterventionExperiment:
     def test_path_mid_removal(self, path_abc):
-        res = intervention_experiment(path_abc, ["b"], reach_cfg("a"))
+        res, = intervention_experiment(path_abc, [["b"]], reach_cfg("a"))
         assert res.baseline_volume == 3.0
         assert res.treated_volume == 1.0
         assert res.reduction_pct == pytest.approx(200 / 3)
 
     def test_remove_nothing_zero_reduction(self, path_abc):
-        res = intervention_experiment(path_abc, [], reach_cfg("a"))
+        res, = intervention_experiment(path_abc, [[]], reach_cfg("a"))
         assert res.reduction_pct == 0.0
 
     def test_removed_seed_is_neutralised(self):
         g = from_edges([("hub", f"x{i}") for i in range(9)])
-        res = intervention_experiment(g, ["hub"], reach_cfg("hub"))
+        res, = intervention_experiment(g, [["hub"]], reach_cfg("hub"))
         assert res.baseline_volume == 10.0
         assert res.treated_volume == 0.0
         assert res.reduction_pct == 100.0
 
     def test_unknown_removal_label_rejected(self, path_abc):
-        with pytest.raises(InvalidNode):
-            intervention_experiment(path_abc, ["nope"], reach_cfg("a"))
+        for removals in ([["nope"]], [["b"], ["c", "nope"]]):
+            with pytest.raises(InvalidNode):
+                intervention_experiment(path_abc, removals, reach_cfg("a"))
+
+    def test_bare_string_removal_rejected(self, path_abc):
+        # "bc" would otherwise be read as the set {b, c}
+        for removals in ("bc", ["bc"], [["b"], "c"]):
+            with pytest.raises(InvalidParameter):
+                intervention_experiment(path_abc, removals, reach_cfg("a"))
 
     def test_monotone_in_removal_set_exact(self):
         # exhaustive: expected volume never rises when the removal grows
@@ -169,8 +177,7 @@ class TestInterventionExperiment:
         small = {g.labels[i] for i in (10, 11)}
         large = small | {g.labels[i] for i in (12, 13, 14, 15)}
         cfg = CascadeConfig(seeds=seeds, p=0.25, trials=1500, seed=5)
-        res_small = intervention_experiment(g, small, cfg)
-        res_large = intervention_experiment(g, large, cfg)
+        res_small, res_large = intervention_experiment(g, [small, large], cfg)
         assert res_large.treated_volume <= res_small.treated_volume + 2.0
 
     def test_monte_carlo_standard_errors(self):
@@ -178,32 +185,64 @@ class TestInterventionExperiment:
         cfg = CascadeConfig(seeds=(g.labels[0], g.labels[1]), p=0.3,
                             trials=500, seed=17)
         removal = [g.labels[i] for i in (2, 3, 4, 5, 6)]
-        res = intervention_experiment(g, removal, cfg)
-        assert res == intervention_experiment(g, removal, cfg)
+        res, = intervention_experiment(g, [removal], cfg)
+        assert [res] == intervention_experiment(g, [removal], cfg)
         assert (res.baseline_se, res.treated_se, res.difference_se) \
             == pytest.approx((0.40823667935738633, 0.32246217096491614,
                               0.18474667701839367), rel=1e-12)
         # baseline and treated share each trial's draw, so they co-vary
         assert res.difference_se < math.hypot(res.baseline_se, res.treated_se)
-        baseline, treated = _trial_counts(g, cfg, removal)
+        baseline, treated = _trial_counts(g, cfg, [removal])
         assert res.difference_se == pytest.approx(
             np.std(baseline - treated, ddof=1) / math.sqrt(500), rel=1e-12)
         entry = res.to_dict()
         assert entry["difference_se"] == res.difference_se
 
     def test_single_trial_and_reachability_standard_errors(self, path_abc):
-        one = intervention_experiment(path_abc, ["b"], CascadeConfig(
+        one, = intervention_experiment(path_abc, [["b"]], CascadeConfig(
             seeds=("a",), p=0.5, trials=1, seed=2))
         assert one.to_dict()["baseline_se"] is None
-        reach = intervention_experiment(path_abc, ["b"], reach_cfg("a"))
+        reach, = intervention_experiment(path_abc, [["b"]], reach_cfg("a"))
         assert not {"baseline_se", "treated_se", "difference_se"} \
             & set(reach.to_dict())
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_one_call_equals_a_call_per_removal_set(self, model):
+        g, _ = random_graph(60, 150, seed=31)
+        seeds = (g.labels[0], g.labels[1])
+        cfg = CascadeConfig(seeds=seeds, model=model, p=0.3, trials=150,
+                            seed=13)
+        r1 = [g.labels[i] for i in (4, 5, 6)]
+        r2 = [g.labels[i] for i in (7, 8)] + [seeds[0]]
+        removals = [[], r1, r2]
+        shared = intervention_experiment(g, removals, cfg)
+        assert shared == [intervention_experiment(g, [removal], cfg)[0]
+                          for removal in removals]
+        assert [res.removed for res in shared] \
+            == [(), tuple(sorted(r1)), tuple(sorted(r2))]
+        assert len({res.treated_volume for res in shared}) == 3
+
+    def test_every_removal_set_shares_each_trial_stream(self, monkeypatch):
+        g, _ = random_graph(60, 150, seed=31)
+        cfg = CascadeConfig(seeds=(g.labels[0], g.labels[1]), p=0.3,
+                            trials=150, seed=13)
+        drawn = []
+        trial_stream = netcent.rng.trial_stream
+
+        def counted(seed, trial):
+            drawn.append((seed, trial))
+            return trial_stream(seed, trial)
+
+        monkeypatch.setattr(netcent.rng, "trial_stream", counted)
+        intervention_experiment(
+            g, [[], [g.labels[4]], [g.labels[7], g.labels[0]]], cfg)
+        assert drawn == [(13, t) for t in range(150)]
 
     def test_bit_identical_result(self):
         g, _ = random_graph(30, 120, seed=8)
         cfg = CascadeConfig(seeds=(g.labels[2],), p=0.4, trials=400, seed=3)
-        a = intervention_experiment(g, [g.labels[5]], cfg)
-        b = intervention_experiment(g, [g.labels[5]], cfg)
+        a = intervention_experiment(g, [[g.labels[5]]], cfg)
+        b = intervention_experiment(g, [[g.labels[5]]], cfg)
         assert a == b
 
 
@@ -213,7 +252,7 @@ class TestLiveEdgeEngine:
     def test_trials_are_keyed_live_edge_draws(self, case):
         g, edges, weights, seeds, removed, cfg = case
         baseline, treated = _trial_counts(
-            g, cfg, [g.labels[v] for v in removed])
+            g, cfg, [[g.labels[v] for v in removed]])
         edges, weights = in_order(edges, weights)
         probs = edge_probs(cfg, weights)
         assert baseline.tolist() == oracles.keyed_cascade_sizes(
@@ -226,16 +265,17 @@ class TestLiveEdgeEngine:
     def test_treated_never_exceeds_baseline(self, case):
         g, _, _, _, removed, cfg = case
         removal = [g.labels[v] for v in removed]
-        baseline, treated = _trial_counts(g, cfg, removal)
+        baseline, treated = _trial_counts(g, cfg, [removal])
         assert np.all(treated <= baseline)
-        assert intervention_experiment(g, removal, cfg).reduction_pct >= 0.0
+        res, = intervention_experiment(g, [removal], cfg)
+        assert res.reduction_pct >= 0.0
 
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     def test_trial_counts_fill_partial_lanes(self, trials):
         g, edges = random_graph(12, 30, seed=trials)
         cfg = CascadeConfig(seeds=(g.labels[0], g.labels[3]), p=0.4,
                             trials=trials, seed=21)
-        baseline, treated = _trial_counts(g, cfg, [g.labels[5]])
+        baseline, treated = _trial_counts(g, cfg, [[g.labels[5]]])
         assert baseline.size == treated.size == trials
         edges = sorted(edges, key=lambda e: (e[1], e[0]))
         want = oracles.keyed_cascade_sizes(edges, 12, [0, 3],
@@ -247,7 +287,8 @@ class TestLiveEdgeEngine:
     @settings(max_examples=60, deadline=None)
     def test_masking_equals_rebuilding(self, data, model):
         g, _, _, seeds, removed, cfg = data.draw(cascade_cases(model, p=1.0))
-        res = intervention_experiment(g, [g.labels[v] for v in removed], cfg)
+        res, = intervention_experiment(g, [[g.labels[v] for v in removed]],
+                                       cfg)
         surviving = tuple(g.labels[v] for v in seeds if v not in removed)
         if not surviving:
             assert res.treated_volume == 0.0

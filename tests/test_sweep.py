@@ -32,8 +32,8 @@ def traversal_outputs(g):
                                  seed=1).scores,
             closeness_centrality(g, mode="sampled",
                                  sample_size=(g.n + 1) // 2, seed=2).scores,
-            *_trial_counts(g, cascade, [last]),
-            *_trial_counts(g, reach, [last])]
+            *_trial_counts(g, cascade, [[last]]),
+            *_trial_counts(g, reach, [[last]])]
 
 
 @given(path_graphs())
