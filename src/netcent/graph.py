@@ -21,6 +21,7 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import count, filterfalse
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,14 +64,43 @@ def _check_weight(w):
         raise ValueError(f"weight must be finite and positive, got {w}")
 
 
+class RowError(ValueError):
+    """A check over columns failed; ``row`` is the 0-based index of the row."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def first_fault(*faults: RowError | None) -> RowError | None:
+    """The fault on the earliest row, the first listed on a tie; None if none."""
+    return min(filter(None, faults), key=lambda f: f.row, default=None)
+
+
+def missing(message: str, *columns: Sequence[str]) -> RowError | None:
+    """A RowError for the first row where any column's cell is ``''``."""
+    rows = [col.index("") for col in columns if "" in col]
+    return RowError(min(rows), message) if rows else None
+
+
+def bad_weight(weights: Sequence[float]) -> RowError | None:
+    """A RowError for the first weight that is not finite and positive."""
+    w = np.asarray(weights, dtype=np.float64)
+    bad = np.flatnonzero(~((w > 0) & (w < np.inf)))
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    return RowError(row, f"weight must be finite and positive, got {weights[row]}")
+
+
 class Interactions:
     """Interaction rows held as columns, one entry per row.
 
     ``actor`` and ``target`` are provisional ids into ``labels`` (first
     appearance order); ``kind`` codes index :data:`INTERACTION_KINDS`;
     ``timestamp`` is NaN where a row has none. ``len()`` is the row
-    count. Rows are checked as they are appended, so a column set
-    always builds a graph.
+    count. Rows are checked as they are added, so a column set always
+    builds a graph.
     """
 
     __slots__ = ("_ids", "actor", "target", "kind", "timestamp", "weight")
@@ -90,32 +120,50 @@ class Interactions:
     def __len__(self):
         return len(self.weight)
 
-    def append(self, actor: str, target: str, kind: str = "other",
-               timestamp: float | None = None, weight: float = 1.0):
-        """Add one row; ValueError if an endpoint is empty or the weight bad.
+    def extend(self, actor: Sequence[str], target: Sequence[str],
+               kind: Sequence[str], timestamp: Sequence[float],
+               weight: Sequence[float]):
+        """Add rows given as equal-length columns; NaN timestamps mean none.
 
-        Unknown kinds become ``other``.
+        Raises RowError, adding nothing, for the first row with an empty
+        endpoint or a weight that is not finite and positive (the
+        endpoint first within a row). Unknown kinds become ``other``.
         """
-        if not actor or not target:
-            raise ValueError("missing actor or target")
-        _check_weight(weight)
+        fault = first_fault(missing("missing actor or target", actor, target),
+                            bad_weight(weight))
+        if fault:
+            raise fault
         ids = self._ids
-        self.actor.append(ids.setdefault(actor, len(ids)))
-        self.target.append(ids.setdefault(target, len(ids)))
-        self.kind.append(_KIND_CODES.get(kind.strip().lower(), _KIND_CODES["other"]))
-        self.timestamp.append(math.nan if timestamp is None else timestamp)
-        self.weight.append(weight)
+        pairs = [None] * (2 * len(actor))
+        pairs[::2], pairs[1::2] = actor, target
+        codes = list(map(ids.get, pairs))
+        if None in codes:
+            # labels new to this batch, in first-appearance order, take the next ids
+            ids.update(zip(dict.fromkeys(filterfalse(ids.__contains__, pairs)),
+                           count(len(ids))))
+            codes = list(map(ids.__getitem__, pairs))
+        self.actor += array("q", codes[::2])
+        self.target += array("q", codes[1::2])
+        kinds = {k: _KIND_CODES.get(k.strip().lower(), _KIND_CODES["other"])
+                 for k in set(kind)}
+        self.kind.frombytes(bytes(map(kinds.__getitem__, kind)))
+        self.timestamp += array("d", timestamp)
+        self.weight += array("d", weight)
 
     @classmethod
     def from_records(cls, records: Iterable[InteractionRecord]) -> "Interactions":
         """Columns from records; a bad record's ParseError line is its 1-based index."""
+        records = list(records)
         cols = cls()
-        for i, rec in enumerate(records, start=1):
-            try:
-                cols.append(rec.actor, rec.target, rec.kind or "other",
-                            rec.timestamp, rec.weight)
-            except ValueError as exc:
-                raise ParseError(f"record {exc}", line=i) from None
+        try:
+            cols.extend([rec.actor or "" for rec in records],
+                        [rec.target or "" for rec in records],
+                        [rec.kind or "other" for rec in records],
+                        [math.nan if rec.timestamp is None else rec.timestamp
+                         for rec in records],
+                        [rec.weight for rec in records])
+        except RowError as exc:
+            raise ParseError(f"record {exc}", line=exc.row + 1) from None
         return cols
 
 
@@ -311,12 +359,17 @@ def _graph_from_columns(labels: Sequence[str], src, dst, w,
 
 def from_edges(edges, direction: str = INFO_FLOW,
                extra_labels: Iterable[str] = ()) -> DirectedGraph:
-    """Build from (src_label, dst_label[, weight]) triples.
+    """Build from (src_label, dst_label[, weight]) triples, or from
+    checked :class:`Interactions` columns read as actor -> target edges.
 
     Parallel edges aggregate by summed weight; self-loops are dropped
     with a counted warning. Labels mentioned only in ``extra_labels``
     become isolated nodes.
     """
+    if isinstance(edges, Interactions):
+        labels = list(dict.fromkeys([*edges.labels, *extra_labels]))
+        return _graph_from_columns(labels, edges.actor, edges.target,
+                                   edges.weight, direction)
     ids = {lab: i for i, lab in enumerate(dict.fromkeys(extra_labels))}
     src, dst, weights = array("q"), array("q"), array("d")
     for e in edges:

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import rng as _rng
-from .errors import DegenerateBaseline, InvalidParameter
+from .errors import InvalidParameter
 from .graph import DirectedGraph
 from .ranking import RankingTable
 from .scores import NOVEL_METRICS, TRADITIONAL_METRICS
@@ -181,8 +181,6 @@ def intervention_experiment(g: DirectedGraph,
     removals = list(removals)
     baseline, *treated = _trial_counts(g, cfg, removals)
     base_volume = float(baseline.mean())
-    if base_volume == 0.0:
-        raise DegenerateBaseline("baseline spread volume is zero")
     volumes = [float(counts.mean()) for counts in treated]
     return [InterventionResult(
         baseline_volume=base_volume, treated_volume=volume,

@@ -311,3 +311,176 @@ def is_valid_descending_order(ordered_labels, exact_by_label):
     """True when the label sequence never increases in exact value."""
     vals = [exact_by_label[lab] for lab in ordered_labels]
     return all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+# -- the per-line CSV readers as they stood before block-wise ingest ---------
+#
+# Kept verbatim, with the row-at-a-time ``Interactions`` they filled, so the
+# block readers in ``netcent.io`` can be pinned to them row for row and
+# error for error.
+
+import csv
+import math
+from array import array
+from pathlib import Path
+
+from netcent.errors import DataError, EmptyInput, ParseError
+from netcent.graph import INTERACTION_KINDS, DirectedGraph, from_edges
+from netcent.scores import ScoreVector
+
+INFO_FLOW = "info_flow"
+_KIND_CODES = {k: i for i, k in enumerate(INTERACTION_KINDS)}
+
+
+def _check_weight(w):
+    """Raise ValueError unless ``w`` is finite and positive."""
+    if w is None or not 0 < w < math.inf:
+        raise ValueError(f"weight must be finite and positive, got {w}")
+
+
+class Interactions:
+    """Interaction rows held as columns, filled one row at a time."""
+
+    __slots__ = ("_ids", "actor", "target", "kind", "timestamp", "weight")
+
+    def __init__(self):
+        self._ids: dict[str, int] = {}
+        self.actor = array("q")
+        self.target = array("q")
+        self.kind = array("b")
+        self.timestamp = array("d")
+        self.weight = array("d")
+
+    @property
+    def labels(self) -> list[str]:
+        return list(self._ids)
+
+    def __len__(self):
+        return len(self.weight)
+
+    def append(self, actor: str, target: str, kind: str = "other",
+               timestamp: float | None = None, weight: float = 1.0):
+        """Add one row; ValueError if an endpoint is empty or the weight bad.
+
+        Unknown kinds become ``other``.
+        """
+        if not actor or not target:
+            raise ValueError("missing actor or target")
+        _check_weight(weight)
+        ids = self._ids
+        self.actor.append(ids.setdefault(actor, len(ids)))
+        self.target.append(ids.setdefault(target, len(ids)))
+        self.kind.append(_KIND_CODES.get(kind.strip().lower(), _KIND_CODES["other"]))
+        self.timestamp.append(math.nan if timestamp is None else timestamp)
+        self.weight.append(weight)
+
+
+def _rows(path):
+    """Yield (line_number, raw_line) skipping comments and blanks."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            yield lineno, raw
+
+
+def _split(raw):
+    """Fields of one line; a line with a quote is parsed on its own by csv."""
+    if '"' in raw:
+        return next(csv.reader([raw]))
+    return raw.split(",")
+
+
+def _parse_csv(path, required, optional):
+    """Yield (line_number, fields) per data row of a headered CSV.
+
+    ``fields`` lists the stripped values of the required then optional
+    columns; a column the header or a short row lacks reads ``''``.
+    Raises ParseError with the file line for a missing required column
+    or a row with more fields than the header.
+    """
+    rows = _rows(path)
+    try:
+        header_line_no, header_raw = next(rows)
+    except StopIteration:
+        raise EmptyInput(f"{path}: no header row") from None
+    header = [h.strip().lower() for h in _split(header_raw)]
+    for col in required:
+        if col not in header:
+            raise ParseError(f"{path}: missing required column {col!r}",
+                             line=header_line_no)
+    position = {h: i for i, h in enumerate(header)}
+    # len(header) is past the end of every row, so an absent column reads ''
+    wanted = [position.get(col, len(header)) for col in (*required, *optional)]
+    for lineno, raw in rows:
+        values = _split(raw)
+        if len(values) > len(header):
+            raise ParseError(f"{path}: row has {len(values)} fields, header has "
+                             f"{len(header)}", line=lineno)
+        yield lineno, [values[i].strip() if i < len(values) else "" for i in wanted]
+
+
+def read_interactions_csv(path) -> Interactions:
+    """Read ``actor,target,kind,timestamp,weight`` rows (last three optional)."""
+    rows = Interactions()
+    for lineno, (actor, target, kind, ts, weight) in _parse_csv(
+            path, ("actor", "target"), ("kind", "timestamp", "weight")):
+        try:
+            rows.append(actor, target, kind,
+                        float(ts) if ts else None,
+                        float(weight) if weight else 1.0)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}", line=lineno) from None
+    if not len(rows):
+        raise EmptyInput(f"{path}: no interaction records")
+    return rows
+
+
+def read_edge_csv(path, direction: str = INFO_FLOW) -> DirectedGraph:
+    """Read a pre-built ``src,dst,weight`` edge list (weight optional, default 1)."""
+    edges = []
+    for lineno, (s, d, w) in _parse_csv(path, ("src", "dst"), ("weight",)):
+        if not s or not d:
+            raise ParseError(f"{path}: missing src or dst", line=lineno)
+        try:
+            w = float(w) if w else 1.0
+            _check_weight(w)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}", line=lineno) from None
+        edges.append((s, d, w))
+    if not edges:
+        raise EmptyInput(f"{path}: no edges")
+    return from_edges(edges, direction=direction)
+
+
+def read_scores_csv(path, metric: str | None = None) -> ScoreVector:
+    """Read a score CSV back; metric defaults to the ``<metric>.scores.csv`` stem."""
+    if metric is None:
+        metric = Path(path).name.split(".")[0]
+    labels, values = [], []
+    for lineno, (label, score) in _parse_csv(path, ("node_label", "score"), ()):
+        if not label:
+            raise ParseError(f"{path}: missing node label", line=lineno)
+        try:
+            values.append(float(score))
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}", line=lineno) from None
+        labels.append(label)
+    if not labels:
+        raise EmptyInput(f"{path}: no scores")
+    if len(set(labels)) != len(labels):
+        raise DataError(f"{path}: duplicate node labels")
+    order = sorted(range(len(labels)), key=lambda i: labels[i])
+    return ScoreVector(metric=metric,
+                       labels=tuple(labels[i] for i in order),
+                       scores=np.array([values[i] for i in order]))
+
+
+def csv_writer_text(rows):
+    """``rows`` as ``csv.writer`` writes them with ``\\n`` line ends."""
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()

@@ -1,6 +1,9 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from netcent import EmptyInput, ParseError, ScoreVector, build_graph, from_edges
+from netcent import (DirectedGraph, EmptyInput, ParseError, ScoreVector,
+                     build_graph, from_edges)
 from netcent import io as ncio
+from netcent.io import EDGE_COLUMNS, INTERACTION_COLUMNS
 from netcent.cli import main
 from netcent.graph import INTERACTION_KINDS
 
@@ -256,3 +261,187 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# -- block-wise ingest == the per-line readers it replaced (tests/oracles.py)
+
+LABEL_CELLS = ["a", "b", "c", "dd", " a", "b\t", "\xa0c", '"x,y"', '"e', 'f"g',
+               "é", "#h", ""]
+KIND_CELLS = ["retweet", "MENTION", " reply ", "share", "odd", ""]
+NUMBER_CELLS = ["1", "2.5", "1e3", " 4", "", "0", "-1", "nan", "inf", "x"]
+JUNK_LINES = ["# comment", "", "   ", "  # indented", "\t", "#a,b,c,d,e,f"]
+
+
+def cell_pool(column):
+    if column == "kind":
+        return KIND_CELLS
+    if column in ("timestamp", "weight", "score"):
+        return NUMBER_CELLS
+    return LABEL_CELLS
+
+
+@st.composite
+def csv_files(draw, columns):
+    """Text of a headered CSV over some of ``columns`` in some order, maybe
+    with an extra column, short and long rows, comment and blank lines,
+    and LF, CRLF or CR line ends."""
+    header = draw(st.permutations(list(columns)))
+    header = header[:draw(st.integers(2, len(header)))] if draw(st.booleans()) \
+        else header
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "extra")
+    shown = [draw(st.sampled_from([h, h.upper(), f" {h} "])) for h in header]
+    lines = [",".join(shown)]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(JUNK_LINES)))
+            continue
+        width = draw(st.sampled_from([len(header)] * 6
+                                     + [1, len(header) - 1, len(header) + 1]))
+        pools = [cell_pool(h) for h in header] + [LABEL_CELLS]
+        lines.append(",".join(
+            draw(st.sampled_from(pools[min(i, len(header))]))
+            for i in range(width)))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = eol.join(lines)
+    return text + eol if draw(st.booleans()) else text
+
+
+def outcome(read, path):
+    """What a reader returns or raises, in comparable form."""
+    try:
+        got = read(path)
+    except Exception as exc:     # compared by type, message and line
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(got, ScoreVector):
+        return got.metric, got.labels, got.scores.tolist()
+    if isinstance(got, DirectedGraph):
+        src, dst, w = got.edge_arrays()
+        return (got.labels, src.tolist(), dst.tolist(), w.tolist(),
+                got.self_loops_dropped)
+    return (got.labels, list(got.actor), list(got.target), list(got.kind),
+            got.timestamp.tobytes(), list(got.weight))
+
+
+READERS = {
+    "interactions": (ncio.read_interactions_csv, oracles.read_interactions_csv,
+                     INTERACTION_COLUMNS),
+    "edges": (ncio.read_edge_csv, oracles.read_edge_csv, EDGE_COLUMNS),
+    "scores": (ncio.read_scores_csv, oracles.read_scores_csv,
+               ("node_label", "score")),
+}
+
+
+def assert_same_as_oracle(tmp_path, fmt, text, block_chars):
+    new, old, _ = READERS[fmt]
+    p = tmp_path / "t.scores.csv"
+    p.write_bytes(text.encode())
+    with mock.patch.object(ncio, "BLOCK_CHARS", block_chars):
+        got = outcome(new, p)
+    assert got == outcome(old, p)
+    return got
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+@given(data=st.data(), block_chars=st.sampled_from([1, 2, 7, 16, 31, 64, 1 << 18]))
+@settings(max_examples=150, deadline=None)
+def test_block_readers_match_per_line_oracle(tmp_path_factory, fmt, data,
+                                             block_chars):
+    text = data.draw(csv_files(READERS[fmt][2]))
+    assert_same_as_oracle(tmp_path_factory.mktemp("csv"), fmt, text, block_chars)
+
+
+@pytest.mark.parametrize("text,line", [
+    # the weight column fails first in file order, though timestamp comes first
+    ("actor,target,timestamp,weight\na,b,1,1\nb,c,1,0\nc,d,x,1\n", 3),
+    # within one row, the timestamp is checked before the weight
+    ("actor,target,timestamp,weight\na,b,x,0\n", 2),
+    # a too-wide row after a bad weight in the same block
+    ("actor,target,weight\na,b,-1\nb,c,1,9\n", 2),
+    ("actor,target,weight\na,b,1\nb,c,1,9\n,d,1\n", 3),
+    ("# c\n\nactor,target\na,\n", 4),
+    ("# only comments\n\n", None),
+])
+@pytest.mark.parametrize("block_chars", [3, 1 << 18])
+def test_first_fault_in_file_order_wins(tmp_path, text, line, block_chars):
+    got = assert_same_as_oracle(tmp_path, "interactions", text, block_chars)
+    assert got[2] == line
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+@pytest.mark.parametrize("fault", [None, -2, -1, 0, 1])
+def test_rows_and_faults_either_side_of_a_block_boundary(tmp_path, fmt, fault):
+    columns = {"interactions": ("actor", "target", "weight"),
+               "edges": EDGE_COLUMNS, "scores": ("node_label", "score")}[fmt]
+    rows = [",".join([f"{i:05d}", f"{i + 1:05d}", "1"][-len(columns):])
+            for i in range(ncio.BLOCK_CHARS // 6)]
+    lines = [",".join(columns)] + rows
+    # file line that starts the second block
+    boundary = "\n".join(lines)[:ncio.BLOCK_CHARS].count("\n") + 1
+    if fault is not None:
+        lines[boundary + fault - 1] = lines[boundary + fault - 1][:-1] + "x"
+    lines[boundary + 19] += ",1"                    # too wide, past every fault
+    got = assert_same_as_oracle(tmp_path, fmt, "\n".join(lines) + "\n",
+                                ncio.BLOCK_CHARS)
+    assert got[2] == boundary + (20 if fault is None else fault)
+
+
+# -- writers == csv.writer
+
+WRITER_LABELS = ["a", "a,b", 'q"uote', " lead", "trail ", "é", "日本", "n\nl",
+                 "c\rr", "", '"', "#x"]
+WRITER_SCORES = [0.0, -0.0, 5e-324, 1e300, -1e300, 0.1, 1 / 3, 2.0, 1e16, 1e-5]
+
+
+# numpy string arrays drop trailing NULs, so ordering() cannot rank them
+TEXT = st.text(st.characters(blacklist_characters="\0"), max_size=4)
+
+
+@given(labels=st.lists(st.sampled_from(WRITER_LABELS) | TEXT,
+                       min_size=1, max_size=12, unique=True),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_write_scores_csv_matches_csv_writer(tmp_path_factory, labels, data):
+    scores = data.draw(st.lists(
+        st.sampled_from(WRITER_SCORES) | st.floats(allow_nan=False,
+                                                   allow_infinity=False),
+        min_size=len(labels), max_size=len(labels)))
+    sv = ScoreVector("pc", tuple(labels), np.array(scores))
+    rows = sorted(zip(labels, scores), key=lambda r: (-r[1], r[0]))
+    p = tmp_path_factory.mktemp("w") / "pc.scores.csv"
+    ncio.write_scores_csv(sv, p)
+    assert p.read_bytes().decode() == oracles.csv_writer_text(
+        [["node_label", "score"]] + [[lab, repr(s)] for lab, s in rows])
+
+
+def test_write_edge_csv_matches_csv_writer_on_unsorted_labels(tmp_path):
+    # ids follow n0..n12, not label order (n10 sorts before n2), and some
+    # labels need quoting
+    labels = [f"n{i}" for i in range(13)] + ["x,y", 'q"', " sp", "é"]
+    rng = np.random.default_rng(4)
+    pairs = sorted({(int(s), int(d)) for s, d in rng.integers(0, 17, (60, 2))
+                    if s != d})
+    w = [float(x) for x in rng.choice(WRITER_SCORES[2:6] + [0.5, 3.0], len(pairs))]
+    w = [abs(x) or 1.0 for x in w]
+    g = DirectedGraph(labels, [s for s, _ in pairs], [d for _, d in pairs], w)
+    p = tmp_path / "e.csv"
+    ncio.write_edge_csv(g, p)
+    want = sorted((labels[s], labels[d], x) for (s, d), x in zip(pairs, w))
+    assert p.read_bytes().decode() == oracles.csv_writer_text(
+        [list(EDGE_COLUMNS)] + [[s, d, repr(x)] for s, d, x in want])
+
+
+def test_spaces_are_every_character_strip_removes_but_newline():
+    every = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    assert set(ncio._SPACES) == every - {"\n"}
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # perfbench/spans.py patches netcent functions by name, so a renamed
+    # one fails every traced benchmark run
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = "import spans; spans.install(spans.Tracer())"
+    out = subprocess.run([sys.executable, "-c", code], cwd=root / "perfbench",
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -270,6 +270,16 @@ class TestLiveEdgeEngine:
         res, = intervention_experiment(g, [removal], cfg)
         assert res.reduction_pct >= 0.0
 
+    @given(st.data(), st.sampled_from(MODELS))
+    @settings(max_examples=60, deadline=None)
+    def test_baseline_volume_counts_every_seed(self, data, model):
+        # every trial counts its originators, so reduction_pct never divides by 0
+        g, _, _, seeds, removed, cfg = data.draw(cascade_cases(model))
+        baseline, _ = _trial_counts(g, cfg, [[]])
+        assert baseline.min() >= len(seeds)
+        res, = intervention_experiment(g, [[g.labels[v] for v in removed]], cfg)
+        assert res.baseline_volume >= len(seeds)
+
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     def test_trial_counts_fill_partial_lanes(self, trials):
         g, edges = random_graph(12, 30, seed=trials)
