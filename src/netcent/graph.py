@@ -3,8 +3,9 @@
 The graph is immutable after construction and stored in compressed
 adjacency form in both orientations, so transposition is O(1) and in-
 and out-neighbour queries are array slices. Node ids are dense 0..n-1
-assigned in sorted-label order, which makes construction deterministic
-regardless of record order.
+assigned in sorted-label order by the constructor itself, whichever
+builder called it, which makes construction deterministic regardless of
+record order and makes id order the "ascending label" tie order.
 
 Two edge-direction conventions are supported for interaction data:
 
@@ -19,7 +20,9 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count, filterfalse
 from typing import Iterable, Sequence
@@ -56,12 +59,6 @@ class InteractionRecord:
 
 
 _KIND_CODES = {k: i for i, k in enumerate(INTERACTION_KINDS)}
-
-
-def _check_weight(w):
-    """Raise ValueError unless ``w`` is finite and positive."""
-    if w is None or not 0 < w < math.inf:
-        raise ValueError(f"weight must be finite and positive, got {w}")
 
 
 class RowError(ValueError):
@@ -192,41 +189,49 @@ def _csr_from_sorted(src, dst, w, n):
 
 
 class DirectedGraph:
-    """Immutable weighted digraph with dense ids and dual CSR adjacency."""
+    """Immutable weighted digraph with dense ids and dual CSR adjacency.
+
+    ``labels`` may come in any order, with ``src`` and ``dst`` as
+    positions in it: the graph keeps the labels sorted and renumbers the
+    edges to match, so node i is the i-th smallest label. Parallel edges
+    aggregate by summed weight; self-loops are dropped with a counted
+    warning.
+    """
 
     __slots__ = (
         "n", "labels", "direction", "self_loops_dropped",
         "out_ptr", "out_dst", "out_w",
         "in_ptr", "in_src", "in_w",
-        "_label_to_id",
     )
 
     def __init__(self, labels: Sequence[str], src, dst, weights,
-                 direction: str = INFO_FLOW, self_loops_dropped: int = 0,
-                 _swap=None):
+                 direction: str = INFO_FLOW):
         if direction not in DIRECTIONS:
             raise InvalidParameter(f"unknown direction {direction!r}")
+        by_label = sorted(range(len(labels)), key=labels.__getitem__)
         self.n = len(labels)
-        self.labels = tuple(labels)
+        self.labels = tuple(map(labels.__getitem__, by_label))
         self.direction = direction
-        self.self_loops_dropped = int(self_loops_dropped)
-        self._label_to_id = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._label_to_id) != self.n:
+        if any(map(operator.eq, self.labels, self.labels[1:])):
             raise InvalidParameter("node labels must be unique")
 
-        if _swap is not None:
-            # Internal fast path for transpose(): reuse the existing arrays.
-            (self.out_ptr, self.out_dst, self.out_w,
-             self.in_ptr, self.in_src, self.in_w) = _swap
-            return
-
-        src, dst, w = _aggregate_edges(src, dst, weights)
-        if src.size and (src.min() < 0 or max(src.max(), dst.max()) >= self.n):
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        if src.size and (min(src.min(), dst.min()) < 0
+                         or max(src.max(), dst.max()) >= self.n):
             raise InvalidNode("edge endpoint outside node range")
+        rank = np.empty(self.n, dtype=np.int64)
+        rank[by_label] = np.arange(self.n)
+        src, dst = rank[src], rank[dst]
+        w = np.asarray(weights, dtype=np.float64)
+        loops = src == dst
+        self.self_loops_dropped = int(np.count_nonzero(loops))
+        if self.self_loops_dropped:
+            log.warning("dropped %d self-loop edge(s)", self.self_loops_dropped)
+            src, dst, w = src[~loops], dst[~loops], w[~loops]
+        src, dst, w = _aggregate_edges(src, dst, w)
         if not np.all((w > 0) & (w < np.inf)):
             raise InvalidParameter("edge weights must be finite and positive")
-        if np.any(src == dst):
-            raise InvalidParameter("self-loops must be dropped before construction")
 
         self.out_ptr, self.out_dst, self.out_w = _csr_from_sorted(src, dst, w, self.n)
         order = np.lexsort((src, dst))
@@ -244,9 +249,12 @@ class DirectedGraph:
 
     def id_of(self, label: str) -> int:
         try:
-            return self._label_to_id[label]
-        except KeyError:
-            raise InvalidNode(f"unknown node label {label!r}") from None
+            i = bisect_left(self.labels, label)
+        except TypeError:  # a label of a type the labels do not compare with
+            i = self.n
+        if i == self.n or self.labels[i] != label:
+            raise InvalidNode(f"unknown node label {label!r}")
+        return i
 
     def _check_node(self, v: int):
         if not 0 <= int(v) < self.n:
@@ -279,14 +287,14 @@ class DirectedGraph:
     # -- structural operations ------------------------------------------
 
     def transpose(self) -> "DirectedGraph":
-        """Reversed graph sharing this graph's arrays; O(1)."""
-        flipped = ENDORSEMENT if self.direction == INFO_FLOW else INFO_FLOW
-        return DirectedGraph(
-            self.labels, None, None, None,
-            direction=flipped, self_loops_dropped=self.self_loops_dropped,
-            _swap=(self.in_ptr, self.in_src, self.in_w,
-                   self.out_ptr, self.out_dst, self.out_w),
-        )
+        """Reversed graph sharing this graph's labels and arrays; O(1)."""
+        t = object.__new__(DirectedGraph)
+        t.n, t.labels = self.n, self.labels
+        t.self_loops_dropped = self.self_loops_dropped
+        t.direction = ENDORSEMENT if self.direction == INFO_FLOW else INFO_FLOW
+        t.out_ptr, t.out_dst, t.out_w = self.in_ptr, self.in_src, self.in_w
+        t.in_ptr, t.in_src, t.in_w = self.out_ptr, self.out_dst, self.out_w
+        return t
 
     def remove_nodes(self, victims: Iterable[int]):
         """Drop the victim ids and every incident edge.
@@ -309,8 +317,8 @@ class DirectedGraph:
             [lab for lab, k in zip(self.labels, keep) if k],
             new_ids[src[mask]], new_ids[dst[mask]], w[mask],
             direction=self.direction,
-            self_loops_dropped=self.self_loops_dropped,
         )
+        g.self_loops_dropped = self.self_loops_dropped
         return g, old_to_new
 
     def __eq__(self, other):
@@ -332,57 +340,28 @@ class DirectedGraph:
 
 # -- builders ------------------------------------------------------------
 
-def _graph_from_columns(labels: Sequence[str], src, dst, w,
-                        direction: str) -> DirectedGraph:
-    """Build from edges given as positions in ``labels``.
-
-    Ids are remapped to sorted-label order; self-loops are dropped with
-    a counted warning. Every label becomes a node.
-    """
-    if not labels:
-        raise EmptyInput("no edges and no nodes")
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    rank = np.empty(len(labels), dtype=np.int64)
-    rank[order] = np.arange(len(labels))
-    src = rank[np.asarray(src, dtype=np.int64)]
-    dst = rank[np.asarray(dst, dtype=np.int64)]
-    w = np.asarray(w, dtype=np.float64)
-    loops = src == dst
-    dropped = int(np.count_nonzero(loops))
-    if dropped:
-        log.warning("dropped %d self-loop edge(s)", dropped)
-        keep = ~loops
-        src, dst, w = src[keep], dst[keep], w[keep]
-    return DirectedGraph([labels[i] for i in order], src, dst, w,
-                         direction=direction, self_loops_dropped=dropped)
-
-
 def from_edges(edges, direction: str = INFO_FLOW,
                extra_labels: Iterable[str] = ()) -> DirectedGraph:
     """Build from (src_label, dst_label[, weight]) triples, or from
     checked :class:`Interactions` columns read as actor -> target edges.
 
-    Parallel edges aggregate by summed weight; self-loops are dropped
-    with a counted warning. Labels mentioned only in ``extra_labels``
-    become isolated nodes.
+    Triples get the checks of interaction rows: an empty label or a
+    weight that is not finite and positive raises InvalidParameter.
+    Labels mentioned only in ``extra_labels`` become isolated nodes.
     """
-    if isinstance(edges, Interactions):
-        labels = list(dict.fromkeys([*edges.labels, *extra_labels]))
-        return _graph_from_columns(labels, edges.actor, edges.target,
-                                   edges.weight, direction)
-    ids = {lab: i for i, lab in enumerate(dict.fromkeys(extra_labels))}
-    src, dst, weights = array("q"), array("q"), array("d")
-    for e in edges:
-        s, d = e[0], e[1]
-        w = float(e[2]) if len(e) > 2 else 1.0
+    if not isinstance(edges, Interactions):
+        triples, edges = list(edges), Interactions()
         try:
-            _check_weight(w)
-        except ValueError as exc:
+            edges.extend([e[0] for e in triples], [e[1] for e in triples],
+                         ["other"] * len(triples), [math.nan] * len(triples),
+                         [float(e[2]) if len(e) > 2 else 1.0 for e in triples])
+        except RowError as exc:
+            s, d = triples[exc.row][:2]
             raise InvalidParameter(f"edge ({s!r}, {d!r}): {exc}") from None
-        src.append(ids.setdefault(s, len(ids)))
-        dst.append(ids.setdefault(d, len(ids)))
-        weights.append(w)
-    return _graph_from_columns(list(ids), src, dst, weights, direction)
+    labels = list(dict.fromkeys([*edges.labels, *extra_labels]))
+    if not labels:
+        raise EmptyInput("no edges and no nodes")
+    return DirectedGraph(labels, edges.actor, edges.target, edges.weight, direction)
 
 
 def build_graph(records: Interactions | Sequence[InteractionRecord],
@@ -403,4 +382,4 @@ def build_graph(records: Interactions | Sequence[InteractionRecord],
     src, dst = records.target, records.actor
     if convention == ENDORSEMENT:
         src, dst = dst, src
-    return _graph_from_columns(records.labels, src, dst, records.weight, convention)
+    return DirectedGraph(records.labels, src, dst, records.weight, convention)

@@ -15,7 +15,6 @@ import os
 import tempfile
 from itertools import chain, repeat
 from pathlib import Path
-import numpy as np
 
 from .errors import DataError, EmptyInput, ParseError
 from .graph import (INFO_FLOW, DirectedGraph, Interactions, RowError, first_fault,
@@ -46,15 +45,36 @@ def _blocks(path):
     """
     with open(path, "r", encoding="utf-8") as fh:
         lineno, tail = 1, ""
-        for chunk in iter(lambda: fh.read(BLOCK_CHARS), ""):
-            text = tail + chunk
-            cut = text.rfind("\n") + 1
-            text, tail = text[:cut], text[cut:]
-            if text:
-                yield lineno, text
-                lineno += text.count("\n")
+        try:
+            for chunk in iter(lambda: fh.read(BLOCK_CHARS), ""):
+                text = tail + chunk
+                cut = text.rfind("\n") + 1
+                text, tail = text[:cut], text[cut:]
+                if text:
+                    yield lineno, text
+                    lineno += text.count("\n")
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
         if tail:
             yield lineno, tail + "\n"
+
+
+def _not_utf8(path) -> ParseError:
+    r"""A ParseError at the line of the file's first byte that is not UTF-8.
+
+    Lines are counted as :func:`_blocks` counts them. No UTF-8 sequence
+    holds a ``\n`` byte, so each ``\n``-ended line decodes on its own.
+    """
+    with open(path, "rb") as fh:
+        lineno = 1
+        for raw in fh:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(
+                    f"{path}: byte 0x{raw[exc.start]:02x} is not valid UTF-8 "
+                    f"({exc.reason})", line=lineno + raw.count(b"\r", 0, exc.start))
+            lineno += 1 + raw.count(b"\r") - raw.endswith(b"\r\n")
 
 
 def _data_lines(first, text):
@@ -237,8 +257,11 @@ def _csv_cells(labels):
             else lab for lab in labels]
 
 
-def _write_rows(path, header, labels, values):
-    """Write ``header``, then per row its cell of each label column and repr(value)."""
+def write_rows(path, header, labels, values):
+    """Write ``header``, then per row its cell of each label column and repr(value).
+
+    Cells are quoted as csv.writer quotes them; every row ends with a newline.
+    """
     rows = map(",".join, zip(*map(_csv_cells, labels), map(repr, values)))
     write_atomic(path, "\n".join(chain([",".join(header)], rows)) + "\n")
 
@@ -246,22 +269,18 @@ def _write_rows(path, header, labels, values):
 def write_edge_csv(g: DirectedGraph, path):
     """Export edges sorted by (src, dst) label with full-precision weights."""
     src, dst, w = g.edge_arrays()
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[sorted(range(g.n), key=g.labels.__getitem__)] = np.arange(g.n)
-    order = np.lexsort((rank[dst], rank[src]))
     labels = g.labels.__getitem__
-    _write_rows(path, EDGE_COLUMNS,
-                [list(map(labels, src[order].tolist())),
-                 list(map(labels, dst[order].tolist()))],
-                w[order].tolist())
+    write_rows(path, EDGE_COLUMNS,
+               [list(map(labels, src.tolist())), list(map(labels, dst.tolist()))],
+               w.tolist())
 
 
 def write_scores_csv(sv: ScoreVector, path):
     """Export ``node_label,score`` sorted by descending score, ascending label."""
     order = sv.ordering()
-    _write_rows(path, ("node_label", "score"),
-                [list(map(sv.labels.__getitem__, order.tolist()))],
-                sv.scores[order].tolist())
+    write_rows(path, ("node_label", "score"),
+               [list(map(sv.labels.__getitem__, order.tolist()))],
+               sv.scores[order].tolist())
 
 
 def read_scores_csv(path, metric: str | None = None) -> ScoreVector:
@@ -280,10 +299,7 @@ def read_scores_csv(path, metric: str | None = None) -> ScoreVector:
         raise EmptyInput(f"{path}: no scores")
     if len(set(labels)) != len(labels):
         raise DataError(f"{path}: duplicate node labels")
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    return ScoreVector(metric=metric,
-                       labels=tuple(map(labels.__getitem__, order)),
-                       scores=np.array(values)[order])
+    return ScoreVector(metric=metric, labels=tuple(labels), scores=values)
 
 
 def read_attributes_csv(path) -> dict[str, dict[str, float]]:

@@ -20,7 +20,7 @@ from . import io as _io
 from . import __version__ as _pkg_version
 from .errors import (InvalidParameter, NothingToEmit, PipelineError)
 from .graph import DIRECTIONS, INFO_FLOW, DirectedGraph
-from .ranking import overlap_report, rank_correlation, top_k
+from .ranking import RankingTable, overlap_report, rank_correlation, top_k
 from .novel import (EXPOSURE_MODES, MVC_INITS, DicConfig, MvcConfig,
                     NodeAttributes, PcConfig, dic, mvc, propagation_centrality)
 from .rng import derive_seed, substream
@@ -295,12 +295,9 @@ def compute_metric(g: DirectedGraph, metric: str, cfg: RunConfig,
     raise InvalidParameter(f"unknown metric {metric!r}")
 
 
-def _metric_summary(sv: ScoreVector, k: int) -> dict:
-    table = top_k(sv, k)
+def _metric_summary(sv: ScoreVector, table: RankingTable) -> dict:
     return {"params": sv.params, "iterations_run": sv.iterations_run,
-            "normalised": sv.normalised,
-            "top": [{"rank": r, "node": lab, "score": s}
-                    for r, lab, s in table.entries]}
+            "normalised": sv.normalised, "top": table.to_dict()["entries"]}
 
 
 def cascade_config(g: DirectedGraph, cfg: RunConfig) -> CascadeConfig:
@@ -311,7 +308,7 @@ def cascade_config(g: DirectedGraph, cfg: RunConfig) -> CascadeConfig:
             raise InvalidParameter("simulation needs sim_seeds or sim_random_seeds")
         picks = substream(cfg.seed, "sim_seeds").choice(
             g.n, size=min(cfg.sim_random_seeds, g.n), replace=False)
-        seeds = tuple(sorted(g.labels[i] for i in picks))
+        seeds = tuple(g.labels[i] for i in picks)
     return CascadeConfig(seeds=seeds, model=cfg.sim_model, p=cfg.sim_p,
                          trials=cfg.sim_trials,
                          seed=derive_seed(cfg.seed, "cascade"),
@@ -377,14 +374,13 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
 
     stage("metrics", compute_all)
 
-    metric_summaries = stage("rank", lambda: {
-        m: _metric_summary(sv, cfg.k) for m, sv in score_vectors.items()})
+    rankings = stage("rank", lambda: {
+        m: top_k(sv, cfg.k) for m, sv in score_vectors.items()})
 
     overlap_dict = None
     traditional_present = [m for m in score_vectors if m in TRADITIONAL_METRICS]
     if len(score_vectors) >= 2 and traditional_present:
         def build_overlap():
-            rankings = {m: top_k(sv, cfg.k) for m, sv in score_vectors.items()}
             report = overlap_report(rankings, traditional_present)
             _io.write_json(report.to_dict(), out_dir / "overlap.json")
             return report.to_dict()
@@ -421,7 +417,8 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
         graph_summary={"nodes": g.n, "edges": g.num_edges,
                        "direction": g.direction,
                        "self_loops_dropped": g.self_loops_dropped},
-        metrics=metric_summaries,
+        metrics={m: _metric_summary(sv, rankings[m])
+                 for m, sv in score_vectors.items()},
         overlap=overlap_dict,
         correlations=correlations,
         interventions=interventions,
@@ -450,24 +447,15 @@ def emit_plot_data(report, out_dir) -> list[Path]:
     if not overlap or not overlap.get("regions"):
         raise NothingToEmit("report has no overlap section")
     out_dir = Path(out_dir)
-
-    import csv
-    import io as _stringio
-
-    buf = _stringio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metrics", "count"])
-    for region in overlap["regions"]:
-        writer.writerow(["&".join(region["metrics"]), region["count"]])
     venn_path = out_dir / "venn_regions.csv"
-    _io.write_atomic(venn_path, buf.getvalue())
-
-    buf = _stringio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", "rank", "node_label", "score"])
-    for metric in sorted(report.get("metrics", {})):
-        for row in report["metrics"][metric]["top"]:
-            writer.writerow([metric, row["rank"], row["node"], repr(row["score"])])
+    _io.write_rows(venn_path, ("metrics", "count"),
+                   [["&".join(r["metrics"]) for r in overlap["regions"]]],
+                   [r["count"] for r in overlap["regions"]])
+    bars = [(metric, row) for metric in sorted(report.get("metrics", {}))
+            for row in report["metrics"][metric]["top"]]
     bars_path = out_dir / "topk_bars.csv"
-    _io.write_atomic(bars_path, buf.getvalue())
+    _io.write_rows(bars_path, ("metric", "rank", "node_label", "score"),
+                   [[m for m, _ in bars], [str(row["rank"]) for _, row in bars],
+                    [row["node"] for _, row in bars]],
+                   [row["score"] for _, row in bars])
     return [venn_path, bars_path]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -23,9 +24,11 @@ NOVEL_METRICS = frozenset({"pc", "mvc", "dic"})
 class ScoreVector:
     """Scores for one metric over one graph's nodes.
 
-    ``labels[i]`` names node i; ``params`` records every parameter that
-    influenced the values (damping, tolerance, seed, ...) so results are
-    reproducible from the metadata alone.
+    ``labels[i]`` names node i, in ascending label order as in
+    :class:`~netcent.graph.DirectedGraph`; labels given in another order
+    are sorted together with their scores. ``params`` records every
+    parameter that influenced the values (damping, tolerance, seed, ...)
+    so results are reproducible from the metadata alone.
     """
 
     metric: str
@@ -41,18 +44,19 @@ class ScoreVector:
             raise InvalidParameter("score vector length must equal node count")
         if self.scores.size and not np.all(np.isfinite(self.scores)):
             raise InvalidParameter("scores must be finite")
+        self.labels = tuple(self.labels)
+        if any(map(operator.gt, self.labels, self.labels[1:])):
+            order = sorted(range(self.n), key=self.labels.__getitem__)
+            self.labels = tuple(map(self.labels.__getitem__, order))
+            self.scores = self.scores[order]
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def score_of(self, label: str) -> float:
-        return float(self.scores[self.labels.index(label)])
-
     def ordering(self) -> np.ndarray:
         """Node indices sorted by descending score, ties by ascending label."""
-        lab = np.asarray(self.labels)
-        return np.lexsort((lab, -self.scores))
+        return np.argsort(-self.scores, kind="stable")
 
 
 def min_max(values: np.ndarray) -> np.ndarray:

@@ -134,7 +134,8 @@ def test_criterion_4_dic_contract():
     the binomial closed form on directed paths."""
     two = from_edges([("A", "B")])
     sv = dic(two, DicConfig(steps=1))
-    assert (sv.score_of("A"), sv.score_of("B")) == (0.0, 1.0)
+    score = dict(zip(sv.labels, sv.scores))
+    assert (score["A"], score["B"]) == (0.0, 1.0)
 
     for seed in (5, 23, 71, 90):
         g, edges = random_graph(20, 75, seed=seed)

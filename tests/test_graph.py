@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,11 +79,61 @@ class TestTranspose:
         g = build_graph([rec("A", "A")])
         assert g.transpose().num_edges == 0 and g.transpose().labels == g.labels
 
+    def test_shares_labels_and_arrays(self, cycle_abc):
+        t = cycle_abc.transpose()
+        assert t.labels is cycle_abc.labels
+        assert t.out_dst is cycle_abc.in_src and t.in_src is cycle_abc.out_dst
+
     def test_three_cycle_reverses(self, cycle_abc):
         t = cycle_abc.transpose()
         src, dst, _ = t.edge_arrays()
         got = {(t.labels[s], t.labels[d]) for s, d in zip(src, dst)}
         assert got == {("a", "c"), ("c", "b"), ("b", "a")}
+
+
+LABEL_ORDER_CASES = st.lists(st.text(max_size=3), min_size=1, max_size=8,
+                             unique=True).flatmap(lambda labels: st.tuples(
+    st.just(sorted(labels)), st.permutations(range(len(labels))),
+    st.lists(st.tuples(st.integers(0, len(labels) - 1),
+                       st.integers(0, len(labels) - 1)), max_size=20)))
+
+
+class TestLabelOrder:
+    @given(LABEL_ORDER_CASES)
+    @settings(max_examples=100, deadline=None)
+    def test_constructor_sorts_labels_given_in_any_order(self, case):
+        labels, perm, edges = case
+        shuffled = [labels[i] for i in perm]
+        where = {old: new for new, old in enumerate(perm)}
+        w = [1.0 + i for i in range(len(edges))]
+        g = DirectedGraph(shuffled, [where[s] for s, _ in edges],
+                          [where[d] for _, d in edges], w)
+        assert g == DirectedGraph(labels, [s for s, _ in edges],
+                                  [d for _, d in edges], w)
+        assert all(a < b for a, b in zip(g.labels, g.labels[1:]))
+
+    def test_id_of_finds_only_its_labels(self):
+        g = from_edges([("b", "d")])
+        assert (g.id_of("b"), g.id_of("d")) == (0, 1)
+        for label in ("a", "c", "e", "b\0", 5):
+            with pytest.raises(InvalidNode):
+                g.id_of(label)
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(InvalidParameter, match="unique"):
+            DirectedGraph(["b", "a", "b"], [0], [1], [1.0])
+
+    def test_constructor_drops_and_counts_self_loops(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="netcent.graph"):
+            g = DirectedGraph(["b", "a"], [0, 1, 0], [0, 1, 1], [1.0, 1.0, 2.0])
+        assert g.self_loops_dropped == 2
+        assert g.num_edges == 1 and g.labels == ("a", "b")
+        assert g.edge_arrays()[0].tolist() == [1] and g.out_w.tolist() == [2.0]
+        assert "dropped 2 self-loop edge(s)" in caplog.text
+
+    def test_from_edges_rejects_an_empty_label(self):
+        with pytest.raises(InvalidParameter, match="missing"):
+            from_edges([("", "b")])
 
 
 class TestRemoveNodes:

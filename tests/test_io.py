@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from netcent import (DirectedGraph, EmptyInput, ParseError, ScoreVector,
-                     build_graph, from_edges)
+                     build_graph, from_edges, top_k)
 from netcent import io as ncio
 from netcent.io import EDGE_COLUMNS, INTERACTION_COLUMNS
 from netcent.cli import main
@@ -248,6 +248,35 @@ def test_attributes_csv_bad_number(tmp_path):
     assert exc.value.line == 2
 
 
+# line 2 lacks an actor, but the byte 0xff on line 3 is found first
+BAD_UTF8 = b"actor,target\n,b\nc,\xff\n"
+
+
+@pytest.mark.parametrize("data,line", [
+    (BAD_UTF8, 3),
+    (BAD_UTF8.replace(b"\n", b"\r\n"), 3),
+    (BAD_UTF8.replace(b"\n", b"\r"), 3),
+    (b"actor,target\na,b\r\rc,d\xe2\x82\n", 4),
+    # a later block, with a header and rows both readers accept
+    (b"node,actor,target\n" + b"1,2,3\n" * 20000 + b"\xc3(,2,3\n", 20002),
+], ids=["lf", "crlf", "cr", "cut-short", "later-block"])
+@pytest.mark.parametrize("read", [ncio.read_interactions_csv,
+                                  ncio.read_attributes_csv])
+def test_bad_utf8_names_the_line_of_the_byte(tmp_path, data, line, read):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(data)
+    with pytest.raises(ParseError, match="not valid UTF-8") as exc:
+        read(p)
+    assert exc.value.line == line
+
+
+def test_cli_rejects_bad_utf8_with_exit_2(tmp_path, capsys):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(BAD_UTF8)
+    assert main(["ingest", "--input", str(p), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     target = tmp_path / "out.json"
     ncio.write_atomic(target, "one")
@@ -393,8 +422,8 @@ WRITER_LABELS = ["a", "a,b", 'q"uote', " lead", "trail ", "é", "日本", "n\nl"
 WRITER_SCORES = [0.0, -0.0, 5e-324, 1e300, -1e300, 0.1, 1 / 3, 2.0, 1e16, 1e-5]
 
 
-# numpy string arrays drop trailing NULs, so ordering() cannot rank them
-TEXT = st.text(st.characters(blacklist_characters="\0"), max_size=4)
+# every character a UTF-8 file can hold, NUL included
+TEXT = st.text(st.characters(codec="utf-8"), max_size=4)
 
 
 @given(labels=st.lists(st.sampled_from(WRITER_LABELS) | TEXT,
@@ -414,9 +443,17 @@ def test_write_scores_csv_matches_csv_writer(tmp_path_factory, labels, data):
         [["node_label", "score"]] + [[lab, repr(s)] for lab, s in rows])
 
 
+def test_nul_suffix_ranks_after_its_prefix_on_a_tie(tmp_path):
+    sv = ScoreVector("x", ("a\0", "a"), [1.0, 1.0])
+    assert top_k(sv, 2).labels() == ["a", "a\0"]
+    p = tmp_path / "x.scores.csv"
+    ncio.write_scores_csv(sv, p)
+    assert p.read_bytes() == b"node_label,score\na,1.0\na\0,1.0\n"
+
+
 def test_write_edge_csv_matches_csv_writer_on_unsorted_labels(tmp_path):
-    # ids follow n0..n12, not label order (n10 sorts before n2), and some
-    # labels need quoting
+    # the labels are given out of label order (n10 sorts before n2), and
+    # some need quoting
     labels = [f"n{i}" for i in range(13)] + ["x,y", 'q"', " sp", "é"]
     rng = np.random.default_rng(4)
     pairs = sorted({(int(s), int(d)) for s, d in rng.integers(0, 17, (60, 2))

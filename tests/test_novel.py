@@ -84,13 +84,15 @@ class TestMvc:
         for steps in (1, 5, 10):
             sv = mvc(g, attrs_for(g, [0.9, 0.9]),
                      MvcConfig(init="attribute", steps=steps))
-            assert sv.score_of("a") == 0.0
+            score = dict(zip(sv.labels, sv.scores))
+            assert score["a"] == 0.0
 
     def test_equal_exposure_minmax_two_points(self):
         # mutual pair: both nodes have in-degree 1
         g = from_edges([("a", "b"), ("b", "a")])
         sv = mvc(g, attrs_for(g, [0.2, 0.8]), MvcConfig(init="attribute"))
-        assert sv.score_of("a") == 0.0 and sv.score_of("b") == 1.0
+        score = dict(zip(sv.labels, sv.scores))
+        assert score["a"] == 0.0 and score["b"] == 1.0
 
     def test_live_nodes_stay_above_pinned_zeros(self):
         # zero-exposure sources force the pinned-zero branch; the weakest
@@ -98,9 +100,10 @@ class TestMvc:
         g = from_edges([("x", "a"), ("y", "b")])
         sv = mvc(g, attrs_for(g, [0.2, 0.8, 0.5, 0.5]),
                  MvcConfig(init="attribute"))
-        assert sv.score_of("b") == 1.0
-        assert 0.0 < sv.score_of("a") < 1.0
-        assert sv.score_of("x") == sv.score_of("y") == 0.0
+        score = dict(zip(sv.labels, sv.scores))
+        assert score["b"] == 1.0
+        assert 0.0 < score["a"] < 1.0
+        assert score["x"] == score["y"] == 0.0
 
     def test_rank_matches_exact_closed_form(self):
         for steps in (1, 5, 10):
@@ -134,7 +137,8 @@ class TestMvc:
                  ("s1", "c"), ("s2", "c"), ("s3", "c")]
         g = from_edges(edges)
         sv = mvc(g, attrs_for(g, [0.5] * g.n), MvcConfig(init="attribute"))
-        assert sv.score_of("a") < sv.score_of("b") < sv.score_of("c")
+        score = dict(zip(sv.labels, sv.scores))
+        assert score["a"] < score["b"] < score["c"]
 
     def test_missing_attribute_names_node(self):
         g = from_edges([("a", "b")])
@@ -175,7 +179,8 @@ class TestDic:
     def test_two_node_hand_case(self):
         g = from_edges([("A", "B")])
         sv = dic(g, DicConfig(steps=1))
-        assert sv.score_of("A") == 0.0 and sv.score_of("B") == 1.0
+        score = dict(zip(sv.labels, sv.scores))
+        assert score["A"] == 0.0 and score["B"] == 1.0
 
     def test_edgeless_graph_all_zero(self):
         from netcent import build_graph, InteractionRecord
@@ -230,7 +235,8 @@ class TestDic:
     def test_reverse_flag_accumulates_on_transpose(self):
         g = from_edges([("A", "B")])
         sv = dic(g, DicConfig(steps=1, reverse=True))
-        assert sv.score_of("A") == 1.0 and sv.score_of("B") == 0.0
+        score = dict(zip(sv.labels, sv.scores))
+        assert score["A"] == 1.0 and score["B"] == 0.0
 
 
 class TestOrientationAwareDefaults:

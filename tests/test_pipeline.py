@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import oracles
 from netcent import NothingToEmit, preferential_attachment
 from netcent.cli import main
 from netcent.pipeline import (RunConfig, emit_plot_data, load_config_file,
@@ -153,12 +154,14 @@ class TestEmitPlots:
         overlap = overlap_report(fixture_rankings(), TRADITIONAL_IDS)
         return {"version": "x", "config": {}, "graph": {},
                 "metrics": {"degree_total": {"top": [
-                    {"rank": 1, "node": "26", "score": 10.0}]}},
+                    {"rank": 1, "node": "26", "score": 10.0},
+                    {"rank": 2, "node": 'a,"b"', "score": 0.5}]}},
                 "overlap": overlap.to_dict(), "correlations": [],
                 "interventions": []}
 
     def test_region_rows_match_overlap(self, tmp_path):
-        paths = emit_plot_data(self.make_report_dict(), tmp_path)
+        report = self.make_report_dict()
+        paths = emit_plot_data(report, tmp_path)
         venn = (tmp_path / "venn_regions.csv").read_text().splitlines()
         assert venn[0] == "metrics,count"
         assert "betweenness&degree_total&eigenvector,2" in venn
@@ -167,6 +170,15 @@ class TestEmitPlots:
         bars = (tmp_path / "topk_bars.csv").read_text().splitlines()
         assert bars[1] == "degree_total,1,26,10.0"
         assert len(paths) == 2
+        regions = report["overlap"]["regions"]
+        assert (tmp_path / "venn_regions.csv").read_bytes().decode() == \
+            oracles.csv_writer_text([["metrics", "count"]] + [
+                ["&".join(r["metrics"]), r["count"]] for r in regions])
+        assert (tmp_path / "topk_bars.csv").read_bytes().decode() == \
+            oracles.csv_writer_text([
+                ["metric", "rank", "node_label", "score"],
+                ["degree_total", 1, "26", "10.0"],
+                ["degree_total", 2, 'a,"b"', "0.5"]])
 
     def test_no_overlap_section(self, tmp_path):
         with pytest.raises(NothingToEmit):
