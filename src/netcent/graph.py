@@ -188,14 +188,23 @@ def _csr_from_sorted(src, dst, w, n):
     return ptr, dst.copy(), w.copy()
 
 
+def check_utf8(labels: Sequence[str]):
+    """Raise InvalidParameter for a label that UTF-8 output files cannot hold."""
+    try:
+        "".join(labels).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidParameter(f"node label holds {exc.object[exc.start]!r}, "
+                               "which UTF-8 cannot encode") from None
+
+
 class DirectedGraph:
     """Immutable weighted digraph with dense ids and dual CSR adjacency.
 
     ``labels`` may come in any order, with ``src`` and ``dst`` as
     positions in it: the graph keeps the labels sorted and renumbers the
-    edges to match, so node i is the i-th smallest label. Parallel edges
-    aggregate by summed weight; self-loops are dropped with a counted
-    warning.
+    edges to match, so node i is the i-th smallest label. Labels must be
+    unique and encodable as UTF-8. Parallel edges aggregate by summed
+    weight; self-loops are dropped with a counted warning.
     """
 
     __slots__ = (
@@ -214,6 +223,7 @@ class DirectedGraph:
         self.direction = direction
         if any(map(operator.eq, self.labels, self.labels[1:])):
             raise InvalidParameter("node labels must be unique")
+        check_utf8(self.labels)
 
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)

@@ -41,40 +41,36 @@ def _blocks(path):
     r"""Yield (first line number, text) for runs of whole lines of the file.
 
     Line ends are read as ``\n`` whichever of ``\n``, ``\r\n`` or ``\r``
-    the file uses, and each text ends with one.
+    the file uses, and each text ends with one. A byte that is not UTF-8
+    raises ParseError as its run is yielded, after the runs before it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lineno, tail = 1, ""
-        try:
-            for chunk in iter(lambda: fh.read(BLOCK_CHARS), ""):
-                text = tail + chunk
-                cut = text.rfind("\n") + 1
-                text, tail = text[:cut], text[cut:]
-                if text:
-                    yield lineno, text
-                    lineno += text.count("\n")
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+        for chunk in iter(lambda: fh.read(BLOCK_CHARS), ""):
+            text = tail + chunk
+            cut = text.rfind("\n") + 1
+            text, tail = text[:cut], text[cut:]
+            if text:
+                yield lineno, _utf8(path, lineno, text)
+                lineno += text.count("\n")
         if tail:
-            yield lineno, tail + "\n"
+            yield lineno, _utf8(path, lineno, tail + "\n")
 
 
-def _not_utf8(path) -> ParseError:
-    r"""A ParseError at the line of the file's first byte that is not UTF-8.
+def _utf8(path, lineno, text):
+    """``text``, whose first line is file line ``lineno``, if it is all UTF-8.
 
-    Lines are counted as :func:`_blocks` counts them. No UTF-8 sequence
-    holds a ``\n`` byte, so each ``\n``-ended line decodes on its own.
+    Files are decoded with ``surrogateescape``, so a byte that is not
+    UTF-8 is a lone surrogate here; it raises ParseError at its line.
     """
-    with open(path, "rb") as fh:
-        lineno = 1
-        for raw in fh:
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return ParseError(
-                    f"{path}: byte 0x{raw[exc.start]:02x} is not valid UTF-8 "
-                    f"({exc.reason})", line=lineno + raw.count(b"\r", 0, exc.start))
-            lineno += 1 + raw.count(b"\r") - raw.endswith(b"\r\n")
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(text[exc.start]) - 0xdc00
+            raise ParseError(f"{path}: byte 0x{byte:02x} is not valid UTF-8",
+                             line=lineno + text.count("\n", 0, exc.start)) from None
+    return text
 
 
 def _data_lines(first, text):

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter
+from .graph import check_utf8
 
 METRICS = (
     "degree_in", "degree_out", "degree_total",
@@ -45,6 +46,7 @@ class ScoreVector:
         if self.scores.size and not np.all(np.isfinite(self.scores)):
             raise InvalidParameter("scores must be finite")
         self.labels = tuple(self.labels)
+        check_utf8(self.labels)
         if any(map(operator.gt, self.labels, self.labels[1:])):
             order = sorted(range(self.n), key=self.labels.__getitem__)
             self.labels = tuple(map(self.labels.__getitem__, order))

@@ -135,6 +135,13 @@ class TestLabelOrder:
         with pytest.raises(InvalidParameter, match="missing"):
             from_edges([("", "b")])
 
+    @pytest.mark.parametrize("label", ["\ud800", "a\udfff", "\ud83d\ude00"])
+    def test_labels_utf8_cannot_encode_are_rejected(self, label):
+        with pytest.raises(InvalidParameter, match="UTF-8"):
+            DirectedGraph(["b", label], [0], [1], [1.0])
+        with pytest.raises(InvalidParameter, match="UTF-8"):
+            from_edges([("b", label)])
+
 
 class TestRemoveNodes:
     def test_path_becomes_isolated(self, path_abc):

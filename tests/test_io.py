@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from netcent import (DirectedGraph, EmptyInput, ParseError, ScoreVector,
-                     build_graph, from_edges, top_k)
+from netcent import (DirectedGraph, EmptyInput, InvalidParameter, ParseError,
+                     ScoreVector, build_graph, from_edges, top_k)
 from netcent import io as ncio
 from netcent.io import EDGE_COLUMNS, INTERACTION_COLUMNS
 from netcent.cli import main
@@ -270,6 +270,22 @@ def test_bad_utf8_names_the_line_of_the_byte(tmp_path, data, line, read):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("read", [ncio.read_interactions_csv,
+                                  ncio.read_attributes_csv])
+def test_fault_in_the_block_before_the_bad_byte_is_found_first(tmp_path, read):
+    # the first read holds the bad byte, but the first block ends at the
+    # line end before it, so that block's fault on the line before counts
+    head = b"node,actor,target\n"
+    rows = b"1,2,3\n" * ((ncio.BLOCK_CHARS - len(head)) // 6 - 1)
+    data = head + rows + b",,3\n" + b"\xff,2,3\n"
+    assert data.index(b"\xff") < ncio.BLOCK_CHARS
+    p = tmp_path / "bad.csv"
+    p.write_bytes(data)
+    with pytest.raises(ParseError, match="missing") as exc:
+        read(p)
+    assert exc.value.line == data.count(b"\n", 0, data.index(b"\xff"))
+
+
 def test_cli_rejects_bad_utf8_with_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_bytes(BAD_UTF8)
@@ -422,8 +438,15 @@ WRITER_LABELS = ["a", "a,b", 'q"uote', " lead", "trail ", "é", "日本", "n\nl"
 WRITER_SCORES = [0.0, -0.0, 5e-324, 1e300, -1e300, 0.1, 1 / 3, 2.0, 1e16, 1e-5]
 
 
-# every character a UTF-8 file can hold, NUL included
-TEXT = st.text(st.characters(codec="utf-8"), max_size=4)
+TEXT = st.text(st.characters(), max_size=4)
+
+
+def utf8(label):
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @given(labels=st.lists(st.sampled_from(WRITER_LABELS) | TEXT,
@@ -435,12 +458,21 @@ def test_write_scores_csv_matches_csv_writer(tmp_path_factory, labels, data):
         st.sampled_from(WRITER_SCORES) | st.floats(allow_nan=False,
                                                    allow_infinity=False),
         min_size=len(labels), max_size=len(labels)))
+    if not all(map(utf8, labels)):  # a lone surrogate cannot be written
+        with pytest.raises(InvalidParameter, match="UTF-8"):
+            ScoreVector("pc", tuple(labels), np.array(scores))
+        return
     sv = ScoreVector("pc", tuple(labels), np.array(scores))
     rows = sorted(zip(labels, scores), key=lambda r: (-r[1], r[0]))
     p = tmp_path_factory.mktemp("w") / "pc.scores.csv"
     ncio.write_scores_csv(sv, p)
     assert p.read_bytes().decode() == oracles.csv_writer_text(
         [["node_label", "score"]] + [[lab, repr(s)] for lab, s in rows])
+
+
+def test_score_vector_rejects_a_label_utf8_cannot_encode():
+    with pytest.raises(InvalidParameter, match="UTF-8"):
+        ScoreVector("x", ("a", "\ud800"), [1.0, 2.0])
 
 
 def test_nul_suffix_ranks_after_its_prefix_on_a_tie(tmp_path):
