@@ -222,9 +222,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_emit_plots(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    for path in emit_plot_data(report, args.out):
+    for path in emit_plot_data(args.report, args.out):
         print(f"wrote {path}")
     return 0
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import io as _io
 from . import __version__ as _pkg_version
-from .errors import (InvalidParameter, NothingToEmit, PipelineError)
+from .errors import (DataError, InvalidParameter, NothingToEmit,
+                     PipelineError)
 from .graph import DIRECTIONS, INFO_FLOW, DirectedGraph
 from .ranking import RankingTable, overlap_report, rank_correlation, top_k
 from .novel import (EXPOSURE_MODES, MVC_INITS, DicConfig, MvcConfig,
@@ -438,11 +440,24 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
 def emit_plot_data(report, out_dir) -> list[Path]:
     """Write tabular series for external figure rendering.
 
-    ``venn_regions.csv`` holds one row per overlap region (metric names
-    joined by ``&``); ``topk_bars.csv`` holds per-metric top-k bars.
+    ``report`` is an AnalysisReport, its dict, or the path of its
+    ``report.json``; a file that is not JSON, or that holds a string
+    UTF-8 cannot encode, raises DataError. ``venn_regions.csv`` holds one
+    row per overlap region (metric names joined by ``&``);
+    ``topk_bars.csv`` holds per-metric top-k bars.
     """
     if isinstance(report, AnalysisReport):
         report = report.to_report_dict()
+    elif isinstance(report, (str, Path)):
+        path = report
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                report = json.load(fh)
+            # json.load turns an escaped lone surrogate such as \ud800 into
+            # one, which the UTF-8 output files cannot hold
+            json.dumps(report, ensure_ascii=False).encode("utf-8")
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
     overlap = report.get("overlap")
     if not overlap or not overlap.get("regions"):
         raise NothingToEmit("report has no overlap section")

@@ -12,10 +12,11 @@ runs 64 sources to a lane of the bit-parallel traversal in
 :mod:`netcent.sweep` and adds count/L level by level, so a score depends
 only on the node's distance histogram. Betweenness runs Brandes'
 accumulation one source at a time, each BFS level one vectorised pass
-over the edges leaving it; a source without out-edges adds nothing and
-is skipped. Betweenness and weighted closeness sum per-pivot
-contributions in ascending pivot order within fixed-size chunks, then
-add the chunk sums in ascending order.
+that pushes over the frontier's out-edges or, on a wide level of a large
+graph, pulls over the unvisited nodes' in-edges; a source without
+out-edges adds nothing and is skipped. Betweenness and weighted
+closeness sum per-pivot contributions in ascending pivot order within
+fixed-size chunks, then add the chunk sums in ascending order.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ from .sweep import (LANE, Sweep, bit_counts, out_edges, popcounts,
 EXACT_NODE_LIMIT = 20_000
 SAMPLING_MODES = ("auto", "exact", "sampled")
 _SOURCE_CHUNK = 64
+# a Brandes level may pull only when its frontier has this many out-edges:
+# below it numpy's per-call cost outweighs the edge scans a pull saves
+PULL_MIN_EDGES = 1 << 14
+# edge scans a pull spends per node to find the unvisited ones
+PULL_NODE_COST = 1 / 4
 
 
 def default_sample_size(n: int) -> int:
@@ -210,13 +216,38 @@ def closeness_centrality(g: DirectedGraph, mode: str = "auto",
 
 # -- betweenness (Brandes) ---------------------------------------------------
 
-def _brandes_from_source(out_ptr, out_dst, out_degree, s: int) -> np.ndarray:
+def _pull_tier(g: DirectedGraph, in_degree, dist, level: int):
+    """A level's tier from the unvisited nodes' in-edges, in (dst, src) order."""
+    unseen = np.flatnonzero(dist < 0)
+    fanin = in_degree[unseen]
+    tails = g.in_src[out_edges(g.in_ptr, unseen, fanin)]
+    on_tier = dist[tails] == level - 1
+    return tails[on_tier], np.repeat(unseen, fanin)[on_tier]
+
+
+def _brandes_from_source(g: DirectedGraph, out_degree, in_degree,
+                         s: int) -> np.ndarray:
     """Source dependencies delta_s(.) on unweighted shortest paths.
 
-    Level L's tier holds the edges from the nodes at distance L-1, in
-    ascending node then CSR order, to the nodes first reached at L.
+    Level L's tier holds the edges from the nodes at distance L-1 to the
+    nodes first reached at L. A level pushes or pulls it:
+
+    * push scans the frontier's out-edges and keeps those whose head is
+      unvisited, so the tier comes out in ascending (src, dst) order;
+    * pull scans the unvisited nodes' in-edges and keeps those whose
+      tail is at L-1, so the tier comes out in ascending (dst, src) order.
+
+    Either way ``sigma[v]`` takes its terms in ascending source order
+    and ``delta[u]`` in ascending destination order, and bincount adds
+    them in that order, so both give the same bytes. A level pulls when
+    the frontier has at least ``PULL_MIN_EDGES`` out-edges and they
+    outnumber the unvisited nodes' in-edges plus ``PULL_NODE_COST``
+    scans per node for finding those nodes (Beamer, Asanovic & Patterson,
+    SC 2012). The in-edge count is kept running, so the choice costs
+    O(1) a level; a graph with fewer than ``PULL_MIN_EDGES`` edges never
+    pulls and keeps no count.
     """
-    n = out_degree.size
+    n = g.n
     dist = np.full(n, -1, dtype=np.int64)
     dist[s] = 0
     sigma = np.zeros(n)
@@ -224,24 +255,37 @@ def _brandes_from_source(out_ptr, out_dst, out_degree, s: int) -> np.ndarray:
     frontier = np.array([s], dtype=np.int64)
     level = 0
     tiers = []
+    # in-edges of the unvisited nodes, counted only on a graph that can pull
+    unseen_in = (g.num_edges - int(in_degree[s])
+                 if g.num_edges >= PULL_MIN_EDGES else None)
     while True:
         level += 1
         fanout = out_degree[frontier]
-        edges = out_edges(out_ptr, frontier, fanout)
-        t_dst = out_dst[edges]
-        # nothing is at distance `level` yet, so every unvisited head is new
-        on_tier = dist[t_dst] < 0
-        t_dst = t_dst[on_tier]
-        if not t_dst.size:
-            break
-        t_src = np.repeat(frontier, fanout)[on_tier]
+        if unseen_in is not None and (
+                PULL_MIN_EDGES <= (push_edges := int(fanout.sum()))
+                and push_edges > unseen_in + PULL_NODE_COST * n):
+            t_src, t_dst = _pull_tier(g, in_degree, dist, level)
+            if not t_dst.size:
+                break
+        else:
+            t_dst = g.out_dst[out_edges(g.out_ptr, frontier, fanout)]
+            # nothing is at distance `level` yet, so every unvisited head is new
+            on_tier = dist[t_dst] < 0
+            t_dst = t_dst[on_tier]
+            if not t_dst.size:
+                break
+            t_src = np.repeat(frontier, fanout)[on_tier]
         dist[t_dst] = level
-        sigma += np.bincount(t_dst, weights=sigma[t_src], minlength=n)
-        tiers.append((t_src, t_dst))
+        carried = sigma[t_src]
+        sigma += np.bincount(t_dst, weights=carried, minlength=n)
+        tiers.append((t_src, t_dst, carried))
         frontier = np.flatnonzero(dist == level)
+        if unseen_in is not None:
+            unseen_in -= int(in_degree[frontier].sum())
     delta = np.zeros(n)
-    for t_src, t_dst in reversed(tiers):
-        share = sigma[t_src] / sigma[t_dst] * (1.0 + delta[t_dst])
+    for t_src, t_dst, carried in reversed(tiers):
+        # sigma of a level-(L-1) node is final once level L-1 is done
+        share = carried / sigma[t_dst] * (1.0 + delta[t_dst])
         delta += np.bincount(t_src, weights=share, minlength=n)
     delta[s] = 0.0
     return delta
@@ -261,14 +305,13 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
     k = _resolve_sampling(n, mode, sample_size, "betweenness")
     params = {"mode": "exact" if k is None else "sampled"}
 
-    out_degree = g.out_degrees()
+    out_degree, in_degree = g.out_degrees(), g.in_degrees()
 
     def per_chunk(chunk):
         out = np.zeros(n)
         # a source without out-edges depends on nothing: its delta is all 0
         for v in chunk[out_degree[chunk] > 0]:
-            out += _brandes_from_source(g.out_ptr, g.out_dst, out_degree,
-                                        int(v))
+            out += _brandes_from_source(g, out_degree, in_degree, int(v))
         return out
 
     if k is None:

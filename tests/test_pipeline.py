@@ -194,6 +194,29 @@ class TestEmitPlots:
         assert (plots / "venn_regions.csv").exists()
         assert (plots / "topk_bars.csv").exists()
 
+    def test_label_utf8_cannot_encode_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "four.csv"
+        data.write_text("actor,target\na,b\nb,c\nc,d\nd,a\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--input", data, "--out", out,
+                       "--metrics", "degree_total,pc") == 0
+        report = out / "report.json"
+        text = report.read_text()
+        assert '"node": "a"' in text
+        report.write_text(text.replace('"node": "a"', '"node": "a\\ud800"'))
+        capsys.readouterr()
+        assert run_cli("emit-plots", "--report", report,
+                       "--out", tmp_path / "plots") == 2
+        err = capsys.readouterr().err
+        assert str(report) in err and "'\\ud800'" in err
+
+    def test_report_that_is_not_json_is_data_error(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text("{not json")
+        assert run_cli("emit-plots", "--report", report,
+                       "--out", tmp_path) == 2
+        assert str(report) in capsys.readouterr().err
+
 
 class TestStandaloneCommands:
     def test_ingest_writes_canonical_edges(self, interactions_csv, tmp_path,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,14 @@ from netcent import (InvalidParameter, PowerIterationConfig, ZeroMatrix,
                      betweenness_centrality, closeness_centrality,
                      degree_centrality, eigenvector_centrality, from_edges,
                      preferential_attachment, top_k)
+from netcent import traditional
+from netcent.rng import stream
 from netcent.traditional import _brandes_from_source, _pick_pivots
+
+# module constants that force each way of building a Brandes tier
+PULL_RULES = {"push": {"PULL_MIN_EDGES": math.inf},
+              "pull": {"PULL_MIN_EDGES": 0, "PULL_NODE_COST": -math.inf},
+              "default": {}}
 
 
 @st.composite
@@ -32,6 +41,42 @@ def brandes_graphs(draw):
                    if s != d and s not in sinks and s not in isolated
                    and d not in isolated and not s < cut <= d)
     return graph_from_ids(n, edges)
+
+
+def tail_into_core(core):
+    """A 30-node path into a hub, which points at every node of a complete
+    digraph on ``core`` nodes; each core node also points at 5 seeded
+    nodes of a 100-node fringe, and the fringe is a path back to the tail.
+
+    From a tail node a source's levels are narrow until the core is the
+    frontier, whose out-edges nearly all lead back into the core.
+    """
+    hub = 30
+    cores = range(hub + 1, hub + 1 + core)
+    fringes = np.arange(hub + 1 + core, hub + 101 + core)
+    rng = stream(0)
+    edges = {(i, i + 1) for i in range(hub)}
+    edges |= {(hub, c) for c in cores}
+    edges |= {(a, b) for a in cores for b in cores if a != b}
+    edges |= {(c, int(f)) for c in cores
+              for f in rng.choice(fringes, size=5, replace=False)}
+    edges |= {(int(f), int(f) + 1) for f in fringes[:-1]}
+    edges.add((int(fringes[-1]), 0))
+    return graph_from_ids(int(fringes[-1]) + 1, sorted(edges))
+
+
+def count_tiers(mp, g):
+    """Count from here on the tiers pushed over g's out-edges and pulled
+    over its in-edges: {"push": p, "pull": q}."""
+    counts = {"push": 0, "pull": 0}
+    out_edges = traditional.out_edges
+
+    def counted(ptr, nodes, fanout):
+        counts["pull" if ptr is g.in_ptr else "push"] += 1
+        return out_edges(ptr, nodes, fanout)
+
+    mp.setattr(traditional, "out_edges", counted)
+    return counts
 
 
 class TestDegreeCentrality:
@@ -197,19 +242,55 @@ class TestBetweenness:
     @given(brandes_graphs(), st.integers(0, 2**32 - 1), st.data())
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_to_pre_rewrite_kernel(self, g, seed, data):
-        out_degree = g.out_degrees()
-        for s in range(g.n):
-            got = _brandes_from_source(g.out_ptr, g.out_dst, out_degree, s)
-            assert np.array_equal(got, oracles.brandes_from_source(g, s))
+        out_degree, in_degree = g.out_degrees(), g.in_degrees()
+        k = data.draw(st.integers(1, g.n - 1)) if g.n > 1 else None
+        for rule in PULL_RULES.values():
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in rule.items():
+                    mp.setattr(traditional, name, value)
+                for s in range(g.n):
+                    got = _brandes_from_source(g, out_degree, in_degree, s)
+                    assert np.array_equal(got,
+                                          oracles.brandes_from_source(g, s))
+                exact = betweenness_centrality(g, mode="exact").scores
+                assert np.array_equal(
+                    exact, oracles.brandes_betweenness(g, range(g.n)))
+                if k is not None:
+                    sampled = betweenness_centrality(
+                        g, mode="sampled", sample_size=k, seed=seed).scores
+                    want = oracles.brandes_betweenness(
+                        g, _pick_pivots(g.n, k, seed))
+                    assert np.array_equal(sampled, want * (g.n / k))
+
+    def test_default_rule_pushes_narrow_levels_and_pulls_the_core(
+            self, monkeypatch):
+        g = tail_into_core(130)
+        assert g.num_edges >= traditional.PULL_MIN_EDGES
+        counts = count_tiers(monkeypatch, g)
+        got = _brandes_from_source(g, g.out_degrees(), g.in_degrees(), 0)
+        # 30 tail levels, the hub and the fringe path push; the core pulls
+        assert counts["pull"] == 1 and counts["push"] > 30
+        assert np.array_equal(got, oracles.brandes_from_source(g, 0))
+
+    def test_tail_into_core_matches_oracle_bit_for_bit(self, monkeypatch):
+        g = tail_into_core(130)
+        counts = count_tiers(monkeypatch, g)
         exact = betweenness_centrality(g, mode="exact").scores
+        assert counts["pull"] > 0 and counts["push"] > 0
         assert np.array_equal(exact,
                               oracles.brandes_betweenness(g, range(g.n)))
-        if g.n > 1:
-            k = data.draw(st.integers(1, g.n - 1))
-            sampled = betweenness_centrality(g, mode="sampled",
-                                             sample_size=k, seed=seed).scores
-            want = oracles.brandes_betweenness(g, _pick_pivots(g.n, k, seed))
-            assert np.array_equal(sampled, want * (g.n / k))
+        sampled = betweenness_centrality(g, mode="sampled", sample_size=g.n,
+                                         seed=5).scores
+        assert np.array_equal(sampled, exact)
+
+    def test_graph_below_the_floor_never_pulls(self, monkeypatch):
+        g = tail_into_core(120)
+        assert g.num_edges < traditional.PULL_MIN_EDGES
+        counts = count_tiers(monkeypatch, g)
+        exact = betweenness_centrality(g, mode="exact").scores
+        assert counts["pull"] == 0 and counts["push"] > 0
+        assert np.array_equal(exact,
+                              oracles.brandes_betweenness(g, range(g.n)))
 
     def test_relabelling_permutes_scores_for_every_metric(self):
         edges = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c"), ("d", "a")]
