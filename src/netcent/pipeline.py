@@ -376,8 +376,15 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
 
     stage("metrics", compute_all)
 
-    rankings = stage("rank", lambda: {
-        m: top_k(sv, cfg.k) for m, sv in score_vectors.items()})
+    def rank():
+        # a simulation ranks every node; each top-k is the head of that
+        # table, since ties go by label and the order is total
+        deep = {m: top_k(sv, sv.n if cfg.simulate else cfg.k)
+                for m, sv in score_vectors.items()}
+        return deep, {m: RankingTable(t.metric, cfg.k, t.entries[:cfg.k])
+                      for m, t in deep.items()}
+
+    deep, rankings = stage("rank", rank)
 
     overlap_dict = None
     traditional_present = [m for m in score_vectors if m in TRADITIONAL_METRICS]
@@ -409,7 +416,6 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
 
     interventions = []
     if cfg.simulate:
-        deep = {m: top_k(sv, sv.n) for m, sv in score_vectors.items()}
         interventions = stage("simulate",
                               lambda: _run_interventions(g, deep, cfg))
 
@@ -441,11 +447,13 @@ def emit_plot_data(report, out_dir) -> list[Path]:
     """Write tabular series for external figure rendering.
 
     ``report`` is an AnalysisReport, its dict, or the path of its
-    ``report.json``; a file that is not JSON, or that holds a string
-    UTF-8 cannot encode, raises DataError. ``venn_regions.csv`` holds one
-    row per overlap region (metric names joined by ``&``);
-    ``topk_bars.csv`` holds per-metric top-k bars.
+    ``report.json``; a file that is not JSON, that holds a string UTF-8
+    cannot encode, or that lacks a key or type a report has raises
+    DataError naming it. ``venn_regions.csv`` holds one row per overlap
+    region (metric names joined by ``&``); ``topk_bars.csv`` holds
+    per-metric top-k bars.
     """
+    path = "report"
     if isinstance(report, AnalysisReport):
         report = report.to_report_dict()
     elif isinstance(report, (str, Path)):
@@ -458,19 +466,27 @@ def emit_plot_data(report, out_dir) -> list[Path]:
             json.dumps(report, ensure_ascii=False).encode("utf-8")
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from None
-    overlap = report.get("overlap")
-    if not overlap or not overlap.get("regions"):
-        raise NothingToEmit("report has no overlap section")
+    try:
+        overlap = report.get("overlap")
+        if not overlap or not overlap.get("regions"):
+            raise NothingToEmit("report has no overlap section")
+        venn = ([["&".join(r["metrics"]) for r in overlap["regions"]]],
+                [r["count"] for r in overlap["regions"]])
+        bars = [(metric, row) for metric in sorted(report.get("metrics", {}))
+                for row in report["metrics"][metric]["top"]]
+        nodes = [row["node"] for _, row in bars]
+        if not all(isinstance(node, str) for node in nodes):
+            raise TypeError("a top-k node label is not a string")
+        bar_rows = ([[m for m, _ in bars],
+                     [str(row["rank"]) for _, row in bars], nodes],
+                    [row["score"] for _, row in bars])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: not shaped like a report: "
+                        f"{type(exc).__name__}: {exc}") from None
     out_dir = Path(out_dir)
     venn_path = out_dir / "venn_regions.csv"
-    _io.write_rows(venn_path, ("metrics", "count"),
-                   [["&".join(r["metrics"]) for r in overlap["regions"]]],
-                   [r["count"] for r in overlap["regions"]])
-    bars = [(metric, row) for metric in sorted(report.get("metrics", {}))
-            for row in report["metrics"][metric]["top"]]
+    _io.write_rows(venn_path, ("metrics", "count"), *venn)
     bars_path = out_dir / "topk_bars.csv"
     _io.write_rows(bars_path, ("metric", "rank", "node_label", "score"),
-                   [[m for m, _ in bars], [str(row["rank"]) for _, row in bars],
-                    [row["node"] for _, row in bars]],
-                   [row["score"] for _, row in bars])
+                   *bar_rows)
     return [venn_path, bars_path]

@@ -42,8 +42,9 @@ def out_edges(out_ptr: np.ndarray, nodes: np.ndarray,
     ``fanout`` is the nodes' out-degrees; each node's edges keep their
     CSR order, so the result ascends when ``nodes`` does.
     """
-    return (np.repeat(out_ptr[nodes] - np.cumsum(fanout) + fanout, fanout)
-            + np.arange(fanout.sum()))
+    edges = np.repeat(out_ptr[nodes] - np.cumsum(fanout) + fanout, fanout)
+    edges += np.arange(edges.size)
+    return edges
 
 
 def unit_words(width: int) -> np.ndarray:

@@ -11,9 +11,13 @@ the auto mode switches to seeded pivot sampling with
 runs 64 sources to a lane of the bit-parallel traversal in
 :mod:`netcent.sweep` and adds count/L level by level, so a score depends
 only on the node's distance histogram. Betweenness runs Brandes'
-accumulation one source at a time, each BFS level one vectorised pass
-that pushes over the frontier's out-edges or, on a wide level of a large
-graph, pulls over the unvisited nodes' in-edges; a source without
+accumulation with one of two kernels, chosen by graph size. Where
+B * (n + m) <= ``BATCH_BUDGET`` for some B >= 2, the largest such power
+of two up to 64 sources share each BFS level's vectorised pass, on
+(node, source) keys. A larger graph runs one source at a time, each
+level pushing over the frontier's out-edges or, on a wide level of a
+large graph, pulling over the unvisited nodes' in-edges. Both add every
+term in the same order, so they give the same bytes; a source without
 out-edges adds nothing and is skipped. Betweenness and weighted
 closeness sum per-pivot contributions in ascending pivot order within
 fixed-size chunks, then add the chunk sums in ascending order.
@@ -42,6 +46,9 @@ _SOURCE_CHUNK = 64
 PULL_MIN_EDGES = 1 << 14
 # edge scans a pull spends per node to find the unvisited ones
 PULL_NODE_COST = 1 / 4
+# betweenness runs B sources per level pass while B * (n + m) fits this;
+# a batch's scratch takes 7-11 bytes per unit, so it stays under 3 MB
+BATCH_BUDGET = 1 << 18
 
 
 def default_sample_size(n: int) -> int:
@@ -291,6 +298,82 @@ def _brandes_from_source(g: DirectedGraph, out_degree, in_degree,
     return delta
 
 
+def _batch_level(g: DirectedGraph, out_degree, width: int, unseen, pos,
+                 frontier: np.ndarray, sigma: np.ndarray):
+    """The level after ``frontier`` in ``_brandes_batch``, or None.
+
+    Returns the level's sorted keys, their sigma, and the frontier slot
+    (tail) and level slot (head) of each tier edge into it, both int32.
+    """
+    nodes, cols = np.divmod(frontier, width)
+    fanout = out_degree[nodes]
+    heads = g.out_dst[out_edges(g.out_ptr, nodes, fanout)]
+    heads *= width
+    heads += np.repeat(cols, fanout)
+    fresh = unseen[heads]
+    heads = heads[fresh]
+    if not heads.size:
+        return None
+    tails = np.repeat(np.arange(frontier.size), fanout)[fresh]
+    keys = np.sort(heads)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    unseen[keys] = False
+    pos[keys] = np.arange(keys.size, dtype=np.int32)
+    slots = pos[heads]
+    sigma = np.bincount(slots, weights=sigma[tails], minlength=keys.size)
+    return keys, sigma, tails.astype(np.int32), slots
+
+
+def _brandes_batch(g: DirectedGraph, out_degree, sources: np.ndarray,
+                   width: int) -> np.ndarray:
+    """Dependencies delta_s(.) of each source in ``sources``, one row each.
+
+    Column c runs ``sources[c]`` on keys ``node * width + c``, one level
+    for every column at a time. A level expands the sorted frontier's
+    keys over their nodes' out-edges in CSR order, keeps the heads whose
+    key is unseen, and sorts and dedupes those into the next frontier;
+    a head's slot in it indexes that frontier's ``sigma`` and ``delta``.
+    Within a column the frontier ascends by node, so every ``sigma`` and
+    ``delta`` term comes in the order the per-source push adds it in and
+    the bytes match. Each level keeps its keys, sigma and int32 tier
+    slots for the pass back; a level's scratch dies with its call.
+    """
+    n = g.n
+    unseen = np.ones(n * width, dtype=bool)
+    pos = np.empty(unseen.size, dtype=np.int32)
+    frontier = sources * width + np.arange(sources.size)
+    unseen[frontier] = False
+    levels = [(frontier, np.ones(sources.size), None, None)]
+    while (level := _batch_level(g, out_degree, width, unseen, pos,
+                                 *levels[-1][:2])) is not None:
+        levels.append(level)
+    # the forward scratch goes before delta takes its place, and each
+    # level as soon as the pass back has used it
+    del unseen, pos
+    delta = np.zeros(n * width)
+    # the last level depends on nothing, and the sources' own delta is 0
+    _, sigma, tails, slots = levels.pop()
+    after = np.zeros(sigma.size)
+    while len(levels) > 1:
+        keys, before, *into = levels.pop()
+        # int32 gathers take numpy's slow path: widen them once
+        tails, slots = tails.astype(np.intp), slots.astype(np.intp)
+        share = before[tails] / sigma[slots] * (1.0 + after[slots])
+        after = np.bincount(tails, weights=share, minlength=keys.size)
+        delta[keys] = after
+        sigma, (tails, slots) = before, into
+    return delta.reshape(n, width)[:, :sources.size].T
+
+
+def _batch_width(g: DirectedGraph) -> int:
+    """Sources per batched Brandes pass: the largest power of two up to
+    64 whose keys and edge scans fit ``BATCH_BUDGET``, else 1."""
+    width = _SOURCE_CHUNK
+    while width > 1 and width * (g.n + g.num_edges) > BATCH_BUDGET:
+        width //= 2
+    return width
+
+
 def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
                            sample_size: int | None = None,
                            seed: int = 0) -> ScoreVector:
@@ -300,18 +383,31 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
     uses k seeded source pivots rescaled by n/k. With k = n the pivot
     set is every source in ascending order, so sampled output matches
     exact bit for bit.
+
+    A graph runs B sources per level pass (``_brandes_batch``), B the
+    largest power of two up to 64 with B * (n + m) <= ``BATCH_BUDGET``;
+    where not even B = 2 fits, it runs one source at a time
+    (``_brandes_from_source``). Both give the same bytes.
     """
     n = g.n
     k = _resolve_sampling(n, mode, sample_size, "betweenness")
     params = {"mode": "exact" if k is None else "sampled"}
 
     out_degree, in_degree = g.out_degrees(), g.in_degrees()
+    width = _batch_width(g)
 
     def per_chunk(chunk):
         out = np.zeros(n)
         # a source without out-edges depends on nothing: its delta is all 0
-        for v in chunk[out_degree[chunk] > 0]:
-            out += _brandes_from_source(g, out_degree, in_degree, int(v))
+        chunk = chunk[out_degree[chunk] > 0]
+        if width == 1:
+            for v in chunk:
+                out += _brandes_from_source(g, out_degree, in_degree, int(v))
+            return out
+        for first in range(0, chunk.size, width):
+            batch = chunk[first:first + width]
+            for delta in _brandes_batch(g, out_degree, batch, width):
+                out += delta
         return out
 
     if k is None:

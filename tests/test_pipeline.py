@@ -3,7 +3,7 @@ import json
 import pytest
 
 import oracles
-from netcent import NothingToEmit, preferential_attachment
+from netcent import NothingToEmit, pipeline, preferential_attachment
 from netcent.cli import main
 from netcent.pipeline import (RunConfig, emit_plot_data, load_config_file,
                               run_pipeline)
@@ -88,6 +88,27 @@ class TestRunPipeline:
         echoed = json.loads(first)["config"]
         run_pipeline(RunConfig.from_dict(echoed))
         assert (out / "report.json").read_bytes() == first
+
+    def test_simulation_ranks_each_metric_once(self, interactions_csv,
+                                               tmp_path, monkeypatch):
+        calls = []
+
+        def counted(sv, k):
+            calls.append((sv.metric, k))
+            return top_k(sv, k)
+
+        monkeypatch.setattr(pipeline, "top_k", counted)
+        out = tmp_path / "out"
+        cfg = RunConfig(input=str(interactions_csv), out=str(out), k=2,
+                        seed=4, metrics=("degree_total", "pc"), simulate=True,
+                        sim_model="reachability", sim_random_seeds=2)
+        report = run_pipeline(cfg)
+        n = report.graph_summary["nodes"]
+        assert sorted(calls) == [("degree_total", n), ("pc", n)]
+        for metric in cfg.metrics:
+            sv = read_scores_csv(out / f"{metric}.scores.csv")
+            assert report.metrics[metric]["top"] == \
+                top_k(sv, 2).to_dict()["entries"]
 
     def test_missing_input_names_path(self, tmp_path, capsys):
         rc = run_cli("run", "--input", tmp_path / "absent.csv",
@@ -216,6 +237,23 @@ class TestEmitPlots:
         assert run_cli("emit-plots", "--report", report,
                        "--out", tmp_path) == 2
         assert str(report) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, cause", [
+        ("[]", "'list' object has no attribute 'get'"),
+        ('{"overlap": {"regions": [{"metrics": ["a"]}]}}', "KeyError: 'count'"),
+        ('{"overlap": {"regions": [{"metrics": ["a"], "count": 1}]},'
+         ' "metrics": {"a": {"top": [{"rank": 1, "node": 5, "score": 1.0}]}}}',
+         "node label is not a string"),
+    ])
+    def test_json_not_shaped_like_a_report_is_data_error(
+            self, tmp_path, capsys, text, cause):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        assert run_cli("emit-plots", "--report", report,
+                       "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(report) in err and cause in err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestStandaloneCommands:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import graph_from_ids, random_graph, strongly_connected_graph
+from conftest import (graph_from_ids, random_edge_list, random_graph,
+                      strongly_connected_graph)
 from netcent import (InvalidParameter, PowerIterationConfig, ZeroMatrix,
                      betweenness_centrality, closeness_centrality,
                      degree_centrality, eigenvector_centrality, from_edges,
@@ -19,6 +21,18 @@ from netcent.traditional import _brandes_from_source, _pick_pivots
 PULL_RULES = {"push": {"PULL_MIN_EDGES": math.inf},
               "pull": {"PULL_MIN_EDGES": 0, "PULL_NODE_COST": -math.inf},
               "default": {}}
+# sources per batched Brandes pass; 1 is the per-source kernel
+WIDTHS = (1, 2, 3, 64)
+
+
+def force_width(mp, g, width):
+    """Make betweenness run g ``width`` sources per pass: through the
+    budget for a power of two, which the width rule alone can pick."""
+    if width & (width - 1):
+        mp.setattr(traditional, "_batch_width", lambda _: width)
+    else:
+        mp.setattr(traditional, "BATCH_BUDGET", width * (g.n + g.num_edges))
+    assert traditional._batch_width(g) == width
 
 
 @st.composite
@@ -244,6 +258,21 @@ class TestBetweenness:
     def test_bit_identical_to_pre_rewrite_kernel(self, g, seed, data):
         out_degree, in_degree = g.out_degrees(), g.in_degrees()
         k = data.draw(st.integers(1, g.n - 1)) if g.n > 1 else None
+        exact = oracles.brandes_betweenness(g, range(g.n))
+        if k is not None:
+            sampled = oracles.brandes_betweenness(
+                g, _pick_pivots(g.n, k, seed)) * (g.n / k)
+
+        def check_betweenness():
+            assert np.array_equal(
+                betweenness_centrality(g, mode="exact").scores, exact)
+            assert np.array_equal(betweenness_centrality(
+                g, mode="sampled", sample_size=g.n, seed=seed).scores, exact)
+            if k is not None:
+                assert np.array_equal(betweenness_centrality(
+                    g, mode="sampled", sample_size=k, seed=seed).scores,
+                    sampled)
+
         for rule in PULL_RULES.values():
             with pytest.MonkeyPatch.context() as mp:
                 for name, value in rule.items():
@@ -252,15 +281,76 @@ class TestBetweenness:
                     got = _brandes_from_source(g, out_degree, in_degree, s)
                     assert np.array_equal(got,
                                           oracles.brandes_from_source(g, s))
-                exact = betweenness_centrality(g, mode="exact").scores
-                assert np.array_equal(
-                    exact, oracles.brandes_betweenness(g, range(g.n)))
-                if k is not None:
-                    sampled = betweenness_centrality(
-                        g, mode="sampled", sample_size=k, seed=seed).scores
-                    want = oracles.brandes_betweenness(
-                        g, _pick_pivots(g.n, k, seed))
-                    assert np.array_equal(sampled, want * (g.n / k))
+                force_width(mp, g, 1)
+                check_betweenness()
+        for width in WIDTHS[1:]:
+            with pytest.MonkeyPatch.context() as mp:
+                force_width(mp, g, width)
+                check_betweenness()
+
+    @pytest.mark.parametrize("width", [8, 64])
+    @pytest.mark.parametrize("sink_every", [None, 5])
+    def test_batch_and_chunk_boundaries_match_oracle(self, monkeypatch,
+                                                     width, sink_every):
+        """Source counts on each side of a batch (width) and of a chunk
+        (64 sources); with ``sink_every``, one node in every
+        ``sink_every`` has no out-edges, so batches skip sinks from their
+        middle."""
+        for count in (width - 1, width, width + 1, 63, 64, 65):
+            n = count + 9
+            edges = [(s, d) for s, d in random_edge_list(n, 4 * n, count)
+                     if not sink_every or s % sink_every != 2]
+            g = graph_from_ids(n, edges)
+            force_width(monkeypatch, g, width)
+            sampled = betweenness_centrality(g, mode="sampled",
+                                             sample_size=count, seed=count)
+            want = oracles.brandes_betweenness(
+                g, _pick_pivots(n, count, count)) * (n / count)
+            assert np.array_equal(sampled.scores, want)
+            sub = graph_from_ids(count, [(s, d) for s, d in edges
+                                         if s < count and d < count])
+            force_width(monkeypatch, sub, width)
+            assert np.array_equal(
+                betweenness_centrality(sub, mode="exact").scores,
+                oracles.brandes_betweenness(sub, range(count)))
+
+    def test_width_rule_picks_the_kernel(self, monkeypatch):
+        g, _ = random_graph(90, 400, seed=21)
+        size = g.n + g.num_edges
+        runs = {"batch": 0, "source": 0}
+        for kernel, name in ((traditional._brandes_batch, "batch"),
+                             (traditional._brandes_from_source, "source")):
+            def counted(*args, kernel=kernel, name=name):
+                runs[name] += 1
+                return kernel(*args)
+            monkeypatch.setattr(traditional, kernel.__name__, counted)
+        want = oracles.brandes_betweenness(g, range(g.n))
+        # over the budget even at B = 2: one source at a time
+        monkeypatch.setattr(traditional, "BATCH_BUDGET", 2 * size - 1)
+        assert np.array_equal(betweenness_centrality(g, mode="exact").scores,
+                              want)
+        assert runs == {"batch": 0, "source": int(np.sum(g.out_degrees() > 0))}
+        # under it: batches only
+        runs.update(source=0)
+        monkeypatch.setattr(traditional, "BATCH_BUDGET", 2 * size)
+        assert np.array_equal(betweenness_centrality(g, mode="exact").scores,
+                              want)
+        assert runs["source"] == 0 and runs["batch"] > 0
+
+    def test_width_is_the_largest_power_of_two_in_budget(self):
+        def width(n, m):
+            return traditional._batch_width(SimpleNamespace(n=n, num_edges=m))
+        budget = traditional.BATCH_BUDGET
+        assert width(1, budget // 64 - 1) == 64
+        assert width(1, budget // 64) == 32
+        assert width(1, budget // 2 - 1) == 2
+        assert width(1, budget // 2) == 1
+        # the benchmark's graph shapes: sparse-exact, intervention-ic,
+        # social-run and the 1e6-edge scale graph
+        assert width(8_000, 12_000) == 8
+        assert width(1_000, 4_000) == 32
+        assert width(30_000, 300_000) == 1
+        assert width(100_000, 1_000_000) == 1
 
     def test_default_rule_pushes_narrow_levels_and_pulls_the_core(
             self, monkeypatch):
@@ -274,11 +364,16 @@ class TestBetweenness:
 
     def test_tail_into_core_matches_oracle_bit_for_bit(self, monkeypatch):
         g = tail_into_core(130)
+        want = oracles.brandes_betweenness(g, range(g.n))
+        # the width rule batches this graph; one source at a time, it pulls
+        assert traditional._batch_width(g) == 8
+        assert np.array_equal(betweenness_centrality(g, mode="exact").scores,
+                              want)
+        force_width(monkeypatch, g, 1)
         counts = count_tiers(monkeypatch, g)
         exact = betweenness_centrality(g, mode="exact").scores
         assert counts["pull"] > 0 and counts["push"] > 0
-        assert np.array_equal(exact,
-                              oracles.brandes_betweenness(g, range(g.n)))
+        assert np.array_equal(exact, want)
         sampled = betweenness_centrality(g, mode="sampled", sample_size=g.n,
                                          seed=5).scores
         assert np.array_equal(sampled, exact)
@@ -286,6 +381,7 @@ class TestBetweenness:
     def test_graph_below_the_floor_never_pulls(self, monkeypatch):
         g = tail_into_core(120)
         assert g.num_edges < traditional.PULL_MIN_EDGES
+        force_width(monkeypatch, g, 1)
         counts = count_tiers(monkeypatch, g)
         exact = betweenness_centrality(g, mode="exact").scores
         assert counts["pull"] == 0 and counts["push"] > 0
