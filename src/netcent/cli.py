@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from . import io as _io
 from . import __version__
 from .errors import NetcentError, UsageError, exit_code_for
 from .novel import NodeAttributes
-from .pipeline import (RunConfig, boolean, cascade_config, compute_metric,
+from .pipeline import (RunConfig, boolean, cascade_config, compute_metrics,
                        emit_plot_data, load_config_file, load_graph,
                        option_parser, removal_for, run_pipeline, str_list)
 from .ranking import overlap_report, rank_correlation, top_k
@@ -74,22 +76,19 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig.from_dict(values)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="netcent", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="input CSV -> canonical edge-list CSV")
+def _ingest_flags(p):
     _add_config_flags(p, _INPUT)
     p.add_argument("--out", dest="out_file", required=True,
                    help="edge-list CSV to write")
 
-    p = sub.add_parser("compute", help="compute metrics, write score CSVs")
+
+def _compute_flags(p):
     _add_config_flags(p, (*_INPUT, "metrics", "seed", "attributes", "out",
                           *_METRIC_OPTIONS))
     p.add_argument("--workers", type=int, help="accepted and ignored")
 
-    p = sub.add_parser("compare", help="score CSVs -> overlap report JSON")
+
+def _compare_flags(p):
     p.add_argument("--scores", nargs="+", required=True,
                    help="per-metric <metric>.scores.csv files")
     p.add_argument("--k", type=int, default=10)
@@ -98,13 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: the traditional family)")
     p.add_argument("--out", help="overlap JSON path (default stdout)")
 
-    p = sub.add_parser("correlate", help="scores + attributes -> Spearman rho")
+
+def _correlate_flags(p):
     p.add_argument("--scores", required=True, help="one <metric>.scores.csv")
     p.add_argument("--attributes", required=True)
     p.add_argument("--proxy", required=True, help="attribute column name")
     p.add_argument("--out", help="result JSON path (default stdout)")
 
-    p = sub.add_parser("simulate", help="node-removal intervention experiment")
+
+def _simulate_flags(p):
     _add_config_flags(p, (*_INPUT, "sim_seeds", "sim_random_seeds", "sim_model",
                           *_CASCADE, "seed", "k"),
                       spellings={"sim_seeds": "--seeds",
@@ -123,15 +124,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_file",
                    help="result JSON path (default stdout)")
 
-    p = sub.add_parser("run", help="full pipeline from a config file and/or flags")
+
+def _run_flags(p):
     p.add_argument("--config", help="INI config file; flags override it")
     _add_config_flags(p, _CONFIG_FIELDS)
     p.add_argument("--workers", type=int, help="accepted and ignored")
 
-    p = sub.add_parser("emit-plots", help="report.json -> figure data CSVs")
+
+def _emit_plots_flags(p):
     p.add_argument("--report", required=True)
     p.add_argument("--out", required=True, help="output directory")
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The netcent parser; with ``command``, only that subcommand's flags.
+
+    Adding every subcommand's flags costs a few milliseconds, so a run
+    builds only the one it names. None builds them all, as ``--help``,
+    ``--version`` and an unknown or missing command need.
+    """
+    # argparse sizes a formatter for every flag it adds; measure the
+    # terminal once, which gives the widths each would have measured
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="netcent", description=__doc__,
+                     formatter_class=formatter)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help, add_flags, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_flags(sub.add_parser(name, help=help, formatter_class=formatter))
     return parser
 
 
@@ -156,8 +178,7 @@ def _cmd_compute(args) -> int:
     g = load_graph(cfg)
     attrs = NodeAttributes.from_csv(cfg.attributes) if cfg.attributes else None
     out_dir = Path(cfg.out)
-    for metric in cfg.metrics:
-        sv = compute_metric(g, metric, cfg, attrs)
+    for metric, sv in compute_metrics(g, cfg, attrs).items():
         path = out_dir / f"{metric}.scores.csv"
         _io.write_scores_csv(sv, path)
         print(f"wrote {path}")
@@ -227,22 +248,32 @@ def _cmd_emit_plots(args) -> int:
     return 0
 
 
+# each subcommand's help line, the function adding its flags, its runner
 _COMMANDS = {
-    "ingest": _cmd_ingest,
-    "compute": _cmd_compute,
-    "compare": _cmd_compare,
-    "correlate": _cmd_correlate,
-    "simulate": _cmd_simulate,
-    "run": _cmd_run,
-    "emit-plots": _cmd_emit_plots,
+    "ingest": ("input CSV -> canonical edge-list CSV", _ingest_flags,
+               _cmd_ingest),
+    "compute": ("compute metrics, write score CSVs", _compute_flags,
+                _cmd_compute),
+    "compare": ("score CSVs -> overlap report JSON", _compare_flags,
+                _cmd_compare),
+    "correlate": ("scores + attributes -> Spearman rho", _correlate_flags,
+                  _cmd_correlate),
+    "simulate": ("node-removal intervention experiment", _simulate_flags,
+                 _cmd_simulate),
+    "run": ("full pipeline from a config file and/or flags", _run_flags,
+            _cmd_run),
+    "emit-plots": ("report.json -> figure data CSVs", _emit_plots_flags,
+                   _cmd_emit_plots),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        *_, run = _COMMANDS[args.command]
+        return run(args)
     except (NetcentError, FileNotFoundError) as exc:
         print(f"netcent: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

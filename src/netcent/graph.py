@@ -171,7 +171,8 @@ def _aggregate_edges(src, dst, w):
     w = np.asarray(w, dtype=np.float64)
     if src.size == 0:
         return src, dst, w
-    order = np.lexsort((dst, src))
+    # one stable sort of src * (max dst + 1) + dst is lexsort((dst, src))
+    order = np.argsort(src * (dst.max() + 1) + dst, kind="stable")
     src, dst, w = src[order], dst[order], w[order]
     new_edge = np.empty(src.size, dtype=bool)
     new_edge[0] = True
@@ -244,7 +245,9 @@ class DirectedGraph:
             raise InvalidParameter("edge weights must be finite and positive")
 
         self.out_ptr, self.out_dst, self.out_w = _csr_from_sorted(src, dst, w, self.n)
-        order = np.lexsort((src, dst))
+        # the edges ascend by (src, dst), so a stable sort by dst alone
+        # orders them by (dst, src)
+        order = np.argsort(dst, kind="stable")
         self.in_ptr, self.in_src, self.in_w = _csr_from_sorted(
             dst[order], src[order], w[order], self.n)
         for arr in (self.out_ptr, self.out_dst, self.out_w,

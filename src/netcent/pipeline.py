@@ -17,6 +17,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import io as _io
 from . import __version__ as _pkg_version
 from .errors import (DataError, InvalidParameter, NothingToEmit,
@@ -31,7 +33,8 @@ from .simulate import (MODELS, STRATEGIES, CascadeConfig,
                        intervention_experiment, metric_removal_set)
 from .traditional import (SAMPLING_MODES, PowerIterationConfig,
                           betweenness_centrality, closeness_centrality,
-                          degree_centrality, eigenvector_centrality)
+                          degree_centrality, eigenvector_centrality,
+                          resolves_exact)
 
 DEFAULT_METRICS = ("degree_total", "closeness", "betweenness", "eigenvector",
                    "pc", "mvc", "dic")
@@ -297,6 +300,40 @@ def compute_metric(g: DirectedGraph, metric: str, cfg: RunConfig,
     raise InvalidParameter(f"unknown metric {metric!r}")
 
 
+def compute_metrics(g: DirectedGraph, cfg: RunConfig,
+                    attrs: NodeAttributes | None = None) -> dict[str, ScoreVector]:
+    """Every metric of ``cfg.metrics``, in that order, by metric name.
+
+    When closeness and betweenness are both asked for, both resolve to
+    exact mode and closeness counts hops, one traversal serves both:
+    betweenness' Brandes pass also sums each source's count_L / L, in
+    the order ``closeness_centrality(g, "exact")`` adds them, so the
+    closeness scores are the same bytes. Any other run computes each
+    metric on its own through ``compute_metric``. A shared run never
+    calls ``closeness_centrality``, so the benchmark's traced runs count
+    closeness inside the betweenness span and read
+    ``traditional.closeness_s`` as 0.
+    """
+    shared = ({"closeness", "betweenness"} <= set(cfg.metrics)
+              and not cfg.closeness_weighted
+              and resolves_exact(g.n, cfg.closeness_mode)
+              and resolves_exact(g.n, cfg.betweenness_mode))
+    vectors: dict[str, ScoreVector] = {}
+    for metric in cfg.metrics:
+        if metric in vectors:
+            continue
+        if shared and metric in ("closeness", "betweenness"):
+            harmonic = np.zeros(g.n)
+            vectors["betweenness"] = betweenness_centrality(
+                g, "exact", harmonic=harmonic)
+            vectors["closeness"] = ScoreVector(
+                metric="closeness", labels=g.labels, scores=harmonic,
+                params={"weighted": False, "mode": "exact"})
+        else:
+            vectors[metric] = compute_metric(g, metric, cfg, attrs)
+    return {metric: vectors[metric] for metric in cfg.metrics}
+
+
 def _metric_summary(sv: ScoreVector, table: RankingTable) -> dict:
     return {"params": sv.params, "iterations_run": sv.iterations_run,
             "normalised": sv.normalised, "top": table.to_dict()["entries"]}
@@ -366,15 +403,13 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     attrs = stage("attributes", lambda: (
         NodeAttributes.from_csv(cfg.attributes) if cfg.attributes else None))
 
-    score_vectors: dict[str, ScoreVector] = {}
-
     def compute_all():
-        for metric in cfg.metrics:
-            sv = compute_metric(g, metric, cfg, attrs)
-            score_vectors[metric] = sv
+        score_vectors = compute_metrics(g, cfg, attrs)
+        for metric, sv in score_vectors.items():
             _io.write_scores_csv(sv, out_dir / f"{metric}.scores.csv")
+        return score_vectors
 
-    stage("metrics", compute_all)
+    score_vectors = stage("metrics", compute_all)
 
     def rank():
         # a simulation ranks every node; each top-k is the head of that

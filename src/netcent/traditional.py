@@ -21,6 +21,14 @@ term in the same order, so they give the same bytes; a source without
 out-edges adds nothing and is skipped. Betweenness and weighted
 closeness sum per-pivot contributions in ascending pivot order within
 fixed-size chunks, then add the chunk sums in ascending order.
+
+Exact betweenness can also give exact hop closeness from its own
+forward pass (``harmonic``): each level's node count over its distance,
+added in ascending distance as the lanes add it, so the bytes match.
+:func:`netcent.pipeline.compute_metrics` uses it whenever a run asks for
+both metrics, both resolve to exact and closeness is unweighted. Exact
+closeness run alone keeps the lanes, which are cheaper than Brandes'
+forward pass.
 """
 
 from __future__ import annotations
@@ -98,13 +106,16 @@ def _accumulate_over_sources(sources, per_chunk, n):
     return total
 
 
+def resolves_exact(n: int, mode: str) -> bool:
+    """Whether ``mode`` runs every source on a graph of n nodes."""
+    return mode == "exact" or (mode == "auto" and n <= EXACT_NODE_LIMIT)
+
+
 def _resolve_sampling(n, mode, sample_size, op):
     """Map (mode, sample_size) to the pivot count, or None for exact."""
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_NODE_LIMIT else "sampled"
-    if mode == "exact":
+    if resolves_exact(n, mode):
         return None
-    if mode != "sampled":
+    if mode not in SAMPLING_MODES:
         raise InvalidParameter(f"{op}: mode must be one of {SAMPLING_MODES}")
     k = default_sample_size(n) if sample_size is None else int(sample_size)
     if k < 1 or k > n:
@@ -233,8 +244,12 @@ def _pull_tier(g: DirectedGraph, in_degree, dist, level: int):
 
 
 def _brandes_from_source(g: DirectedGraph, out_degree, in_degree,
-                         s: int) -> np.ndarray:
+                         s: int, harmonic: np.ndarray | None = None
+                         ) -> np.ndarray:
     """Source dependencies delta_s(.) on unweighted shortest paths.
+
+    With ``harmonic``, ``harmonic[s]`` gets s's hop closeness added:
+    each level's node count over its distance, in ascending distance.
 
     Level L's tier holds the edges from the nodes at distance L-1 to the
     nodes first reached at L. A level pushes or pulls it:
@@ -262,6 +277,7 @@ def _brandes_from_source(g: DirectedGraph, out_degree, in_degree,
     frontier = np.array([s], dtype=np.int64)
     level = 0
     tiers = []
+    closeness = 0.0
     # in-edges of the unvisited nodes, counted only on a graph that can pull
     unseen_in = (g.num_edges - int(in_degree[s])
                  if g.num_edges >= PULL_MIN_EDGES else None)
@@ -287,8 +303,11 @@ def _brandes_from_source(g: DirectedGraph, out_degree, in_degree,
         sigma += np.bincount(t_dst, weights=carried, minlength=n)
         tiers.append((t_src, t_dst, carried))
         frontier = np.flatnonzero(dist == level)
+        closeness += frontier.size / level
         if unseen_in is not None:
             unseen_in -= int(in_degree[frontier].sum())
+    if harmonic is not None:
+        harmonic[s] += closeness
     delta = np.zeros(n)
     for t_src, t_dst, carried in reversed(tiers):
         # sigma of a level-(L-1) node is final once level L-1 is done
@@ -325,7 +344,8 @@ def _batch_level(g: DirectedGraph, out_degree, width: int, unseen, pos,
 
 
 def _brandes_batch(g: DirectedGraph, out_degree, sources: np.ndarray,
-                   width: int) -> np.ndarray:
+                   width: int, harmonic: np.ndarray | None = None
+                   ) -> np.ndarray:
     """Dependencies delta_s(.) of each source in ``sources``, one row each.
 
     Column c runs ``sources[c]`` on keys ``node * width + c``, one level
@@ -337,6 +357,10 @@ def _brandes_batch(g: DirectedGraph, out_degree, sources: np.ndarray,
     ``delta`` term comes in the order the per-source push adds it in and
     the bytes match. Each level keeps its keys, sigma and int32 tier
     slots for the pass back; a level's scratch dies with its call.
+
+    With ``harmonic``, each source's hop closeness is added to its entry,
+    as in ``_brandes_from_source``, from one count of the kept levels'
+    keys by (level, column) (``_batch_closeness``).
     """
     n = g.n
     unseen = np.ones(n * width, dtype=bool)
@@ -350,6 +374,9 @@ def _brandes_batch(g: DirectedGraph, out_degree, sources: np.ndarray,
     # the forward scratch goes before delta takes its place, and each
     # level as soon as the pass back has used it
     del unseen, pos
+    if harmonic is not None and len(levels) > 1:
+        harmonic[sources] += _batch_closeness(
+            [keys for keys, *_ in levels[1:]], width)[:sources.size]
     delta = np.zeros(n * width)
     # the last level depends on nothing, and the sources' own delta is 0
     _, sigma, tails, slots = levels.pop()
@@ -365,6 +392,23 @@ def _brandes_batch(g: DirectedGraph, out_degree, sources: np.ndarray,
     return delta.reshape(n, width)[:, :sources.size].T
 
 
+def _batch_closeness(reached: list[np.ndarray], width: int) -> np.ndarray:
+    """Each column's sum of count_L / L in ascending L, where ``reached``
+    holds the keys first reached at hop 1, 2, ... of ``_brandes_batch``."""
+    depth = len(reached)
+    tags = np.concatenate(reached)
+    # the column of a key; a mask costs a tenth of % for widths 2^k
+    if width & (width - 1):
+        tags %= width
+    else:
+        tags &= width - 1
+    tags += np.repeat(np.arange(0, width * depth, width),
+                      [keys.size for keys in reached])
+    counts = np.bincount(tags, minlength=width * depth).reshape(depth, width)
+    # cumsum adds row after row, so each column sums in level order
+    return np.cumsum(counts / np.arange(1, depth + 1)[:, None], axis=0)[-1]
+
+
 def _batch_width(g: DirectedGraph) -> int:
     """Sources per batched Brandes pass: the largest power of two up to
     64 whose keys and edge scans fit ``BATCH_BUDGET``, else 1."""
@@ -375,8 +419,8 @@ def _batch_width(g: DirectedGraph) -> int:
 
 
 def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
-                           sample_size: int | None = None,
-                           seed: int = 0) -> ScoreVector:
+                           sample_size: int | None = None, seed: int = 0,
+                           harmonic: np.ndarray | None = None) -> ScoreVector:
     """Freeman betweenness over ordered pairs, unnormalised.
 
     Exact mode runs Brandes accumulation from every source; sampled mode
@@ -388,9 +432,17 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
     largest power of two up to 64 with B * (n + m) <= ``BATCH_BUDGET``;
     where not even B = 2 fits, it runs one source at a time
     (``_brandes_from_source``). Both give the same bytes.
+
+    ``harmonic``, n zeros, takes each node's exact hop closeness from the
+    same traversal: the terms of ``closeness_centrality(g, "exact")`` in
+    its order, so the same bytes. Only exact mode reaches every source,
+    so a sampled mode with ``harmonic`` raises InvalidParameter.
     """
     n = g.n
     k = _resolve_sampling(n, mode, sample_size, "betweenness")
+    if harmonic is not None and k is not None:
+        raise InvalidParameter(
+            "betweenness: harmonic closeness needs exact mode")
     params = {"mode": "exact" if k is None else "sampled"}
 
     out_degree, in_degree = g.out_degrees(), g.in_degrees()
@@ -402,11 +454,13 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
         chunk = chunk[out_degree[chunk] > 0]
         if width == 1:
             for v in chunk:
-                out += _brandes_from_source(g, out_degree, in_degree, int(v))
+                out += _brandes_from_source(g, out_degree, in_degree, int(v),
+                                            harmonic)
             return out
         for first in range(0, chunk.size, width):
             batch = chunk[first:first + width]
-            for delta in _brandes_batch(g, out_degree, batch, width):
+            for delta in _brandes_batch(g, out_degree, batch, width,
+                                        harmonic):
                 out += delta
         return out
 

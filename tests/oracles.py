@@ -301,6 +301,28 @@ def keyed_cascade_sizes(edges, n, seeds, probs, stream_seed, trials,
     return sizes
 
 
+def lexsort_csr(n, src, dst, w):
+    """Both CSR layouts of an id edge list as ``DirectedGraph`` built them
+    with ``np.lexsort``: self-loops dropped, duplicates summed in input
+    order. Returns (out_ptr, out_dst, out_w, in_ptr, in_src, in_w)."""
+    src, dst, w = (np.asarray(a) for a in (src, dst, w))
+    keep = src != dst
+    src, dst, w = src[keep], dst[keep], w[keep]
+    order = np.lexsort((dst, src))
+    src, dst, w = src[order], dst[order], w[order]
+    starts = np.flatnonzero(np.r_[True, (src[1:] != src[:-1])
+                                  | (dst[1:] != dst[:-1])]) if src.size else []
+    if src.size:
+        src, dst, w = src[starts], dst[starts], np.add.reduceat(w, starts)
+
+    def csr(major, minor, weight):
+        order = np.lexsort((minor, major))
+        ptr = np.r_[0, np.cumsum(np.bincount(major, minlength=n))]
+        return ptr, minor[order], weight[order]
+
+    return (*csr(src, dst, w), *csr(dst, src, w))
+
+
 def sort_by_exact(values, labels):
     """Descending exact-value order with ascending-label tie-break."""
     return [lab for _, lab in sorted(zip(values, labels),

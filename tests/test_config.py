@@ -5,6 +5,9 @@ The tables pin every ``[section] key`` and every flag of ``run``,
 to how the surface is declared cannot silently drop or rename one.
 """
 
+import contextlib
+import io
+
 import pytest
 
 import netcent.cli
@@ -230,3 +233,34 @@ def test_file_value_outside_its_choices_fails_before_ingest(
     assert netcent.cli.main(["run", "--config", str(ini)]) == 1
     assert raw in capsys.readouterr().err
     assert not out.exists()
+
+
+def _help_text(parser, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as done:
+        parser.parse_args(argv)
+    assert done.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", list(netcent.cli._COMMANDS))
+def test_subcommand_help_matches_the_full_parser(command):
+    """A run builds only its own subcommand's flags; its help must not
+    tell them apart from the parser that builds every subcommand."""
+    full = _help_text(netcent.cli.build_parser(), [command, "--help"])
+    assert "usage: netcent " + command in full
+    assert _help_text(netcent.cli.build_parser(command),
+                      [command, "--help"]) == full
+
+
+def test_help_version_and_bad_commands_see_every_subcommand(capsys):
+    top = _help_text(netcent.cli.build_parser(), ["--help"])
+    assert all(command in top for command in netcent.cli._COMMANDS)
+    with pytest.raises(SystemExit):
+        netcent.cli.main(["--help"])
+    assert capsys.readouterr().out == top
+    for argv in ([], ["bogus"], ["--bogus"]):
+        assert netcent.cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "required: command" in err
+    assert "invalid choice: 'bogus'" in err and "emit-plots" in err

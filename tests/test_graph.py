@@ -260,3 +260,23 @@ def test_columns_and_records_build_the_same_graph():
     assert list(cols.kind) == [2, 4, 4]
     assert build_graph(cols, "endorsement") == build_graph(records, "endorsement")
     assert build_graph(cols).self_loops_dropped == 1
+
+
+@given(st.integers(1, 40), st.data())
+@settings(max_examples=60, deadline=None)
+def test_csr_arrays_match_lexsort(n, data):
+    """Edge lists with repeated pairs and self-loops build the same six
+    CSR arrays as sorting with np.lexsort, duplicates summed in order."""
+    node = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node), max_size=120))
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=40)
+                       if pairs else st.just([]))
+    src = np.array([s for s, _ in pairs], dtype=np.int64)
+    dst = np.array([d for _, d in pairs], dtype=np.int64)
+    w = np.array(data.draw(st.lists(st.floats(0.125, 8.0), min_size=len(pairs),
+                                    max_size=len(pairs))))
+    labels = [f"{i:02d}" for i in range(n)]
+    g = DirectedGraph(labels, src, dst, w)
+    got = (g.out_ptr, g.out_dst, g.out_w, g.in_ptr, g.in_src, g.in_w)
+    for mine, want in zip(got, oracles.lexsort_csr(n, src, dst, w)):
+        assert np.array_equal(mine, want)

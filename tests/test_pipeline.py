@@ -1,14 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 
 import oracles
-from netcent import NothingToEmit, pipeline, preferential_attachment
+from netcent import (NothingToEmit, betweenness_centrality,
+                     closeness_centrality, pipeline, preferential_attachment,
+                     traditional)
 from netcent.cli import main
 from netcent.pipeline import (RunConfig, emit_plot_data, load_config_file,
                               run_pipeline)
 from test_ranking import TRADITIONAL_IDS, fixture_rankings
-from netcent.io import read_scores_csv
+from netcent.io import read_scores_csv, write_scores_csv
 from netcent.ranking import overlap_report, top_k
 from netcent.simulate import metric_removal_set
 
@@ -375,6 +378,84 @@ class TestStandaloneCommands:
         assert run_cli("emit-plots", "--report", tmp_path / "gone.json",
                        "--out", tmp_path) == 2
         assert "gone.json" in capsys.readouterr().err
+
+
+class TestComputeMetrics:
+    """Exact closeness and betweenness share one Brandes traversal."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count the calls of the pipeline's closeness and betweenness,
+        and the betweenness calls that also filled closeness."""
+        seen = {"closeness": 0, "betweenness": 0, "shared": 0}
+        closeness = pipeline.closeness_centrality
+        betweenness = pipeline.betweenness_centrality
+
+        def counted_closeness(*args, **kwargs):
+            seen["closeness"] += 1
+            return closeness(*args, **kwargs)
+
+        def counted_betweenness(*args, **kwargs):
+            seen["betweenness"] += 1
+            seen["shared"] += kwargs.get("harmonic") is not None
+            return betweenness(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "closeness_centrality", counted_closeness)
+        monkeypatch.setattr(pipeline, "betweenness_centrality",
+                            counted_betweenness)
+        return seen
+
+    @pytest.mark.parametrize("settings,shared", [
+        ({}, True),
+        ({"closeness_mode": "exact", "betweenness_mode": "exact"}, True),
+        ({"closeness_mode": "exact", "betweenness_mode": "auto"}, True),
+        ({"closeness_mode": "sampled", "closeness_samples": 40}, False),
+        ({"betweenness_mode": "sampled", "betweenness_samples": 40}, False),
+        ({"closeness_weighted": True}, False),
+        ({"metrics": ("closeness", "pc")}, False),
+        ({"metrics": ("betweenness", "pc")}, False),
+    ])
+    def test_shared_pass_exactly_when_both_exact_and_unweighted(
+            self, calls, settings, shared):
+        g = preferential_attachment(120, 3, seed=4)
+        cfg = RunConfig(**{"metrics": ("degree_total", "closeness",
+                                       "betweenness", "pc"), **settings})
+        got = pipeline.compute_metrics(g, cfg)
+        assert list(got) == list(cfg.metrics)
+        closeness = "closeness" in cfg.metrics
+        betweenness = "betweenness" in cfg.metrics
+        assert calls == {"closeness": int(closeness and not shared),
+                         "betweenness": int(betweenness),
+                         "shared": int(shared)}
+        for metric, sv in got.items():
+            want = pipeline.compute_metric(g, metric, cfg)
+            assert (sv.metric, sv.labels, sv.params) == \
+                (want.metric, want.labels, want.params)
+            assert np.array_equal(sv.scores, want.scores), metric
+
+    def test_auto_mode_above_the_exact_limit_is_not_shared(self, calls,
+                                                          monkeypatch):
+        g = preferential_attachment(120, 3, seed=4)
+        monkeypatch.setattr(traditional, "EXACT_NODE_LIMIT", g.n - 1)
+        pipeline.compute_metrics(g, RunConfig(
+            metrics=("closeness", "betweenness"), closeness_mode="exact",
+            betweenness_samples=40))
+        assert calls == {"closeness": 1, "betweenness": 1, "shared": 0}
+
+    def test_compute_and_run_write_the_same_score_files(
+            self, interactions_csv, tmp_path, capsys):
+        flags = ["--input", interactions_csv, "--metrics",
+                 "closeness,betweenness", "--closeness-mode", "exact"]
+        assert run_cli("compute", *flags, "--out", tmp_path / "c") == 0
+        assert run_cli("run", *flags, "--out", tmp_path / "r") == 0
+        g = pipeline.load_graph(RunConfig(input=str(interactions_csv)))
+        for sv in (closeness_centrality(g, "exact"),
+                   betweenness_centrality(g, "exact")):
+            name = f"{sv.metric}.scores.csv"
+            write_scores_csv(sv, tmp_path / name)
+            want = (tmp_path / name).read_bytes()
+            assert (tmp_path / "c" / name).read_bytes() == want
+            assert (tmp_path / "r" / name).read_bytes() == want
 
 
 class TestRunConfigValidation:

@@ -407,6 +407,70 @@ class TestBetweenness:
                                                 abs=1e-12)
 
 
+def shared_closeness(g):
+    """Exact betweenness run with ``harmonic``: (betweenness, closeness)."""
+    harmonic = np.zeros(g.n)
+    between = betweenness_centrality(g, mode="exact", harmonic=harmonic)
+    return between.scores, harmonic
+
+
+class TestSharedClosenessPass:
+    """Exact betweenness fills ``harmonic`` with exact hop closeness, the
+    same bytes as ``closeness_centrality(g, "exact")``, and its own
+    scores do not move."""
+
+    def check(self, g):
+        between, harmonic = shared_closeness(g)
+        assert np.array_equal(harmonic,
+                              closeness_centrality(g, mode="exact").scores)
+        assert np.array_equal(between,
+                              oracles.brandes_betweenness(g, range(g.n)))
+
+    @given(brandes_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_every_kernel_gives_closeness_bytes(self, g):
+        for rule in PULL_RULES.values():
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in rule.items():
+                    mp.setattr(traditional, name, value)
+                force_width(mp, g, 1)
+                self.check(g)
+        for width in WIDTHS[1:]:
+            with pytest.MonkeyPatch.context() as mp:
+                force_width(mp, g, width)
+                self.check(g)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_sinks_isolated_nodes_and_no_edges(self, monkeypatch, width):
+        # 0 -> 1 -> 2 and 0 -> 3, with 2 and 3 sinks and 4 isolated
+        for g in (graph_from_ids(5, [(0, 1), (1, 2), (0, 3)]),
+                  graph_from_ids(5, []), graph_from_ids(1, [])):
+            force_width(monkeypatch, g, width)
+            self.check(g)
+        between, harmonic = shared_closeness(
+            graph_from_ids(5, [(0, 1), (1, 2), (0, 3)]))
+        assert harmonic.tolist() == [2.5, 1.0, 0.0, 0.0, 0.0]
+
+    def test_pulled_levels_give_closeness_bytes(self, monkeypatch):
+        g = tail_into_core(130)
+        force_width(monkeypatch, g, 1)
+        counts = count_tiers(monkeypatch, g)
+        self.check(g)
+        assert counts["pull"] > 0
+
+    def test_sampled_mode_with_harmonic_raises(self, monkeypatch):
+        g, _ = random_graph(40, 120, seed=3)
+        harmonic = np.zeros(g.n)
+        with pytest.raises(InvalidParameter):
+            betweenness_centrality(g, mode="sampled", sample_size=g.n,
+                                   harmonic=harmonic)
+        # auto mode samples above the exact limit
+        monkeypatch.setattr(traditional, "EXACT_NODE_LIMIT", g.n - 1)
+        with pytest.raises(InvalidParameter):
+            betweenness_centrality(g, harmonic=harmonic)
+        assert not harmonic.any()
+
+
 class TestEigenvector:
     def test_symmetric_triangle_uniform(self):
         g = from_edges([("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"),
