@@ -218,7 +218,7 @@ def _cmd_simulate(args) -> int:
         rankings = {}
         for path in args.scores:
             sv = _io.read_scores_csv(path)
-            rankings[sv.metric] = top_k(sv, sv.n)
+            rankings[sv.metric] = top_k(sv, cfg.k)
         if not rankings and args.strategy != "random":
             raise UsageError("--strategy needs --scores files")
         strategy = f"{args.strategy}:{args.metric}" if args.metric else args.strategy

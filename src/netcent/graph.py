@@ -19,7 +19,6 @@ that need the opposite orientation work on :meth:`DirectedGraph.transpose`.
 from __future__ import annotations
 
 import logging
-import math
 import operator
 from array import array
 from bisect import bisect_left
@@ -37,8 +36,6 @@ INFO_FLOW = "info_flow"
 ENDORSEMENT = "endorsement"
 DIRECTIONS = (INFO_FLOW, ENDORSEMENT)
 
-INTERACTION_KINDS = ("retweet", "mention", "reply", "share", "other")
-
 DEGREE_MODES = ("in", "out", "total")
 
 
@@ -46,9 +43,9 @@ DEGREE_MODES = ("in", "out", "total")
 class InteractionRecord:
     """One actor->target interaction (retweet, mention, ...) from raw data.
 
-    ``timestamp`` is retained for future temporal slicing but unused by
-    the v1 metrics. ``weight`` defaults to 1 so plain interaction counts
-    aggregate into edge weights.
+    ``kind`` and ``timestamp`` describe the record but are not stored:
+    no metric reads them. ``weight`` defaults to 1 so plain interaction
+    counts aggregate into edge weights.
     """
 
     actor: str
@@ -56,9 +53,6 @@ class InteractionRecord:
     kind: str = "other"
     timestamp: float | None = None
     weight: float = 1.0
-
-
-_KIND_CODES = {k: i for i, k in enumerate(INTERACTION_KINDS)}
 
 
 class RowError(ValueError):
@@ -94,20 +88,16 @@ class Interactions:
     """Interaction rows held as columns, one entry per row.
 
     ``actor`` and ``target`` are provisional ids into ``labels`` (first
-    appearance order); ``kind`` codes index :data:`INTERACTION_KINDS`;
-    ``timestamp`` is NaN where a row has none. ``len()`` is the row
-    count. Rows are checked as they are added, so a column set always
-    builds a graph.
+    appearance order). ``len()`` is the row count. Rows are checked as
+    they are added, so a column set always builds a graph.
     """
 
-    __slots__ = ("_ids", "actor", "target", "kind", "timestamp", "weight")
+    __slots__ = ("_ids", "actor", "target", "weight")
 
     def __init__(self):
         self._ids: dict[str, int] = {}
         self.actor = array("q")
         self.target = array("q")
-        self.kind = array("b")
-        self.timestamp = array("d")
         self.weight = array("d")
 
     @property
@@ -118,13 +108,12 @@ class Interactions:
         return len(self.weight)
 
     def extend(self, actor: Sequence[str], target: Sequence[str],
-               kind: Sequence[str], timestamp: Sequence[float],
                weight: Sequence[float]):
-        """Add rows given as equal-length columns; NaN timestamps mean none.
+        """Add rows given as equal-length columns.
 
         Raises RowError, adding nothing, for the first row with an empty
         endpoint or a weight that is not finite and positive (the
-        endpoint first within a row). Unknown kinds become ``other``.
+        endpoint first within a row).
         """
         fault = first_fault(missing("missing actor or target", actor, target),
                             bad_weight(weight))
@@ -141,10 +130,6 @@ class Interactions:
             codes = list(map(ids.__getitem__, pairs))
         self.actor += array("q", codes[::2])
         self.target += array("q", codes[1::2])
-        kinds = {k: _KIND_CODES.get(k.strip().lower(), _KIND_CODES["other"])
-                 for k in set(kind)}
-        self.kind.frombytes(bytes(map(kinds.__getitem__, kind)))
-        self.timestamp += array("d", timestamp)
         self.weight += array("d", weight)
 
     @classmethod
@@ -155,9 +140,6 @@ class Interactions:
         try:
             cols.extend([rec.actor or "" for rec in records],
                         [rec.target or "" for rec in records],
-                        [rec.kind or "other" for rec in records],
-                        [math.nan if rec.timestamp is None else rec.timestamp
-                         for rec in records],
                         [rec.weight for rec in records])
         except RowError as exc:
             raise ParseError(f"record {exc}", line=exc.row + 1) from None
@@ -366,7 +348,6 @@ def from_edges(edges, direction: str = INFO_FLOW,
         triples, edges = list(edges), Interactions()
         try:
             edges.extend([e[0] for e in triples], [e[1] for e in triples],
-                         ["other"] * len(triples), [math.nan] * len(triples),
                          [float(e[2]) if len(e) > 2 else 1.0 for e in triples])
         except RowError as exc:
             s, d = triples[exc.row][:2]

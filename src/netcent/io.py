@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import operator
 import os
 import tempfile
@@ -202,14 +201,18 @@ def _extend(path, lines, rows, fault, *columns):
 
 
 def read_interactions_csv(path) -> Interactions:
-    """Read ``actor,target,kind,timestamp,weight`` rows (last three optional)."""
+    """Read ``actor,target,kind,timestamp,weight`` rows (last three optional).
+
+    ``kind`` may hold any text and is not read. Each ``timestamp`` must
+    be a number, or empty, but is not kept.
+    """
     rows = Interactions()
-    for lines, (actor, target, kind, ts, weight) in _read_csv(
-            path, ("actor", "target"), ("kind", "timestamp", "weight")):
-        ts, ts_fault = _floats(ts, math.nan)
+    for lines, (actor, target, ts, weight) in _read_csv(
+            path, ("actor", "target"), ("timestamp", "weight")):
+        _, ts_fault = _floats(ts, 0.0)
         weight, fault = _floats(weight, 1.0)
         _extend(path, lines, rows, first_fault(ts_fault, fault),
-                actor, target, kind, ts, weight)
+                actor, target, weight)
     if not len(rows):
         raise EmptyInput(f"{path}: no interaction records")
     return rows
@@ -222,7 +225,7 @@ def read_edge_csv(path, direction: str = INFO_FLOW) -> DirectedGraph:
         weight, fault = _floats(weight, 1.0)
         _extend(path, lines, edges,
                 first_fault(missing("missing src or dst", src, dst), fault),
-                src, dst, ["other"] * len(src), [math.nan] * len(src), weight)
+                src, dst, weight)
     if not len(edges):
         raise EmptyInput(f"{path}: no edges")
     return from_edges(edges, direction=direction)

@@ -354,25 +354,29 @@ def cascade_config(g: DirectedGraph, cfg: RunConfig) -> CascadeConfig:
                          weight_scaled=cfg.sim_weight_scaled)
 
 
-def removal_for(g: DirectedGraph, deep_rankings, strategy: str,
+def removal_for(g: DirectedGraph, rankings, strategy: str,
                 cfg: RunConfig, budget: int | None) -> frozenset[str]:
-    """Removal set of one strategy; ``single:<metric>`` targets one ranking."""
+    """Removal set of one strategy; ``single:<metric>`` targets one ranking.
+
+    A ranking need hold only its top ``cfg.k``: the natural union, its
+    truncation to a budget and the padding never read a deeper rank.
+    """
     name, _, metric = strategy.partition(":")
     if name == "random":
         return metric_removal_set(
-            deep_rankings, "random", budget=budget if budget is not None else cfg.k,
+            rankings, "random", budget=budget if budget is not None else cfg.k,
             universe=g.labels, seed=derive_seed(cfg.seed, "removal_random"))
     return metric_removal_set(
-        deep_rankings, name, metric=metric or None, k=cfg.k, budget=budget,
+        rankings, name, metric=metric or None, k=cfg.k, budget=budget,
         universe=g.labels, seed=derive_seed(cfg.seed, "removal_pad"))
 
 
-def _run_interventions(g: DirectedGraph, deep_rankings, cfg: RunConfig) -> list:
+def _run_interventions(g: DirectedGraph, rankings, cfg: RunConfig) -> list:
     cascade = cascade_config(g, cfg)
-    natural = [len(removal_for(g, deep_rankings, s, cfg, None))
+    natural = [len(removal_for(g, rankings, s, cfg, None))
                for s in cfg.sim_strategies if s.partition(":")[0] != "random"]
     budget = max(natural) if (cfg.sim_budget == "equal" and natural) else None
-    removals = [removal_for(g, deep_rankings, s, cfg, budget)
+    removals = [removal_for(g, rankings, s, cfg, budget)
                 for s in cfg.sim_strategies]
     results = intervention_experiment(g, removals, cascade)
     return [{"strategy": s, "budget": len(res.removed), **res.to_dict()}
@@ -411,15 +415,8 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
 
     score_vectors = stage("metrics", compute_all)
 
-    def rank():
-        # a simulation ranks every node; each top-k is the head of that
-        # table, since ties go by label and the order is total
-        deep = {m: top_k(sv, sv.n if cfg.simulate else cfg.k)
-                for m, sv in score_vectors.items()}
-        return deep, {m: RankingTable(t.metric, cfg.k, t.entries[:cfg.k])
-                      for m, t in deep.items()}
-
-    deep, rankings = stage("rank", rank)
+    rankings = stage("rank", lambda: {m: top_k(sv, cfg.k)
+                                      for m, sv in score_vectors.items()})
 
     overlap_dict = None
     traditional_present = [m for m in score_vectors if m in TRADITIONAL_METRICS]
@@ -452,7 +449,7 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     interventions = []
     if cfg.simulate:
         interventions = stage("simulate",
-                              lambda: _run_interventions(g, deep, cfg))
+                              lambda: _run_interventions(g, rankings, cfg))
 
     report = AnalysisReport(
         version=_pkg_version,

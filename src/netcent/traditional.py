@@ -513,7 +513,9 @@ def eigenvector_centrality(g: DirectedGraph,
     eigenvalue = 0.0
     for _ in range(cfg.max_iterations):
         y = matvec(x)
-        norm = float(np.linalg.norm(y))
+        # numpy's pairwise sum adds in a fixed order, so the norm has the
+        # same bytes on every CPU; a BLAS dot product's order varies
+        norm = float(np.sqrt(np.add.reduce(y * y)))
         if norm == 0.0:
             # nilpotent direction: iterate collapsed to zero, keep last x
             params["note"] = "iterate collapsed to zero (nilpotent adjacency)"

@@ -347,10 +347,11 @@ from array import array
 from pathlib import Path
 
 from netcent.errors import DataError, EmptyInput, ParseError
-from netcent.graph import INTERACTION_KINDS, DirectedGraph, from_edges
+from netcent.graph import DirectedGraph, from_edges
 from netcent.scores import ScoreVector
 
 INFO_FLOW = "info_flow"
+INTERACTION_KINDS = ("retweet", "mention", "reply", "share", "other")
 _KIND_CODES = {k: i for i, k in enumerate(INTERACTION_KINDS)}
 
 

@@ -257,7 +257,6 @@ def test_columns_and_records_build_the_same_graph():
                InteractionRecord("c", "c"), InteractionRecord("a", "b")]
     cols = Interactions.from_records(records)
     assert len(cols) == 3 and cols.labels == ["b", "a", "c"]
-    assert list(cols.kind) == [2, 4, 4]
     assert build_graph(cols, "endorsement") == build_graph(records, "endorsement")
     assert build_graph(cols).self_loops_dropped == 1
 

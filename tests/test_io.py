@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -16,16 +15,13 @@ from netcent import (DirectedGraph, EmptyInput, InvalidParameter, ParseError,
 from netcent import io as ncio
 from netcent.io import EDGE_COLUMNS, INTERACTION_COLUMNS
 from netcent.cli import main
-from netcent.graph import INTERACTION_KINDS
 
 
 def table(rows):
-    """(actor, target, kind, timestamp or None, weight) per row, from the columns."""
+    """(actor, target, weight) per row, from the columns."""
     labels = rows.labels
-    return [(labels[a], labels[t], INTERACTION_KINDS[k],
-             None if math.isnan(ts) else ts, w)
-            for a, t, k, ts, w in zip(rows.actor, rows.target, rows.kind,
-                                      rows.timestamp, rows.weight)]
+    return [(labels[a], labels[t], w)
+            for a, t, w in zip(rows.actor, rows.target, rows.weight)]
 
 
 def read_text(tmp_path, text):
@@ -39,8 +35,7 @@ def test_interactions_csv_optional_columns(tmp_path):
     p.write_text("actor,target\nu1,u2\n# comment\nu2,u3\n\n")
     rows = ncio.read_interactions_csv(p)
     assert len(rows) == 2
-    assert [(a, t, k, w) for a, t, k, _, w in table(rows)] == [
-        ("u1", "u2", "other", 1.0), ("u2", "u3", "other", 1.0)]
+    assert table(rows) == [("u1", "u2", 1.0), ("u2", "u3", 1.0)]
 
 
 def test_interactions_csv_full_columns(tmp_path):
@@ -48,51 +43,44 @@ def test_interactions_csv_full_columns(tmp_path):
     p.write_text("actor,target,kind,timestamp,weight\n"
                  "a,b,RETWEET,1600000000,2.5\n"
                  "b,c,oddkind,,\n")
-    r1, r2 = table(ncio.read_interactions_csv(p))
-    assert r1[2:] == ("retweet", 1600000000.0, 2.5)
-    assert r2[2:] == ("other", None, 1.0)
+    assert table(ncio.read_interactions_csv(p)) == [("a", "b", 2.5),
+                                                    ("b", "c", 1.0)]
 
 
 # -- per-line parsing: each case pins the result of the csv-per-line reader
 
 def test_unbalanced_quote_leaves_next_line_its_own_row(tmp_path):
     rows = read_text(tmp_path, 'actor,target\na,"b\nc,d\n')
-    assert table(rows) == [("a", "b", "other", None, 1.0),
-                           ("c", "d", "other", None, 1.0)]
+    assert table(rows) == [("a", "b", 1.0), ("c", "d", 1.0)]
 
 
 def test_quoted_field_keeps_its_comma(tmp_path):
     rows = read_text(tmp_path, 'actor,target,kind\n"x,y",z,reply\nz,"x,y"\n')
-    assert table(rows) == [("x,y", "z", "reply", None, 1.0),
-                           ("z", "x,y", "other", None, 1.0)]
+    assert table(rows) == [("x,y", "z", 1.0), ("z", "x,y", 1.0)]
 
 
 def test_quote_inside_unquoted_field_is_literal(tmp_path):
     rows = read_text(tmp_path, 'actor,target\nx"y,z\n')
-    assert table(rows) == [('x"y', "z", "other", None, 1.0)]
+    assert table(rows) == [('x"y', "z", 1.0)]
 
 
 @pytest.mark.parametrize("eol", ["\r\n", "\r"])
 def test_crlf_and_cr_line_endings(tmp_path, eol):
     text = eol.join(["actor,target,kind,timestamp,weight",
                      "a,b,mention,5,2", "b,c", ""])
-    assert table(read_text(tmp_path, text)) == [
-        ("a", "b", "mention", 5.0, 2.0), ("b", "c", "other", None, 1.0)]
+    assert table(read_text(tmp_path, text)) == [("a", "b", 2.0), ("b", "c", 1.0)]
 
 
 def test_blank_and_comment_lines_skipped(tmp_path):
     rows = read_text(tmp_path, "actor,target\n\n# c\n   \n  # indented\n"
                                "a,b\n\n#x,y\nb,a\n")
-    assert table(rows) == [("a", "b", "other", None, 1.0),
-                           ("b", "a", "other", None, 1.0)]
+    assert table(rows) == [("a", "b", 1.0), ("b", "a", 1.0)]
 
 
 def test_short_rows_lack_optional_columns(tmp_path):
     rows = read_text(tmp_path, "actor,target,kind,timestamp,weight\n"
                                "a,b\nb,c,share\nc,a,reply,7\n")
-    assert table(rows) == [("a", "b", "other", None, 1.0),
-                           ("b", "c", "share", None, 1.0),
-                           ("c", "a", "reply", 7.0, 1.0)]
+    assert table(rows) == [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)]
 
 
 def test_row_with_too_many_fields_names_line(tmp_path):
@@ -148,7 +136,7 @@ def test_cli_run_rejects_non_finite_weight_with_exit_2(tmp_path, capsys, fmt, te
 
 LABELS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
 ROWS = st.lists(
-    st.tuples(LABELS, LABELS, st.sampled_from(INTERACTION_KINDS),
+    st.tuples(LABELS, LABELS, st.sampled_from(oracles.INTERACTION_KINDS),
               st.one_of(st.none(), st.integers(1, 8).map(lambda q: q / 4))),
     min_size=1, max_size=40)
 
@@ -364,8 +352,7 @@ def outcome(read, path):
         src, dst, w = got.edge_arrays()
         return (got.labels, src.tolist(), dst.tolist(), w.tolist(),
                 got.self_loops_dropped)
-    return (got.labels, list(got.actor), list(got.target), list(got.kind),
-            got.timestamp.tobytes(), list(got.weight))
+    return got.labels, list(got.actor), list(got.target), list(got.weight)
 
 
 READERS = {

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from netcent.cli import main
 from netcent.pipeline import (RunConfig, emit_plot_data, load_config_file,
                               run_pipeline)
 from test_ranking import TRADITIONAL_IDS, fixture_rankings
-from netcent.io import read_scores_csv, write_scores_csv
+from netcent.io import read_scores_csv, write_edge_csv, write_scores_csv
 from netcent.ranking import overlap_report, top_k
 from netcent.simulate import metric_removal_set
 
@@ -82,6 +83,33 @@ class TestRunPipeline:
         assert run_cli(*base, "--workers", "4") == 0
         assert (out / "report.json").read_bytes() == one
 
+    def test_score_files_are_the_same_bytes_on_every_machine(self, tmp_path):
+        # every sum behind these six files goes in an order numpy fixes,
+        # not one a BLAS kernel picks per CPU. mvc is left out: it goes
+        # through np.log and np.exp, and numpy does not promise that their
+        # SIMD kernels give identical results on different CPUs.
+        edges = tmp_path / "edges.csv"
+        write_edge_csv(preferential_attachment(300, 3, seed=1), edges)
+        out = tmp_path / "out"
+        assert run_cli("run", "--input", edges, "--format", "edges",
+                       "--seed", "0", "--out", out) == 0
+        pinned = {
+            "degree_total": "f625ccaa98462a4cf0dcab01114ea206"
+                            "1dc752da8e4d48118f0b0a2352e16024",
+            "closeness": "1d1856224e5639b61c42588a878ae500"
+                         "4a855a501b1e6038aab0bdd30b84b494",
+            "betweenness": "7f03cb7d6c0b98e78b13e2007128d5c6"
+                           "5b809f0b5b07d5730d91973c57a05b1d",
+            "eigenvector": "335cfda61553fcfd5860e0ced0048626"
+                           "41ee717380b7b922fca27aa199369657",
+            "pc": "f7a9d8af3427995881b4a10d4a31df24"
+                  "c66c81cbc9cd23ad00aecef0999c7af7",
+            "dic": "49185b363a7bdba0499ca5b734097307"
+                   "8105aa5cb9b27bdc36e2d07b0b342e15",
+        }
+        assert {m: hashlib.sha256((out / f"{m}.scores.csv").read_bytes())
+                .hexdigest() for m in pinned} == pinned
+
     def test_config_echo_round_trips(self, interactions_csv, tmp_path):
         out = tmp_path / "out"
         cfg = RunConfig(input=str(interactions_csv), out=str(out), k=4, seed=11,
@@ -106,12 +134,24 @@ class TestRunPipeline:
                         seed=4, metrics=("degree_total", "pc"), simulate=True,
                         sim_model="reachability", sim_random_seeds=2)
         report = run_pipeline(cfg)
-        n = report.graph_summary["nodes"]
-        assert sorted(calls) == [("degree_total", n), ("pc", n)]
+        assert sorted(calls) == [("degree_total", 2), ("pc", 2)]
         for metric in cfg.metrics:
             sv = read_scores_csv(out / f"{metric}.scores.csv")
             assert report.metrics[metric]["top"] == \
                 top_k(sv, 2).to_dict()["entries"]
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_removal_sets_read_rankings_to_k_only(self, k):
+        g = preferential_attachment(200, 3, seed=2)
+        cfg = RunConfig(k=k, seed=5)
+        vectors = pipeline.compute_metrics(g, cfg)
+        shallow = {m: top_k(sv, k) for m, sv in vectors.items()}
+        deep = {m: top_k(sv, sv.n) for m, sv in vectors.items()}
+        for strategy in ("traditional_union", "combined_union", "single:pc"):
+            natural = len(pipeline.removal_for(g, deep, strategy, cfg, None))
+            for budget in (None, natural - 1, natural, natural + 5):
+                assert pipeline.removal_for(g, shallow, strategy, cfg, budget) \
+                    == pipeline.removal_for(g, deep, strategy, cfg, budget)
 
     def test_missing_input_names_path(self, tmp_path, capsys):
         rc = run_cli("run", "--input", tmp_path / "absent.csv",

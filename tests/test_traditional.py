@@ -509,6 +509,16 @@ class TestEigenvector:
         assert sv.params["converged"] is False
         assert sv.iterations_run == 2
 
+    def test_collapse_to_zero_keeps_last_iterate(self):
+        # on the endorsement orientation c -> b -> a, the iterate moves to
+        # the path's end and then has nowhere to go
+        sv = eigenvector_centrality(from_edges([("a", "b"), ("b", "c")]))
+        assert sv.scores.tolist() == [1.0, 0.0, 0.0]
+        assert sv.iterations_run == 2
+        assert sv.params["converged"] is False
+        assert "note" in sv.params
+        assert sv.params["eigenvalue"] == math.sqrt(0.5)
+
     def test_iterate_norm_is_one_and_nonnegative(self):
         for seed in range(4):
             g, _ = random_graph(25, 100, seed=seed + 40)
