@@ -212,8 +212,7 @@ def _cmd_simulate(args) -> int:
 
     removal = set(args.remove)
     if args.removal_file:
-        text = Path(args.removal_file).read_text(encoding="utf-8")
-        removal.update(line.strip() for line in text.splitlines() if line.strip())
+        removal.update(_io.read_labels(args.removal_file))
     if args.strategy:
         rankings = {}
         for path in args.scores:

@@ -1,8 +1,9 @@
 """File formats: interaction CSV, edge-list CSV, score CSV, attributes CSV.
 
 All CSVs are UTF-8 and comma-separated; lines starting with ``#`` are
-ignored everywhere. Writers go through an atomic temp-file + rename so a
-failed run never leaves a truncated file behind.
+ignored everywhere. A label list is UTF-8 with one label per line.
+Writers go through an atomic temp-file + rename so a failed run never
+leaves a truncated file behind.
 """
 
 from __future__ import annotations
@@ -299,6 +300,13 @@ def read_scores_csv(path, metric: str | None = None) -> ScoreVector:
     if len(set(labels)) != len(labels):
         raise DataError(f"{path}: duplicate node labels")
     return ScoreVector(metric=metric, labels=tuple(labels), scores=values)
+
+
+def read_labels(path) -> list[str]:
+    """Labels of a file holding one per line, whitespace stripped and
+    blank lines skipped."""
+    return [label for _, text in _blocks(path)
+            for label in map(str.strip, text.split("\n")) if label]
 
 
 def read_attributes_csv(path) -> dict[str, dict[str, float]]:

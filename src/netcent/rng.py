@@ -3,9 +3,9 @@
 Every stochastic component (MVC initialisation, cascade trials, random
 removal draws, sampled-pivot selection) pulls from its own named stream,
 so adding or removing one component never perturbs another's draws.
-Cascade trials additionally get counter-based per-trial streams keyed by
-(stream seed, trial index), which makes results independent of trial
-scheduling order.
+Cascade trials additionally get counter-based streams keyed by (stream
+seed, lane), one for each lane of 64 trials, which makes results
+independent of trial count and scheduling order.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ def substream(master: int, name: str) -> np.random.Generator:
 
 
 def trial_stream(stream_seed: int, trial: int) -> np.random.Generator:
-    """Counter-based generator for one Monte Carlo trial.
+    """Counter-based generator for one lane of 64 Monte Carlo trials.
 
-    Keyed by (stream seed, trial index): trial i draws the same numbers
-    whether trials run sequentially, in any order, or in parallel.
+    Keyed by (stream seed, lane), the lane passed as ``trial``: lane i
+    serves trials 64*i to 64*i + 63 and draws the same numbers whether
+    lanes run sequentially, in any order, or in parallel.
     """
     key = np.array([int(stream_seed) & _MASK64, int(trial) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -3,15 +3,25 @@
 Two spread models ship: deterministic reachability (nodes reachable from
 the seed set along the info-flow direction) and the one-shot independent
 cascade, estimated by Monte Carlo over its live-edge form (Kempe,
-Kleinberg & Tardos 2003). Edge e is live in trial t iff
-``rng.trial_stream(seed, t).random(m)[e]`` is below p, or below
-1 - (1-p)**w when weight-scaled, where e indexes the in-adjacency
-(edges sorted by destination, then source); the trial's spread is the
-number of nodes the seeds reach over live edges. Trials run 64 to a
-``uint64`` lane of the traversal kernel in :mod:`netcent.sweep`, bit j
-of a node's word being trial 64*lane + j, so one level advances 64
-cascades. Reachability is the same traversal with one trial and every
-edge live.
+Kleinberg & Tardos 2003). Edge e, indexing the in-adjacency (edges
+sorted by destination, then source), is live with probability p, or
+1 - (1-p)**w when weight-scaled; the trial's spread is the number of
+nodes the seeds reach over live edges. Trials run 64 to a ``uint64``
+lane of the traversal kernel in :mod:`netcent.sweep`, bit j of a word
+being trial 64*lane + j, so one level advances 64 cascades.
+Reachability is the same traversal with one trial and every edge live.
+
+A lane's live words are drawn bit-sliced (Knuth & Yao 1976): each trial
+compares a uniform variate with p one binary digit at a time. Round r
+draws a raw 64-bit word of ``rng.trial_stream(seed, lane)`` for each
+edge still undecided, in in-adjacency order; bit j of the word is digit
+r of trial j's variate. Where p's digit is 1, an undecided 0 bit is
+live; where it is 0, an undecided 1 bit is dead. An edge draws no more
+once all its bits are decided or p has no nonzero digit left, and its
+undecided bits are then dead. So each bit is live with probability
+exactly p; a lane draws about 7.3 words per edge for most p, one for
+p = 0.5 and none for p >= 1. A partial lane draws every bit and masks
+the unused ones, so trial t depends only on (seed, t // 64).
 
 An intervention draws each lane once for one baseline and every treated
 set: a treated run clears the live bits of every edge touching a removed
@@ -38,6 +48,7 @@ from .sweep import LANE, Sweep, bit_counts
 
 MODELS = ("independent_cascade", "reachability")
 STRATEGIES = ("traditional_union", "combined_union", "single", "random")
+_ONES = np.uint64(2**64 - 1)
 
 
 @dataclass
@@ -106,20 +117,46 @@ def _node_ids(g: DirectedGraph, labels: Iterable[str]) -> np.ndarray:
     return np.array(sorted(g.id_of(lab) for lab in labels), dtype=np.int64)
 
 
+def _live_words(prob: np.ndarray, m: int, random_raw) -> np.ndarray:
+    """One lane's live word per edge: each bit of word e is 1 with
+    probability ``prob[e]``, or ``prob[0]`` for every edge when ``prob``
+    has length 1; ``random_raw(k)`` returns k raw 64-bit words."""
+    live = np.zeros(m, dtype=np.uint64)
+    live[np.broadcast_to(prob >= 1.0, m)] = _ONES
+    idx = np.flatnonzero(np.broadcast_to((prob > 0.0) & (prob < 1.0), m))
+    rest = prob[idx] if prob.size > 1 else prob.copy()  # p's digits not yet used
+    undecided = np.full(idx.size, _ONES)  # bits of edge idx[i] left
+    while idx.size:
+        rest += rest
+        one = rest >= 1.0
+        rest -= one
+        digit = np.negative(one, dtype=np.uint64)  # p's digit, in every bit
+        flip = random_raw(idx.size)
+        flip ^= digit
+        flip &= undecided  # undecided bits whose digit differs from p's
+        undecided ^= flip
+        flip &= digit
+        live[idx] |= flip
+        undecided *= rest != 0.0  # no digit of p left: the rest are dead
+        keep = np.flatnonzero(undecided)
+        idx, undecided = idx[keep], undecided[keep]
+        if rest.size > 1:
+            rest = rest[keep]
+    return live
+
+
 def _lanes(sweep: Sweep, cfg: CascadeConfig):
     """Yield (live, width) per lane: bit j of live[e] is trial j's edge e."""
     if cfg.model == "reachability":
         yield np.ones(sweep.m, dtype=np.uint64), 1
         return
-    prob = 1.0 - (1.0 - cfg.p) ** sweep.w if cfg.weight_scaled else cfg.p
-    for first in range(0, cfg.trials, LANE):
+    prob = (1.0 - (1.0 - cfg.p) ** sweep.w if cfg.weight_scaled
+            else np.array([cfg.p], dtype=np.float64))
+    for lane, first in enumerate(range(0, cfg.trials, LANE)):
         width = min(LANE, cfg.trials - first)
-        live = np.zeros(sweep.m, dtype=np.uint64)
-        for j in range(width):
-            bits = (_rng.trial_stream(cfg.seed, first + j).random(sweep.m)
-                    < prob).astype(np.uint64)
-            bits <<= np.uint64(j)
-            live |= bits
+        words = _rng.trial_stream(cfg.seed, lane).bit_generator.random_raw
+        live = _live_words(prob, sweep.m, words)
+        live &= np.uint64(2**width - 1)
         yield live, width
 
 
@@ -142,8 +179,7 @@ def _trial_counts(g: DirectedGraph, cfg: CascadeConfig,
     """
     sweep = Sweep(g)
     seed_ids = _node_ids(g, cfg.seeds)
-    every = np.uint64(2**64 - 1)
-    runs = [(seed_ids, every)]
+    runs = [(seed_ids, _ONES)]
     for removal in removals:
         if isinstance(removal, str):
             raise InvalidParameter(f"removal set {removal!r} is a bare string")
@@ -151,7 +187,7 @@ def _trial_counts(g: DirectedGraph, cfg: CascadeConfig,
         gone[_node_ids(g, removal)] = True  # raises InvalidNode for unknown labels
         runs.append((seed_ids[~gone[seed_ids]],
                      np.where(gone[sweep.src] | gone[sweep.dst], np.uint64(0),
-                              every)))
+                              _ONES)))
     counts = [[] for _ in runs]
     for live, width in _lanes(sweep, cfg):
         for out, (ids, keep) in zip(counts, runs):

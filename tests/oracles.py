@@ -270,24 +270,60 @@ def live_edge_expectation(edges, n, seeds, p, weights=None):
     return mean, second - mean * mean
 
 
+def keyed_live_words(probs, stream_seed, lane):
+    """Live word of each edge for the 64 trials of one lane, drawn bit by bit.
+
+    Trial j's variate for edge i is a binary fraction whose digit r is bit
+    j of edge i's round-r word. Round r draws, with ``random_raw()`` of
+    ``trial_stream(stream_seed, lane)``, one word for each edge that still
+    has undecided bits and digits of ``probs[i]`` left, in edge order.
+    An undecided bit is live where it is 0 and p's digit is 1, dead where
+    it is 1 and p's digit is 0; bits still undecided at the end are dead.
+    """
+    from netcent.rng import trial_stream
+
+    ones = (1 << 64) - 1
+    bits = trial_stream(stream_seed, lane).bit_generator
+    live, undecided, rest = [], [], []
+    for p in probs:
+        live.append(ones if p >= 1 else 0)
+        undecided.append(ones if 0 < p < 1 else 0)
+        rest.append(Fraction(p))
+    while any(undecided):
+        for i, word in enumerate(undecided):
+            if not word:
+                continue
+            rest[i] *= 2
+            digit = rest[i] >= 1
+            rest[i] -= digit
+            raw = int(bits.random_raw())
+            if digit:
+                live[i] |= word & ~raw
+                undecided[i] = word & raw
+            else:
+                undecided[i] = word & ~raw
+            if rest[i] == 0:
+                undecided[i] = 0
+    return live
+
+
 def keyed_cascade_sizes(edges, n, seeds, probs, stream_seed, trials,
                         removed=()):
     """Per-trial cascade sizes by BFS over each trial's keyed live edges.
 
     ``edges`` are in the graph's in-adjacency order, sorted by
-    (dst, src); edge i is live in trial t iff draw i of
-    ``trial_stream(stream_seed, t)`` is below ``probs[i]``. Removed
+    (dst, src); edge i is live in trial t iff bit t % 64 of its word in
+    ``keyed_live_words(probs, stream_seed, t // 64)`` is set. Removed
     nodes neither seed nor pass on the cascade.
     """
-    from netcent.rng import trial_stream
-
     removed = set(removed)
     sizes = []
     for t in range(trials):
-        draws = trial_stream(stream_seed, t).random(len(edges))
+        if t % 64 == 0:
+            words = keyed_live_words(probs, stream_seed, t // 64)
         adj = {v: [] for v in range(n)}
         for i, (s, d) in enumerate(edges):
-            if draws[i] < probs[i] and s not in removed and d not in removed:
+            if words[i] >> t % 64 & 1 and s not in removed and d not in removed:
                 adj[s].append(d)
         reached = {v for v in seeds if v not in removed}
         q = deque(reached)

@@ -364,6 +364,26 @@ class TestStandaloneCommands:
         assert payload["removed"] == ["u2"]
         assert payload["baseline_volume"] >= payload["treated_volume"]
 
+    def test_simulate_reads_one_label_per_line(self, interactions_csv,
+                                               tmp_path, capsys):
+        removal = tmp_path / "removal.txt"
+        removal.write_text("  u2 \n\n\tu3\n   \n")
+        result_path = tmp_path / "sim.json"
+        assert run_cli("simulate", "--input", interactions_csv,
+                       "--seeds", "u1", "--model", "reachability",
+                       "--removal-file", removal, "--out", result_path) == 0
+        assert json.loads(result_path.read_text())["removed"] == ["u2", "u3"]
+
+    def test_removal_file_byte_not_utf8_is_data_error(self, interactions_csv,
+                                                      tmp_path, capsys):
+        removal = tmp_path / "removal.txt"
+        removal.write_bytes(b"u2\n\xff\n")
+        assert run_cli("simulate", "--input", interactions_csv,
+                       "--seeds", "u1", "--model", "reachability",
+                       "--removal-file", removal) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "0xff" in err
+
     def test_simulate_random_strategy_needs_no_scores(self, interactions_csv,
                                                       tmp_path, capsys):
         result_path = tmp_path / "sim.json"

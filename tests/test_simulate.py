@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from netcent import (CascadeConfig, DirectedGraph, InvalidNode,
                      intervention_experiment, metric_removal_set,
                      spread_volume)
 from netcent.rng import stream
-from netcent.simulate import MODELS, _trial_counts
+from netcent.simulate import MODELS, _lanes, _trial_counts
+from netcent.sweep import Sweep, popcounts
 from test_ranking import (DEGREE_TOP10, EIGEN_TOP10, BETWEENNESS_TOP10,
                           CLOSENESS_TOP10, PC_TOP10, MVC_EXCLUSIVE,
                           DIC_EXCLUSIVE, fixture_rankings, table)
@@ -52,6 +54,24 @@ def cascade_cases(draw, model="independent_cascade", p=None):
         trials=draw(st.sampled_from(TRIAL_COUNTS)),
         seed=draw(st.integers(0, 2**64 - 1)), weight_scaled=draw(st.booleans()))
     return g, edges, weights, seeds, removed, cfg
+
+
+@pytest.fixture
+def raw_draws(monkeypatch):
+    """Sizes of the raw-word draws cascade lanes make, in order."""
+    sizes = []
+    trial_stream = netcent.rng.trial_stream
+
+    def counted(seed, lane):
+        random_raw = trial_stream(seed, lane).bit_generator.random_raw
+
+        def draw(size):
+            sizes.append(size)
+            return random_raw(size)
+        return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=draw))
+
+    monkeypatch.setattr(netcent.rng, "trial_stream", counted)
+    return sizes
 
 
 def in_order(edges, weights):
@@ -188,8 +208,8 @@ class TestInterventionExperiment:
         res, = intervention_experiment(g, [removal], cfg)
         assert [res] == intervention_experiment(g, [removal], cfg)
         assert (res.baseline_se, res.treated_se, res.difference_se) \
-            == pytest.approx((0.40823667935738633, 0.32246217096491614,
-                              0.18474667701839367), rel=1e-12)
+            == pytest.approx((0.41111681316644816, 0.33260610584185996,
+                              0.16906606599001078), rel=1e-12)
         # baseline and treated share each trial's draw, so they co-vary
         assert res.difference_se < math.hypot(res.baseline_se, res.treated_se)
         baseline, treated = _trial_counts(g, cfg, [removal])
@@ -236,7 +256,7 @@ class TestInterventionExperiment:
         monkeypatch.setattr(netcent.rng, "trial_stream", counted)
         intervention_experiment(
             g, [[], [g.labels[4]], [g.labels[7], g.labels[0]]], cfg)
-        assert drawn == [(13, t) for t in range(150)]
+        assert drawn == [(13, 0), (13, 1), (13, 2)]
 
     def test_bit_identical_result(self):
         g, _ = random_graph(30, 120, seed=8)
@@ -320,6 +340,55 @@ class TestLiveEdgeEngine:
                     seeds=(g.labels[edges[0][0]],), p=p, trials=trials,
                     seed=gseed, weight_scaled=True))
                 assert abs(got - mean) <= 3 * math.sqrt(var / trials)
+
+
+class TestLiveWords:
+    @pytest.mark.parametrize("p, weight_scaled", [
+        (0.5, False), (0.1, False), (1 / 3, False), (0.2, False),
+        (0.2, True)])
+    def test_live_share_is_p(self, p, weight_scaled):
+        _, edges = random_graph(400, 4100, seed=5)
+        g = weighted_graph(400, edges,
+                           0.25 + 4.0 * stream(5).random(len(edges)))
+        sweep = Sweep(g)
+        trials = 1024
+        cfg = CascadeConfig(seeds=(g.labels[0],), p=p, trials=trials, seed=8,
+                            weight_scaled=weight_scaled)
+        live = sum(int(popcounts(words).sum())
+                   for words, _ in _lanes(sweep, cfg))
+        probs = 1.0 - (1.0 - p) ** sweep.w if weight_scaled \
+            else np.full(sweep.m, p)
+        draws = trials * sweep.m
+        se = math.sqrt(trials * np.sum(probs * (1.0 - probs))) / draws
+        assert abs(live / draws - probs.mean()) <= 4 * se
+
+    def test_one_half_draws_one_word_per_edge(self, raw_draws):
+        g, _ = random_graph(50, 300, seed=3)
+        cfg = CascadeConfig(seeds=(g.labels[0],), p=0.5, trials=130, seed=1)
+        assert len(list(_lanes(Sweep(g), cfg))) == 3
+        assert raw_draws == [g.num_edges] * 3
+
+    def test_certain_edges_draw_nothing(self, raw_draws):
+        # in-adjacency order: a->b, then b->c; 1 - 0.5**60 rounds to 1.0
+        g = from_edges([("a", "b", 60.0), ("b", "c", 1.0)])
+        ones, tail = 2**64 - 1, 2**36 - 1
+        cfg = CascadeConfig(seeds=("a",), p=1.0, trials=100, seed=4)
+        assert [live.tolist() for live, _ in _lanes(Sweep(g), cfg)] \
+            == [[ones, ones], [tail, tail]]
+        assert raw_draws == []
+        scaled = replace(cfg, p=0.5, weight_scaled=True)
+        assert [live[0] for live, _ in _lanes(Sweep(g), scaled)] \
+            == [ones, tail]
+        assert raw_draws == [1, 1]
+
+    def test_weight_scaled_p_that_rounds_to_zero_is_never_live(self,
+                                                                raw_draws):
+        g = from_edges([("a", "b", 2.0), ("b", "c", 0.5)])
+        cfg = CascadeConfig(seeds=("a",), p=1e-20, trials=100, seed=2,
+                            weight_scaled=True)
+        assert not any(live.any() for live, _ in _lanes(Sweep(g), cfg))
+        assert raw_draws == []
+        assert spread_volume(g, cfg) == 1.0
 
 
 class TestMetricRemovalSet:
