@@ -23,11 +23,11 @@ import operator
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import count, filterfalse
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .cells import Cells, LabelTable
 from .errors import EmptyInput, InvalidNode, InvalidParameter, ParseError
 
 log = logging.getLogger(__name__)
@@ -68,9 +68,15 @@ def first_fault(*faults: RowError | None) -> RowError | None:
     return min(filter(None, faults), key=lambda f: f.row, default=None)
 
 
-def missing(message: str, *columns: Sequence[str]) -> RowError | None:
+def _first_empty(column: Sequence[str] | Cells) -> int | None:
+    if isinstance(column, Cells):
+        return None if column.length.all() else int(np.argmin(column.length))
+    return column.index("") if "" in column else None
+
+
+def missing(message: str, *columns: Sequence[str] | Cells) -> RowError | None:
     """A RowError for the first row where any column's cell is ``''``."""
-    rows = [col.index("") for col in columns if "" in col]
+    rows = [row for row in map(_first_empty, columns) if row is not None]
     return RowError(min(rows), message) if rows else None
 
 
@@ -88,49 +94,52 @@ class Interactions:
     """Interaction rows held as columns, one entry per row.
 
     ``actor`` and ``target`` are provisional ids into ``labels`` (first
-    appearance order). ``len()`` is the row count. Rows are checked as
-    they are added, so a column set always builds a graph.
+    appearance order, labels equal exactly when their UTF-8 bytes are).
+    ``len()`` is the row count. Rows are checked as they are added, so a
+    column set always builds a graph.
     """
 
-    __slots__ = ("_ids", "actor", "target", "weight")
+    __slots__ = ("_table", "_labels", "actor", "target", "weight")
 
     def __init__(self):
-        self._ids: dict[str, int] = {}
+        self._table = LabelTable()
+        self._labels: list[str] = []
         self.actor = array("q")
         self.target = array("q")
         self.weight = array("d")
 
     @property
     def labels(self) -> list[str]:
-        return list(self._ids)
+        return list(self._labels)
 
     def __len__(self):
         return len(self.weight)
 
-    def extend(self, actor: Sequence[str], target: Sequence[str],
+    def extend(self, actor: Sequence[str] | Cells, target: Sequence[str] | Cells,
                weight: Sequence[float]):
         """Add rows given as equal-length columns.
 
-        Raises RowError, adding nothing, for the first row with an empty
-        endpoint or a weight that is not finite and positive (the
-        endpoint first within a row).
+        ``actor`` and ``target`` are both strings or both :class:`Cells`
+        over one buffer. Raises RowError, adding nothing, for the first
+        row with an empty endpoint or a weight that is not finite and
+        positive (the endpoint first within a row).
         """
         fault = first_fault(missing("missing actor or target", actor, target),
                             bad_weight(weight))
         if fault:
             raise fault
-        ids = self._ids
-        pairs = [None] * (2 * len(actor))
-        pairs[::2], pairs[1::2] = actor, target
-        codes = list(map(ids.get, pairs))
-        if None in codes:
-            # labels new to this batch, in first-appearance order, take the next ids
-            ids.update(zip(dict.fromkeys(filterfalse(ids.__contains__, pairs)),
-                           count(len(ids))))
-            codes = list(map(ids.__getitem__, pairs))
-        self.actor += array("q", codes[::2])
-        self.target += array("q", codes[1::2])
-        self.weight += array("d", weight)
+        if isinstance(actor, Cells):
+            pairs = actor.interleave(target)
+        else:
+            strings = [None] * (2 * len(actor))
+            strings[::2], strings[1::2] = actor, target
+            pairs = Cells.of(strings)
+        codes, new = self._table.intern(pairs)
+        self._labels += (pairs[new].strings() if isinstance(actor, Cells)
+                         else list(map(strings.__getitem__, new.tolist())))
+        self.actor.frombytes(codes[::2].tobytes())
+        self.target.frombytes(codes[1::2].tobytes())
+        self.weight.frombytes(np.asarray(weight, dtype=np.float64).tobytes())
 
     @classmethod
     def from_records(cls, records: Iterable[InteractionRecord]) -> "Interactions":
@@ -352,7 +361,10 @@ def from_edges(edges, direction: str = INFO_FLOW,
         except RowError as exc:
             s, d = triples[exc.row][:2]
             raise InvalidParameter(f"edge ({s!r}, {d!r}): {exc}") from None
-    labels = list(dict.fromkeys([*edges.labels, *extra_labels]))
+    labels = [*edges.labels, *extra_labels]
+    if len(labels) > len(edges.labels):
+        _, first = LabelTable().intern(Cells.of(labels))
+        labels = list(map(labels.__getitem__, first.tolist()))
     if not labels:
         raise EmptyInput("no edges and no nodes")
     return DirectedGraph(labels, edges.actor, edges.target, edges.weight, direction)

@@ -4,18 +4,30 @@ All CSVs are UTF-8 and comma-separated; lines starting with ``#`` are
 ignored everywhere. A label list is UTF-8 with one label per line.
 Writers go through an atomic temp-file + rename so a failed run never
 leaves a truncated file behind.
+
+The headered readers parse a file in blocks of whole lines. A block
+with no ``"``, ``#``, blank line or padding around a field takes the
+byte path: its UTF-8 text becomes one uint8 array, and its cells stay
+spans of it (:class:`~netcent.cells.Cells`). Any other block is split
+line by line. A number column whose cells in a block are all ASCII
+digits (at most 15, or empty where a default applies) is converted
+without ``float()``. Labels are interned by
+:class:`~netcent.cells.LabelTable`, so two labels name one node exactly
+when their UTF-8 bytes are equal.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import operator
 import os
 import tempfile
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
+from .cells import Cells, padded
 from .errors import DataError, EmptyInput, ParseError
 from .graph import (INFO_FLOW, DirectedGraph, Interactions, RowError, first_fault,
                     from_edges, missing)
@@ -24,10 +36,12 @@ from .scores import ScoreVector
 INTERACTION_COLUMNS = ("actor", "target", "kind", "timestamp", "weight")
 EDGE_COLUMNS = ("src", "dst", "weight")
 
-# characters read per block; a block ends at its last line end. Larger
-# blocks parse no faster but leave more freed memory behind: peak RSS of a
-# run on a 450k-row file is 94.8 MB with 32 KiB blocks, 99.0 MB with 256 KiB.
-BLOCK_CHARS = 1 << 15
+# characters read per block; a block ends at its last line end. Each
+# block of the byte path costs a few dozen numpy calls, so small blocks
+# are slow, and large ones raise peak RSS: on a 450k-row file, ingest
+# takes 0.94, 0.52 and 0.50 s with 32 KiB, 128 KiB and 1 MiB blocks, and
+# a whole run's VmHWM is 86.4, 87.1 and 88.6 MB with 32, 128 and 256 KiB.
+BLOCK_CHARS = 1 << 17
 # every character str.strip() removes, except the line end blocks split at
 _SPACES = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
            + "".join(map(chr, range(0x2000, 0x200b)))
@@ -35,6 +49,26 @@ _SPACES = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
 _UNCLEAN = '"#' + _SPACES
 # characters that make csv.writer quote a cell, with "\n" ending its rows
 _QUOTED = ',"\n'
+_U = np.uint64
+_ZEROS = _U(0x3030303030303030)                 # eight "0"
+_ZERO_FILL = np.array([0x3030303030303030 >> 8 * c if c < 8 else 0
+                       for c in range(9)], dtype=np.uint64)
+_SHIFTS = np.array([8 * (8 - c) if c else 0 for c in range(9)], dtype=np.uint64)
+_POWERS = np.array([10 ** c for c in range(9)], dtype=np.uint64)
+
+
+def open_input(path, errors="strict"):
+    """``path`` opened to read as UTF-8 text.
+
+    A missing file raises FileNotFoundError; one that cannot be read
+    otherwise, such as a directory, raises DataError naming it.
+    """
+    try:
+        return open(path, "r", encoding="utf-8", errors=errors)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
 def _blocks(path):
@@ -44,7 +78,7 @@ def _blocks(path):
     the file uses, and each text ends with one. A byte that is not UTF-8
     raises ParseError as its run is yielded, after the runs before it.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open_input(path, errors="surrogateescape") as fh:
         lineno, tail = 1, ""
         for chunk in iter(lambda: fh.read(BLOCK_CHARS), ""):
             text = tail + chunk
@@ -86,51 +120,70 @@ def _split(raw):
     return raw.split(",")
 
 
-def _clean_cells(first, text, width):
-    """Cells of a block with no quote, comment, blank line or padding.
+def _byte_cells(first, text, width, wanted):
+    """Rows of a block with no quote, comment, blank line or padding.
 
-    Returns (lines, cells, too_wide): ``cells`` holds ``width`` cells per
-    row, short rows padded with ``''``; rows stop before the first row
-    with more fields than ``width``, which ``too_wide`` gives as
-    (line, fields).
+    Returns (lines, columns, too_wide): column j holds the ``wanted[j]``
+    cell of each row as :class:`Cells` over the block's UTF-8 bytes,
+    ``''`` where a short row or the header lacks it; rows stop before
+    the first row with more fields than ``width``, which ``too_wide``
+    gives as (line, fields).
     """
-    lines = text.split("\n")
-    lines.pop()
-    commas = list(map(str.count, lines, repeat(",")))
+    data = padded(text.encode())
+    body = data[:-8]
+    ends = np.flatnonzero((body == 44) | (body == 10))      # "," and "\n"
+    last = np.flatnonzero(body[ends] == 10)                 # each row's last field
+    fields = np.diff(last, prepend=-1)
     too_wide = None
-    if max(commas) >= width:
-        row = next(i for i, c in enumerate(commas) if c >= width)
-        too_wide = (first + row, commas[row] + 1)
-        del lines[row:], commas[row:]
-    if lines and min(commas) < width - 1:
-        pads = ["," * (width - 1 - c) for c in range(width)]
-        lines = list(map(operator.add, lines, map(pads.__getitem__, commas)))
-    cells = ",".join(lines).split(",") if lines else []
-    return range(first, first + len(lines)), cells, too_wide
+    wide = np.flatnonzero(fields > width)
+    if wide.size:
+        row = int(wide[0])
+        too_wide = (first + row, int(fields[row]))
+        last, fields = last[:row], fields[:row]
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    head = last - fields + 1
+    short = fields.size and fields.min() < width
+    columns = []
+    for j in wanted:
+        if j is None:
+            none = np.zeros_like(head)
+            columns.append(Cells(data, none, none))
+        elif not short:
+            columns.append(Cells(data, starts[head + j], lengths[head + j]))
+        else:
+            has = fields > j
+            at = np.where(has, head + j, 0)
+            columns.append(Cells(data, starts[at], np.where(has, lengths[at], 0)))
+    return range(first, first + head.size), columns, too_wide
 
 
-def _loose_cells(first, text, width):
-    """:func:`_clean_cells` for any block, one line at a time."""
-    lines, cells = [], []
+def _loose_cells(first, text, width, wanted):
+    """:func:`_byte_cells` for any block, one line at a time, as strings."""
+    lines, cells, too_wide = [], [], None
     for lineno, raw in _data_lines(first, text):
         values = _split(raw)
         if len(values) > width:
-            return lines, cells, (lineno, len(values))
+            too_wide = (lineno, len(values))
+            break
         lines.append(lineno)
         cells += [v.strip() for v in values]
         cells += [""] * (width - len(values))
-    return lines, cells, None
+    return lines, [[""] * len(lines) if j is None else cells[j::width]
+                   for j in wanted], too_wide
 
 
 def _read_csv(path, required, optional):
     """Yield (lines, columns) per block of data rows of a headered CSV.
 
     ``columns`` holds the stripped cells of the required then optional
-    columns, ``''`` where the header or a short row lacks one, and
-    ``lines[i]`` is the file line of row i. Raises EmptyInput without a
-    header, and ParseError with the file line for a missing required
-    column or, once the rows before it are yielded, for a row with more
-    fields than the header.
+    columns, ``''`` where the header or a short row lacks one, as
+    :class:`Cells` for a clean block and strings otherwise; ``lines[i]``
+    is the file line of row i. Raises EmptyInput without a header, and
+    ParseError with the file line for a missing required column or,
+    once the rows before it are yielded, for a row with more fields
+    than the header.
     """
     blocks = _blocks(path)
     for first, text in blocks:
@@ -155,15 +208,51 @@ def _read_csv(path, required, optional):
             continue
         clean = not any(c in text for c in _UNCLEAN) and "\n\n" not in text \
             and text[0] != "\n"
-        lines, cells, too_wide = (_clean_cells if clean else _loose_cells)(
-            first, text, width)
+        lines, columns, too_wide = (_byte_cells if clean else _loose_cells)(
+            first, text, width, wanted)
         if lines:
-            yield lines, [[""] * len(lines) if j is None else cells[j::width]
-                          for j in wanted]
+            yield lines, columns
         if too_wide:
             line, fields = too_wide
             raise ParseError(f"{path}: row has {fields} fields, header has "
                              f"{width}", line=line)
+
+
+def _digits(cells, empty):
+    """The values of cells that are each 1 to 15 ASCII digits, or empty
+    if ``empty`` is given for them; None if any cell is not."""
+    length = cells.length
+    longest = int(length.max(initial=0))
+    if longest > 15 or (empty is None and not length.all()):
+        return None
+    value = np.zeros(length.size, dtype=np.uint64)
+    for j in range(-(-longest // 8)):
+        count = np.minimum(np.maximum(length - 8 * j, 0), 8)
+        # the count digits at the low end of the word, after 8 - count zeros
+        word = (cells.word(j) << _SHIFTS[count]) | _ZERO_FILL[count]
+        if not _all_digits(word):
+            return None
+        value = value * _POWERS[count] + _eight_digits(word)
+    value = value.astype(np.float64)
+    if empty is not None:
+        value[length == 0] = empty
+    return value
+
+
+def _all_digits(word):
+    """Whether every byte of every word is an ASCII digit."""
+    high = _U(0xF0F0F0F0F0F0F0F0)
+    return bool(np.all((word & high) == _ZEROS)
+                and np.all(((word + _U(0x0606060606060606)) & high) == _ZEROS))
+
+
+def _eight_digits(word):
+    """The number eight ASCII digits spell, the first in the low byte."""
+    word = word - _ZEROS
+    word = word * _U(10) + (word >> _U(8))
+    pairs = _U(0x000000FF000000FF)
+    return ((word & pairs) * _U(100 + (1000000 << 32))
+            + ((word >> _U(16)) & pairs) * _U(1 + (10000 << 32))) >> _U(32)
 
 
 def _floats(cells, empty=None):
@@ -183,6 +272,17 @@ def _floats(cells, empty=None):
             float(cell)
         except ValueError as exc:
             return list(map(float, cells[:row])), RowError(row, str(exc))
+
+
+def _numbers(cells, empty=None):
+    """:func:`_floats` for strings or :class:`Cells`; digit-only Cells
+    skip float()."""
+    if isinstance(cells, Cells):
+        values = _digits(cells, empty)
+        if values is not None:
+            return values, None
+        cells = cells.strings()
+    return _floats(cells, empty)
 
 
 def _extend(path, lines, rows, fault, *columns):
@@ -210,8 +310,8 @@ def read_interactions_csv(path) -> Interactions:
     rows = Interactions()
     for lines, (actor, target, ts, weight) in _read_csv(
             path, ("actor", "target"), ("timestamp", "weight")):
-        _, ts_fault = _floats(ts, 0.0)
-        weight, fault = _floats(weight, 1.0)
+        _, ts_fault = _numbers(ts, 0.0)
+        weight, fault = _numbers(weight, 1.0)
         _extend(path, lines, rows, first_fault(ts_fault, fault),
                 actor, target, weight)
     if not len(rows):
@@ -223,7 +323,7 @@ def read_edge_csv(path, direction: str = INFO_FLOW) -> DirectedGraph:
     """Read a pre-built ``src,dst,weight`` edge list (weight optional, default 1)."""
     edges = Interactions()
     for lines, (src, dst, weight) in _read_csv(path, ("src", "dst"), ("weight",)):
-        weight, fault = _floats(weight, 1.0)
+        weight, fault = _numbers(weight, 1.0)
         _extend(path, lines, edges,
                 first_fault(missing("missing src or dst", src, dst), fault),
                 src, dst, weight)
@@ -284,21 +384,30 @@ def write_scores_csv(sv: ScoreVector, path):
 
 
 def read_scores_csv(path, metric: str | None = None) -> ScoreVector:
-    """Read a score CSV back; metric defaults to the ``<metric>.scores.csv`` stem."""
+    """Read a score CSV back; metric defaults to the ``<metric>.scores.csv`` stem.
+
+    A label given twice raises ParseError at its second line, once every
+    row has parsed.
+    """
     if metric is None:
         metric = Path(path).name.split(".")[0]
-    labels, values = [], []
+    labels, values, rows = [], [], []
     for lines, (label, score) in _read_csv(path, ("node_label", "score"), ()):
-        score, fault = _floats(score)
+        score, fault = _numbers(score)
         fault = first_fault(missing("missing node label", label), fault)
         if fault:
             raise ParseError(f"{path}: {fault}", line=lines[fault.row])
-        labels += label
-        values += score
+        labels += label.strings() if isinstance(label, Cells) else label
+        values += list(score)
+        rows += lines
     if not labels:
         raise EmptyInput(f"{path}: no scores")
     if len(set(labels)) != len(labels):
-        raise DataError(f"{path}: duplicate node labels")
+        seen = set()
+        row = next(i for i, label in enumerate(labels)
+                   if label in seen or seen.add(label))
+        raise ParseError(f"{path}: duplicate node label {labels[row]!r}",
+                         line=rows[row])
     return ScoreVector(metric=metric, labels=tuple(labels), scores=values)
 
 
@@ -313,7 +422,9 @@ def read_attributes_csv(path) -> dict[str, dict[str, float]]:
     """Read per-node attributes: first column ``node``, one column per attribute.
 
     Empty cells mean the node lacks that attribute. Returns
-    {column -> {node_label -> value}}.
+    {column -> {node_label -> value}}. A row wider than the header, a
+    node given twice or a cell float() rejects raises ParseError at its
+    line.
     """
     rows = (row for first, text in _blocks(path) for row in _data_lines(first, text))
     try:
@@ -324,11 +435,18 @@ def read_attributes_csv(path) -> dict[str, dict[str, float]]:
     if not header or header[0].lower() != "node":
         raise ParseError(f"{path}: first column must be 'node'", line=header_line_no)
     columns: dict[str, dict[str, float]] = {c: {} for c in header[1:]}
+    nodes = set()
     for lineno, raw in rows:
         values = next(csv.reader([raw]))
+        if len(values) > len(header):
+            raise ParseError(f"{path}: row has {len(values)} fields, header has "
+                             f"{len(header)}", line=lineno)
         if not values or not values[0].strip():
             raise ParseError(f"{path}: missing node label", line=lineno)
         node = values[0].strip()
+        if node in nodes:
+            raise ParseError(f"{path}: duplicate node {node!r}", line=lineno)
+        nodes.add(node)
         for col, cell in zip(header[1:], values[1:]):
             cell = cell.strip()
             if not cell:

@@ -220,7 +220,7 @@ _IGNORED_FILE_KEYS = {("run", "workers")}
 def load_config_file(path) -> dict:
     """Parse the INI-style config file into RunConfig keyword values."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    with open(path, "r", encoding="utf-8") as fh:
+    with _io.open_input(path) as fh:
         parser.read_file(fh)
     values: dict = {}
     for section in parser.sections():
@@ -491,7 +491,7 @@ def emit_plot_data(report, out_dir) -> list[Path]:
     elif isinstance(report, (str, Path)):
         path = report
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with _io.open_input(path) as fh:
                 report = json.load(fh)
             # json.load turns an escaped lone surrogate such as \ud800 into
             # one, which the UTF-8 output files cannot hold

@@ -382,7 +382,7 @@ import math
 from array import array
 from pathlib import Path
 
-from netcent.errors import DataError, EmptyInput, ParseError
+from netcent.errors import EmptyInput, ParseError
 from netcent.graph import DirectedGraph, from_edges
 from netcent.scores import ScoreVector
 
@@ -517,7 +517,7 @@ def read_scores_csv(path, metric: str | None = None) -> ScoreVector:
     """Read a score CSV back; metric defaults to the ``<metric>.scores.csv`` stem."""
     if metric is None:
         metric = Path(path).name.split(".")[0]
-    labels, values = [], []
+    labels, values, lines = [], [], []
     for lineno, (label, score) in _parse_csv(path, ("node_label", "score"), ()):
         if not label:
             raise ParseError(f"{path}: missing node label", line=lineno)
@@ -526,10 +526,14 @@ def read_scores_csv(path, metric: str | None = None) -> ScoreVector:
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from None
         labels.append(label)
+        lines.append(lineno)
     if not labels:
         raise EmptyInput(f"{path}: no scores")
-    if len(set(labels)) != len(labels):
-        raise DataError(f"{path}: duplicate node labels")
+    seen = set()
+    for label, lineno in zip(labels, lines):
+        if label in seen:
+            raise ParseError(f"{path}: duplicate node label {label!r}", line=lineno)
+        seen.add(label)
     order = sorted(range(len(labels)), key=lambda i: labels[i])
     return ScoreVector(metric=metric,
                        labels=tuple(labels[i] for i in order),

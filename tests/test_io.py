@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from netcent import (DirectedGraph, EmptyInput, InvalidParameter, ParseError,
-                     ScoreVector, build_graph, from_edges, top_k)
+from netcent import (DirectedGraph, EmptyInput, InteractionRecord, Interactions,
+                     InvalidParameter, ParseError, ScoreVector, build_graph,
+                     from_edges, top_k)
+from netcent import cells
 from netcent import io as ncio
 from netcent.io import EDGE_COLUMNS, INTERACTION_COLUMNS
 from netcent.cli import main
@@ -246,7 +248,8 @@ BAD_UTF8 = b"actor,target\n,b\nc,\xff\n"
     (BAD_UTF8.replace(b"\n", b"\r"), 3),
     (b"actor,target\na,b\r\rc,d\xe2\x82\n", 4),
     # a later block, with a header and rows both readers accept
-    (b"node,actor,target\n" + b"1,2,3\n" * 20000 + b"\xc3(,2,3\n", 20002),
+    (b"node,actor,target\n" + b"".join(b"%05d,2,3\n" % i for i in range(20000))
+     + b"\xc3(,2,3\n", 20002),
 ], ids=["lf", "crlf", "cr", "cut-short", "later-block"])
 @pytest.mark.parametrize("read", [ncio.read_interactions_csv,
                                   ncio.read_attributes_csv])
@@ -264,9 +267,10 @@ def test_fault_in_the_block_before_the_bad_byte_is_found_first(tmp_path, read):
     # the first read holds the bad byte, but the first block ends at the
     # line end before it, so that block's fault on the line before counts
     head = b"node,actor,target\n"
-    rows = b"1,2,3\n" * ((ncio.BLOCK_CHARS - len(head)) // 6 - 1)
-    data = head + rows + b",,3\n" + b"\xff,2,3\n"
-    assert data.index(b"\xff") < ncio.BLOCK_CHARS
+    rows = b"".join(b"%05d,2,3\n" % i
+                    for i in range((ncio.BLOCK_CHARS - len(head)) // 10 - 1))
+    data = head + rows + b",,3\n" + b"\xff" + b"0" * 11 + b",2,3\n"
+    assert data.index(b"\xff") < ncio.BLOCK_CHARS < len(data)
     p = tmp_path / "bad.csv"
     p.write_bytes(data)
     with pytest.raises(ParseError, match="missing") as exc:
@@ -298,26 +302,35 @@ def test_cli_import_leaves_scipy_unloaded():
 
 # -- block-wise ingest == the per-line readers it replaced (tests/oracles.py)
 
-LABEL_CELLS = ["a", "b", "c", "dd", " a", "b\t", "\xa0c", '"x,y"', '"e', 'f"g',
-               "é", "#h", ""]
-KIND_CELLS = ["retweet", "MENTION", " reply ", "share", "odd", ""]
-NUMBER_CELLS = ["1", "2.5", "1e3", " 4", "", "0", "-1", "nan", "inf", "x"]
+# cells a clean block may hold, which ingest parses as bytes: prefix pairs,
+# labels either side of the 8-byte word, multi-byte UTF-8, and digit-only
+# numbers either side of the 15 digits the byte path converts itself
+CLEAN_LABEL_CELLS = ["a", "ab", "a\0", "b", "c", "dd", "é", "日本", "日本語",
+                     "abcdefgh", "abcdefghi", "abcdefghijklmnopqrs", ""]
+CLEAN_KIND_CELLS = ["retweet", "MENTION", "share", "odd", ""]
+CLEAN_NUMBER_CELLS = ["1", "0", "007", "00", "2.5", "1e3", "-1", "\u0663",
+                      "12345678", "123456789", "123456789012345",
+                      "1234567890123456", "1234567890123456789", ""]
+LABEL_CELLS = CLEAN_LABEL_CELLS + [" a", "b\t", "\xa0c", '"x,y"', '"e', 'f"g', "#h"]
+KIND_CELLS = CLEAN_KIND_CELLS + [" reply "]
+NUMBER_CELLS = CLEAN_NUMBER_CELLS + [" 4", "nan", "inf", "x"]
 JUNK_LINES = ["# comment", "", "   ", "  # indented", "\t", "#a,b,c,d,e,f"]
 
 
-def cell_pool(column):
+def cell_pool(column, clean=False):
     if column == "kind":
-        return KIND_CELLS
+        return CLEAN_KIND_CELLS if clean else KIND_CELLS
     if column in ("timestamp", "weight", "score"):
-        return NUMBER_CELLS
-    return LABEL_CELLS
+        return CLEAN_NUMBER_CELLS if clean else NUMBER_CELLS
+    return CLEAN_LABEL_CELLS if clean else LABEL_CELLS
 
 
 @st.composite
 def csv_files(draw, columns):
     """Text of a headered CSV over some of ``columns`` in some order, maybe
     with an extra column, short and long rows, comment and blank lines,
-    and LF, CRLF or CR line ends."""
+    and LF, CRLF or CR line ends. Half the files hold only clean cells
+    and no comment or blank line, so every block of them parses as bytes."""
     header = draw(st.permutations(list(columns)))
     header = header[:draw(st.integers(2, len(header)))] if draw(st.booleans()) \
         else header
@@ -325,13 +338,14 @@ def csv_files(draw, columns):
         header.insert(draw(st.integers(0, len(header))), "extra")
     shown = [draw(st.sampled_from([h, h.upper(), f" {h} "])) for h in header]
     lines = [",".join(shown)]
+    clean = draw(st.booleans())
     for _ in range(draw(st.integers(0, 12))):
-        if draw(st.integers(0, 4)) == 0:
+        if not clean and draw(st.integers(0, 4)) == 0:
             lines.append(draw(st.sampled_from(JUNK_LINES)))
             continue
         width = draw(st.sampled_from([len(header)] * 6
                                      + [1, len(header) - 1, len(header) + 1]))
-        pools = [cell_pool(h) for h in header] + [LABEL_CELLS]
+        pools = [cell_pool(h, clean) for h in header] + [cell_pool("", clean)]
         lines.append(",".join(
             draw(st.sampled_from(pools[min(i, len(header))]))
             for i in range(width)))
@@ -416,6 +430,74 @@ def test_rows_and_faults_either_side_of_a_block_boundary(tmp_path, fmt, fault):
     got = assert_same_as_oracle(tmp_path, fmt, "\n".join(lines) + "\n",
                                 ncio.BLOCK_CHARS)
     assert got[2] == boundary + (20 if fault is None else fault)
+
+
+def test_clean_blocks_parse_as_bytes(tmp_path):
+    # every label and number kind the byte path packs into words, over
+    # blocks of a few rows each
+    rows = [f"{a},{t},share,{ts},{w}" for a, t, ts, w in zip(
+        CLEAN_LABEL_CELLS[:-1], CLEAN_LABEL_CELLS[-2::-1],
+        ["0", "007", "123456789012345", "1600000000", "", "12345678"] * 2,
+        ["1", "", "007", "12345678", "123456789012345", "9"] * 2)]
+    text = "actor,target,kind,timestamp,weight\n" + "\n".join(rows) + "\n"
+    with mock.patch.object(ncio, "_loose_cells", side_effect=AssertionError):
+        got = assert_same_as_oracle(tmp_path, "interactions", text, 100)
+    assert got[0] == list(dict.fromkeys(
+        label for row in rows for label in row.split(",")[:2]))
+    assert got[3][:3] == [1.0, 1.0, 7.0]
+
+
+REAL_HASH = cells.label_hash
+
+
+def constant_hash(length, words, seed):
+    return np.zeros(length.size, dtype=np.uint64)
+
+
+def long_labels_collide_below_seed_2(length, words, seed):
+    h = REAL_HASH(length, words, seed)
+    if seed < 2:
+        h[length > 8] = 0
+    return h
+
+
+@pytest.mark.parametrize("collide", [constant_hash,
+                                     long_labels_collide_below_seed_2])
+def test_label_hash_collisions_keep_ids_exact(tmp_path, monkeypatch, collide):
+    labels = CLEAN_LABEL_CELLS[:-1] + [f"n{i:08d}" for i in range(40)]
+    rng = np.random.default_rng(5)
+    # numpy string arrays would drop the NUL of "a\0", so pick by index
+    pairs = [(labels[a], labels[t])
+             for a, t in rng.integers(0, len(labels), (300, 2)).tolist()]
+    text = "actor,target,weight\n" + "".join(
+        f"{a},{t},{i % 7 + 1}\n" for i, (a, t) in enumerate(pairs))
+    monkeypatch.setattr(cells, "label_hash", collide)
+    got = assert_same_as_oracle(tmp_path, "interactions", text, 64)
+    assert got[0] == list(dict.fromkeys(label for pair in pairs for label in pair))
+    assert "a\0" in got[0] and "a" in got[0]
+    records = Interactions.from_records(InteractionRecord(a, t) for a, t in pairs)
+    assert table(records) == [(a, t, 1.0) for a, t in pairs]
+    assert records.labels == got[0]
+
+
+def test_scores_csv_duplicate_names_the_repeat_line(tmp_path):
+    p = tmp_path / "pc.scores.csv"
+    p.write_text("node_label,score\na,1\nb,2\n# c\na,3\nb,4\n")
+    with pytest.raises(ParseError, match="duplicate node label 'a'") as exc:
+        ncio.read_scores_csv(p)
+    assert exc.value.line == 5
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("node,vulnerability_0\na,0.5\na,0.9\n", 3, "duplicate node 'a'"),
+    ("node,vulnerability_0\na,0.5\nb,0.1,7\n", 3, "row has 3 fields"),
+])
+def test_attributes_csv_rejects_malformed_rows(tmp_path, text, line, message):
+    p = tmp_path / "attrs.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=message) as exc:
+        ncio.read_attributes_csv(p)
+    assert exc.value.line == line
 
 
 # -- writers == csv.writer

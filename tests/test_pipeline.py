@@ -384,6 +384,21 @@ class TestStandaloneCommands:
         err = capsys.readouterr().err
         assert "line 2" in err and "0xff" in err
 
+    def test_removal_file_that_is_a_directory_is_data_error(
+            self, interactions_csv, tmp_path, capsys):
+        assert run_cli("simulate", "--input", interactions_csv,
+                       "--seeds", "u1", "--model", "reachability",
+                       "--removal-file", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path}: cannot read: Is a directory" in err
+
+    def test_run_input_that_is_a_directory_is_data_error(self, tmp_path, capsys):
+        assert run_cli("run", "--input", tmp_path, "--format", "interactions",
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "stage 'ingest' failed" in err
+        assert f"{tmp_path}: cannot read: Is a directory" in err
+
     def test_simulate_random_strategy_needs_no_scores(self, interactions_csv,
                                                       tmp_path, capsys):
         result_path = tmp_path / "sim.json"
