@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as _io
+from . import traditional as _traditional
 from . import __version__ as _pkg_version
 from .errors import (DataError, InvalidParameter, NothingToEmit,
                      PipelineError)
@@ -36,6 +37,12 @@ from .traditional import (SAMPLING_MODES, PowerIterationConfig,
                           degree_centrality, eigenvector_centrality,
                           resolves_exact)
 
+# processes a run's source loops may use, fewer where fewer CPUs are
+# usable (traditional.worker_count). Each worker holds its own
+# traversal scratch: on the benchmark's sparse-exact input a worker's
+# peak RSS reads about 30 MB, so memory grows with the count; counts
+# above 2 have not been measured
+WORKERS = 2
 DEFAULT_METRICS = ("degree_total", "closeness", "betweenness", "eigenvector",
                    "pc", "mvc", "dic")
 METRIC_ALIASES = {"degree": "degree_total"}
@@ -268,18 +275,23 @@ def load_graph(cfg: RunConfig) -> DirectedGraph:
 
 def compute_metric(g: DirectedGraph, metric: str, cfg: RunConfig,
                    attrs: NodeAttributes | None = None) -> ScoreVector:
-    """Run one metric with parameters and named sub-seeds from the config."""
+    """Run one metric with parameters and named sub-seeds from the config.
+
+    Closeness and betweenness run their source chunks on ``WORKERS``
+    processes, or fewer where fewer CPUs are usable; no output byte
+    depends on the count.
+    """
     if metric.startswith("degree_"):
         return degree_centrality(g, metric.removeprefix("degree_"))
     if metric == "closeness":
         return closeness_centrality(
             g, mode=cfg.closeness_mode, sample_size=cfg.closeness_samples,
             seed=derive_seed(cfg.seed, "closeness_pivots"),
-            weighted=cfg.closeness_weighted)
+            weighted=cfg.closeness_weighted, workers=WORKERS)
     if metric == "betweenness":
         return betweenness_centrality(
             g, mode=cfg.betweenness_mode, sample_size=cfg.betweenness_samples,
-            seed=derive_seed(cfg.seed, "betweenness_pivots"))
+            seed=derive_seed(cfg.seed, "betweenness_pivots"), workers=WORKERS)
     if metric == "eigenvector":
         return eigenvector_centrality(
             g, PowerIterationConfig(tolerance=cfg.eig_tolerance,
@@ -325,7 +337,7 @@ def compute_metrics(g: DirectedGraph, cfg: RunConfig,
         if shared and metric in ("closeness", "betweenness"):
             harmonic = np.zeros(g.n)
             vectors["betweenness"] = betweenness_centrality(
-                g, "exact", harmonic=harmonic)
+                g, "exact", harmonic=harmonic, workers=WORKERS)
             vectors["closeness"] = ScoreVector(
                 metric="closeness", labels=g.labels, scores=harmonic,
                 params={"weighted": False, "mode": "exact"})
@@ -390,9 +402,14 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     ``overlap.json`` when two or more metrics ran, ``report.json``,
     ``timings.json``, and the plot-data CSVs when requested. All writes
     are atomic. Stage failures raise PipelineError naming the stage.
+
+    ``timings.json`` holds each stage's seconds, then ``workers``, the
+    most processes a source loop ran on (0: none ran), and
+    ``children_peak_rss_mb``, the largest reaped child's peak RSS.
     """
     out_dir = Path(cfg.out)
     timings: dict[str, float] = {}
+    _traditional.workers_used = 0
 
     def stage(name, fn):
         start = time.perf_counter()
@@ -467,6 +484,15 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
 
     def write_report():
         _io.write_json(report.to_report_dict(), out_dir / "report.json")
+        timings["workers"] = _traditional.workers_used
+        try:
+            import resource
+        except ImportError:  # Windows, where traversals run in this process
+            pass
+        else:
+            # the workers' peak, which this process's own rusage leaves out
+            timings["children_peak_rss_mb"] = resource.getrusage(
+                resource.RUSAGE_CHILDREN).ru_maxrss / 1024
         _io.write_json(report.timings, out_dir / "timings.json")
 
     stage("report", write_report)

@@ -22,6 +22,13 @@ out-edges adds nothing and is skipped. Betweenness and weighted
 closeness sum per-pivot contributions in ascending pivot order within
 fixed-size chunks, then add the chunk sums in ascending order.
 
+Those chunks can run in forked worker processes (``workers``, default 1
+here; ``pipeline.WORKERS`` in a run), never more than the usable CPUs:
+the parent still adds the chunk sums in ascending order, so any worker
+count gives the same bytes. With one worker, one chunk, or no
+``os.fork`` and ``os.sched_getaffinity`` on the platform, they run
+serially in this process.
+
 Exact betweenness can also give exact hop closeness from its own
 forward pass (``harmonic``): each level's node count over its distance,
 added in ascending distance as the lanes add it, so the bytes match.
@@ -34,6 +41,7 @@ forward pass.
 from __future__ import annotations
 
 import heapq
+import os
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -49,6 +57,9 @@ from .sweep import (LANE, Sweep, bit_counts, out_edges, popcounts,
 EXACT_NODE_LIMIT = 20_000
 SAMPLING_MODES = ("auto", "exact", "sampled")
 _SOURCE_CHUNK = 64
+# the most processes one source loop ran on since it was last set to 0;
+# run_pipeline reports it in timings.json
+workers_used = 0
 # a Brandes level may pull only when its frontier has this many out-edges:
 # below it numpy's per-call cost outweighs the edge scans a pull saves
 PULL_MIN_EDGES = 1 << 14
@@ -97,13 +108,121 @@ def _dijkstra_distances(ptr, adj, w, source: int, n: int) -> np.ndarray:
     return dist
 
 
-def _accumulate_over_sources(sources, per_chunk, n):
-    """Sum per-chunk float arrays in ascending chunk order."""
+def worker_count(workers: int, chunks: int) -> int:
+    """Processes to run ``chunks`` source chunks on.
+
+    That is ``workers``, capped by the usable CPUs and by ``chunks``. It
+    is 1, a serial run in this process, where the platform has no
+    ``os.fork`` or ``os.sched_getaffinity``.
+    """
+    if not (isinstance(workers, int) and workers >= 1):
+        raise InvalidParameter(
+            f"workers must be an integer >= 1, got {workers!r}")
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(workers, cpus, chunks))
+
+
+def _accumulate_over_sources(sources, per_chunk, n, workers: int = 1,
+                             harmonic: np.ndarray | None = None):
+    """Sum per-chunk float arrays in ascending chunk order.
+
+    With P = ``worker_count(workers, chunks)`` above 1, chunk i runs in
+    forked worker i mod P. The worker sends back the chunk's partial sum
+    as raw float64 bytes and, with ``harmonic``, the entries of the
+    chunk's sources that ``per_chunk`` filled in the worker's copy. The
+    parent adds the partials in ascending chunk order, as the serial
+    loop does, so every worker count gives the same bytes. It reads one
+    partial at a time, so the rest wait in the workers. Every worker is
+    reaped before this returns, and on an exception killed first.
+    """
     sources = np.asarray(sources, dtype=np.int64)
+    chunks = [sources[first:first + _SOURCE_CHUNK]
+              for first in range(0, sources.size, _SOURCE_CHUNK)]
     total = np.zeros(n)
-    for first in range(0, sources.size, _SOURCE_CHUNK):
-        total += per_chunk(sources[first:first + _SOURCE_CHUNK])
+    procs = worker_count(workers, len(chunks))
+    global workers_used
+    workers_used = max(workers_used, procs)
+    if procs == 1:
+        for chunk in chunks:
+            total += per_chunk(chunk)
+        return total
+    # fork, not spawn: a worker starts with the graph already in memory,
+    # where spawn would import netcent again and copy the graph over.
+    # netcent starts no threads, and OpenBLAS shuts its pool down at fork
+    pids, pipes = [], []
+    try:
+        for w in range(procs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(chunks[w::procs], per_chunk, harmonic, write_fd,
+                        [read_fd, *(pipe.fileno() for pipe in pipes)])
+            pids.append(pid)
+            os.close(write_fd)
+            pipes.append(open(read_fd, "rb"))
+        partial = np.empty(n)
+        for i, chunk in enumerate(chunks):
+            if harmonic is None:
+                _receive(pipes[i % procs], partial)
+            else:
+                entries = np.empty(chunk.size)
+                _receive(pipes[i % procs], partial, entries)
+                harmonic[chunk] = entries
+            total += partial
+    except BaseException:
+        import signal
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
     return total
+
+
+def _worker(chunks, per_chunk, harmonic, write_fd, readers):
+    """A forked worker's life; it never returns.
+
+    For each chunk it sends status byte 0, the chunk's partial sum and,
+    with ``harmonic``, the chunk's entries of it, as raw float64 bytes.
+    An exception goes as status byte 1 and the pickled exception. Nothing
+    it writes to memory reaches the parent. It closes its copies of the
+    parent's ``readers``, so once the parent is gone the next write
+    raises BrokenPipeError and the worker exits.
+    """
+    status = 1
+    try:
+        for fd in readers:
+            os.close(fd)
+        with open(write_fd, "wb") as out:
+            try:
+                for chunk in chunks:
+                    partial = per_chunk(chunk)
+                    out.write(b"\0")
+                    out.write(partial)
+                    if harmonic is not None:
+                        out.write(harmonic[chunk])
+                    out.flush()
+                status = 0
+            except BaseException as exc:
+                import pickle
+                out.write(b"\1" + pickle.dumps(exc))
+    finally:
+        os._exit(status)
+
+
+def _receive(pipe, *arrays: np.ndarray) -> None:
+    """Fill ``arrays`` from a worker's next message; raise its exception."""
+    status = pipe.read(1)
+    if status == b"\1":
+        import pickle
+        raise pickle.loads(pipe.read())
+    if status != b"\0" or any(pipe.readinto(a) != a.nbytes for a in arrays):
+        raise RuntimeError("a worker process ended before sending its result")
 
 
 def resolves_exact(n: int, mode: str) -> bool:
@@ -184,7 +303,8 @@ def _weighted_closeness(g: DirectedGraph) -> np.ndarray:
     return scores
 
 
-def _weighted_closeness_to(g: DirectedGraph, pivots: np.ndarray) -> np.ndarray:
+def _weighted_closeness_to(g: DirectedGraph, pivots: np.ndarray,
+                           workers: int = 1) -> np.ndarray:
     """Each node's sum of reciprocal Dijkstra distances to the pivots."""
     def per_chunk(chunk):
         out = np.zeros(g.n)
@@ -195,12 +315,13 @@ def _weighted_closeness_to(g: DirectedGraph, pivots: np.ndarray) -> np.ndarray:
             out[reach] += 1.0 / d[reach]
         return out
 
-    return _accumulate_over_sources(pivots, per_chunk, g.n)
+    return _accumulate_over_sources(pivots, per_chunk, g.n, workers)
 
 
 def closeness_centrality(g: DirectedGraph, mode: str = "auto",
                          sample_size: int | None = None, seed: int = 0,
-                         weighted: bool = False) -> ScoreVector:
+                         weighted: bool = False, workers: int = 1
+                         ) -> ScoreVector:
     """Harmonic closeness: sum of reciprocal outgoing distances.
 
     Unreachable targets contribute zero, so disconnected graphs are
@@ -211,6 +332,10 @@ def closeness_centrality(g: DirectedGraph, mode: str = "auto",
     Hop scores add count_L / L in ascending L from each node's distance
     histogram, so nodes with equal histograms score bit-identically and
     sampled mode with k = n equals exact bit for bit.
+
+    Sampled weighted closeness runs its pivot chunks on ``workers``
+    processes (see ``_accumulate_over_sources``); the other modes run
+    in this process.
     """
     n = g.n
     k = _resolve_sampling(n, mode, sample_size, "closeness")
@@ -223,7 +348,7 @@ def closeness_centrality(g: DirectedGraph, mode: str = "auto",
         params.update({"sample_size": k, "seed": seed})
         pivots = _pick_pivots(n, k, seed)
         if weighted:
-            scores = _weighted_closeness_to(g, pivots)
+            scores = _weighted_closeness_to(g, pivots, workers)
         else:
             scores = _hop_closeness_to(Sweep(g.transpose()), pivots)
         scores *= n / k
@@ -420,7 +545,8 @@ def _batch_width(g: DirectedGraph) -> int:
 
 def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
                            sample_size: int | None = None, seed: int = 0,
-                           harmonic: np.ndarray | None = None) -> ScoreVector:
+                           harmonic: np.ndarray | None = None,
+                           workers: int = 1) -> ScoreVector:
     """Freeman betweenness over ordered pairs, unnormalised.
 
     Exact mode runs Brandes accumulation from every source; sampled mode
@@ -437,6 +563,9 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
     same traversal: the terms of ``closeness_centrality(g, "exact")`` in
     its order, so the same bytes. Only exact mode reaches every source,
     so a sampled mode with ``harmonic`` raises InvalidParameter.
+
+    The 64-source chunks run on ``workers`` processes (see
+    ``_accumulate_over_sources``), with the same bytes for any count.
     """
     n = g.n
     k = _resolve_sampling(n, mode, sample_size, "betweenness")
@@ -465,11 +594,12 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
         return out
 
     if k is None:
-        scores = _accumulate_over_sources(np.arange(n), per_chunk, n)
+        scores = _accumulate_over_sources(np.arange(n), per_chunk, n,
+                                          workers, harmonic)
     else:
         params.update({"sample_size": k, "seed": seed})
         pivots = _pick_pivots(n, k, seed)
-        scores = _accumulate_over_sources(pivots, per_chunk, n)
+        scores = _accumulate_over_sources(pivots, per_chunk, n, workers)
         scores *= n / k
 
     return ScoreVector(metric="betweenness", labels=g.labels, scores=scores,

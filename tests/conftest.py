@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -62,3 +63,35 @@ def path_abc():
 @pytest.fixture
 def cycle_abc():
     return from_edges([("a", "b"), ("b", "c"), ("c", "a")])
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable to the traversals on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Give the traversals two usable CPUs on any machine, so workers=2
+    forks two workers, and count the forks: the list of worker pids."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        pytest.skip("traversals run in one process on this platform")
+    use_cpus(monkeypatch, 2)
+    forked = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -13,7 +13,8 @@ import pytest
 import scipy.stats
 
 import oracles
-from conftest import graph_from_ids, random_graph, strongly_connected_graph
+from conftest import (graph_from_ids, random_graph, strongly_connected_graph,
+                      use_cpus)
 from netcent import (CascadeConfig, DicConfig, MvcConfig, NodeAttributes,
                      PcConfig, PowerIterationConfig, betweenness_centrality,
                      closeness_centrality, degree_centrality, dic,
@@ -260,13 +261,15 @@ def test_criterion_7_exact_cascade_oracle():
         assert unit == reach
 
 
-def test_criterion_8_pipeline_determinism(tmp_path):
-    """Byte-identical report.json across reruns; worker count is inert."""
+def test_criterion_8_pipeline_determinism(tmp_path, monkeypatch, forks):
+    """Byte-identical report.json across reruns and CPU counts; the
+    --workers flag is inert."""
     src = tmp_path / "interactions.csv"
     rows = ["actor,target,kind,timestamp,weight"]
     rng = stream(88)
-    for _ in range(60):
-        a, b = rng.integers(0, 12, size=2)
+    # 150 users: three 64-source chunks, so two CPUs fork two workers
+    for _ in range(600):
+        a, b = rng.integers(0, 150, size=2)
         rows.append(f"u{a},u{b},retweet,,")
     src.write_text("\n".join(rows) + "\n")
 
@@ -274,12 +277,15 @@ def test_criterion_8_pipeline_determinism(tmp_path):
     base = ["run", "--input", str(src), "--out", str(out), "--seed", "5",
             "--k", "6", "--simulate", "--sim-random-seeds", "3",
             "--ic-trials", "200"]
-    assert cli_main(base + ["--workers", "1"]) == 0
+    assert cli_main(base) == 0
     first = (out / "report.json").read_bytes()
+    assert len(forks) == 2
+    use_cpus(monkeypatch, 1)
     assert cli_main(base + ["--workers", "1"]) == 0
     assert (out / "report.json").read_bytes() == first
     assert cli_main(base + ["--workers", "4"]) == 0
     assert (out / "report.json").read_bytes() == first
+    assert len(forks) == 2
     assert json.loads(first)["interventions"]
 
 

@@ -300,6 +300,15 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_process_pools_unloaded():
+    # workers are forked by hand: a pool module costs 20-30 ms to import
+    code = ("import sys, netcent.cli; print([m for m in sys.modules if "
+            "m.split('.')[0] in ('multiprocessing', 'concurrent')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # -- block-wise ingest == the per-line readers it replaced (tests/oracles.py)
 
 # cells a clean block may hold, which ingest parses as bytes: prefix pairs,

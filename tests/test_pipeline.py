@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from netcent import (NothingToEmit, betweenness_centrality,
+from conftest import assert_no_child_left, use_cpus
+from netcent import (DataError, NothingToEmit, betweenness_centrality,
                      closeness_centrality, pipeline, preferential_attachment,
                      traditional)
 from netcent.cli import main
@@ -74,14 +75,41 @@ class TestRunPipeline:
         assert len(data["overlap"]["regions"]) >= 1
         assert len(data["interventions"]) == 3
 
-    def test_worker_count_changes_nothing(self, interactions_csv, tmp_path):
-        out = tmp_path / "out"
-        base = ["run", "--input", interactions_csv, "--out", out, "--seed", "3",
+    def test_worker_count_changes_nothing(self, forks, monkeypatch,
+                                          tmp_path):
+        # 160 nodes: three 64-source chunks, so two workers both run
+        edges = tmp_path / "edges.csv"
+        write_edge_csv(preferential_attachment(160, 3, seed=6), edges)
+        base = ["run", "--input", edges, "--format", "edges", "--seed", "3",
                 "--simulate", "--sim-random-seeds", "2", "--ic-trials", "120"]
-        assert run_cli(*base, "--workers", "1") == 0
-        one = (out / "report.json").read_bytes()
-        assert run_cli(*base, "--workers", "4") == 0
-        assert (out / "report.json").read_bytes() == one
+        out = tmp_path / "out"
+        outputs = {}
+        # --workers is ignored: the usable CPUs, capped at two, decide
+        for cpus, flags, workers in ((1, [], 1), (2, ["--workers", "1"], 2),
+                                     (4, [], 2)):
+            use_cpus(monkeypatch, cpus)
+            assert run_cli(*base, "--out", out, *flags) == 0
+            timings = json.loads((out / "timings.json").read_text())
+            assert timings["workers"] == workers
+            assert timings["children_peak_rss_mb"] >= 0
+            outputs[cpus] = {path.name: path.read_bytes()
+                             for path in sorted(out.iterdir())
+                             if path.name != "timings.json"}
+        assert len(forks) == 4
+        assert set(outputs[1]) >= {"report.json", "betweenness.scores.csv",
+                                   "closeness.scores.csv"}
+        assert outputs[1] == outputs[2] == outputs[4]
+
+    def test_timings_count_the_workers_that_ran(self, forks, interactions_csv,
+                                                tmp_path):
+        # nine nodes make one chunk, and degree runs no source loop
+        out = tmp_path / "out"
+        for metrics, workers in (("betweenness", 1), ("degree_total", 0)):
+            assert run_cli("run", "--input", interactions_csv, "--out", out,
+                           "--metrics", metrics) == 0
+            timings = json.loads((out / "timings.json").read_text())
+            assert timings["workers"] == workers
+        assert not forks
 
     def test_score_files_are_the_same_bytes_on_every_machine(self, tmp_path):
         # every sum behind these six files goes in an order numpy fixes,
@@ -440,6 +468,27 @@ class TestStandaloneCommands:
                     "difference_se"):
             assert payload[key] == entry[key], key
 
+    def test_worker_error_exits_as_in_one_process(self, forks, monkeypatch,
+                                                  tmp_path, capsys):
+        edges = tmp_path / "edges.csv"
+        write_edge_csv(preferential_attachment(160, 3, seed=6), edges)
+        batch = traditional._brandes_batch
+
+        def failing(g, out_degree, sources, *rest):
+            if sources.min() >= 64:
+                raise DataError("no path past 64")
+            return batch(g, out_degree, sources, *rest)
+
+        monkeypatch.setattr(traditional, "_brandes_batch", failing)
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            assert run_cli("run", "--input", edges, "--format", "edges",
+                           "--metrics", "betweenness",
+                           "--out", tmp_path / "out") == 2
+            assert "no path past 64" in capsys.readouterr().err
+        assert len(forks) == 2
+        assert_no_child_left()
+
     def test_usage_error_exit_code(self, capsys):
         # compute never simulates, so it takes no cascade flags
         for argv in (["compute", "--nope"],
@@ -516,6 +565,21 @@ class TestComputeMetrics:
             metrics=("closeness", "betweenness"), closeness_mode="exact",
             betweenness_samples=40))
         assert calls == {"closeness": 1, "betweenness": 1, "shared": 0}
+
+    def test_shared_pass_on_workers_gives_the_same_bytes(
+            self, forks, calls, monkeypatch):
+        g = preferential_attachment(200, 3, seed=4)
+        runs = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            runs.append(pipeline.compute_metrics(g, RunConfig(
+                metrics=("closeness", "betweenness"))))
+        assert calls["shared"] == 2 and len(forks) == 2
+        for metric in ("closeness", "betweenness"):
+            assert np.array_equal(runs[0][metric].scores,
+                                  runs[1][metric].scores), metric
+        assert np.array_equal(runs[1]["closeness"].scores,
+                              closeness_centrality(g, "exact").scores)
 
     def test_compute_and_run_write_the_same_score_files(
             self, interactions_csv, tmp_path, capsys):

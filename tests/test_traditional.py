@@ -1,4 +1,5 @@
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (graph_from_ids, random_edge_list, random_graph,
-                      strongly_connected_graph)
-from netcent import (InvalidParameter, PowerIterationConfig, ZeroMatrix,
+from conftest import (assert_no_child_left, graph_from_ids,
+                      random_edge_list, random_graph, strongly_connected_graph,
+                      use_cpus)
+from netcent import (DataError, DirectedGraph, InvalidParameter,
+                     PowerIterationConfig, ZeroMatrix,
                      betweenness_centrality, closeness_centrality,
                      degree_centrality, eigenvector_centrality, from_edges,
                      preferential_attachment, top_k)
 from netcent import traditional
 from netcent.rng import stream
-from netcent.traditional import _brandes_from_source, _pick_pivots
+from netcent.traditional import (_brandes_from_source, _pick_pivots,
+                                 worker_count)
 
 # module constants that force each way of building a Brandes tier
 PULL_RULES = {"push": {"PULL_MIN_EDGES": math.inf},
@@ -469,6 +473,98 @@ class TestSharedClosenessPass:
         with pytest.raises(InvalidParameter):
             betweenness_centrality(g, harmonic=harmonic)
         assert not harmonic.any()
+
+
+class TestWorkers:
+    """Source chunks on forked workers: the serial run's bytes, and no
+    process left behind. 200 nodes make four 64-source chunks, so each
+    worker sums more than one; random digraphs have many equal shortest
+    paths, so a sum in another order would move the last bits."""
+
+    @pytest.mark.parametrize("width", [None, 1], ids=["batch", "per-source"])
+    def test_exact_betweenness_same_bytes(self, forks, monkeypatch, width):
+        g, _ = random_graph(200, 900, seed=8)
+        if width:
+            force_width(monkeypatch, g, width)
+        serial = betweenness_centrality(g, "exact", workers=1).scores
+        assert not forks
+        forked = betweenness_centrality(g, "exact", workers=2).scores
+        assert len(forks) == 2
+        assert np.array_equal(forked, serial)
+        assert_no_child_left()
+
+    def test_sampled_betweenness_same_bytes(self, forks):
+        g, _ = random_graph(300, 1400, seed=9)
+        runs = [betweenness_centrality(g, "sampled", sample_size=190, seed=4,
+                                       workers=w).scores for w in (1, 2)]
+        assert len(forks) == 2
+        assert np.array_equal(*runs)
+
+    def test_sampled_weighted_closeness_same_bytes(self, forks):
+        edges = random_edge_list(200, 800, seed=10)
+        weights = stream(10).integers(1, 9, size=len(edges)) / 4
+        g = DirectedGraph([f"{i:03d}" for i in range(200)],
+                          [s for s, _ in edges], [d for _, d in edges],
+                          weights)
+        runs = [closeness_centrality(g, "sampled", sample_size=150, seed=3,
+                                     weighted=True, workers=w).scores
+                for w in (1, 2)]
+        assert len(forks) == 2
+        assert np.array_equal(*runs)
+
+    def test_worker_error_is_raised_in_the_parent(self, forks, monkeypatch):
+        g, _ = random_graph(200, 900, seed=8)
+        batch = traditional._brandes_batch
+
+        def failing(g, out_degree, sources, *rest):
+            # chunks 1 and 3 run on the second worker
+            if sources.min() >= 64:
+                raise DataError("no path past 64")
+            return batch(g, out_degree, sources, *rest)
+
+        monkeypatch.setattr(traditional, "_brandes_batch", failing)
+        with pytest.raises(DataError, match="^no path past 64$"):
+            betweenness_centrality(g, "exact", workers=2)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_worker_exits_at_its_next_write_once_the_parent_is_gone(self):
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                traditional._worker([np.arange(4)] * 100,
+                                    lambda chunk: np.zeros(1 << 16), None,
+                                    write_fd, [read_fd])
+            finally:
+                os._exit(2)
+        os.close(write_fd)
+        os.close(read_fd)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_worker_count_within_cpus_and_chunks(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        for workers in (1, 2, 3, 16):
+            for chunks in (0, 1, 2, 5, 100):
+                got = worker_count(workers, chunks)
+                assert 1 <= got <= max(1, min(cpus, chunks))
+        assert worker_count(2, 100) == min(2, cpus)
+        assert worker_count(16, 3) == min(3, cpus)
+        for bad in (0, -1, 2.5, "2", None):
+            with pytest.raises(InvalidParameter):
+                worker_count(bad, 5)
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_serial_where_the_platform_cannot_fork(self, monkeypatch,
+                                                   missing):
+        g, _ = random_graph(200, 900, seed=8)
+        serial = betweenness_centrality(g, "exact").scores
+        monkeypatch.delattr(os, missing)
+        assert worker_count(4, 10) == 1
+        assert np.array_equal(
+            betweenness_centrality(g, "exact", workers=4).scores, serial)
 
 
 class TestEigenvector:
