@@ -37,12 +37,6 @@ from .traditional import (SAMPLING_MODES, PowerIterationConfig,
                           degree_centrality, eigenvector_centrality,
                           resolves_exact)
 
-# processes a run's source loops may use, fewer where fewer CPUs are
-# usable (traditional.worker_count). Each worker holds its own
-# traversal scratch: on the benchmark's sparse-exact input a worker's
-# peak RSS reads about 30 MB, so memory grows with the count; counts
-# above 2 have not been measured
-WORKERS = 2
 DEFAULT_METRICS = ("degree_total", "closeness", "betweenness", "eigenvector",
                    "pc", "mvc", "dic")
 METRIC_ALIASES = {"degree": "degree_total"}
@@ -275,23 +269,18 @@ def load_graph(cfg: RunConfig) -> DirectedGraph:
 
 def compute_metric(g: DirectedGraph, metric: str, cfg: RunConfig,
                    attrs: NodeAttributes | None = None) -> ScoreVector:
-    """Run one metric with parameters and named sub-seeds from the config.
-
-    Closeness and betweenness run their source chunks on ``WORKERS``
-    processes, or fewer where fewer CPUs are usable; no output byte
-    depends on the count.
-    """
+    """Run one metric with parameters and named sub-seeds from the config."""
     if metric.startswith("degree_"):
         return degree_centrality(g, metric.removeprefix("degree_"))
     if metric == "closeness":
         return closeness_centrality(
             g, mode=cfg.closeness_mode, sample_size=cfg.closeness_samples,
             seed=derive_seed(cfg.seed, "closeness_pivots"),
-            weighted=cfg.closeness_weighted, workers=WORKERS)
+            weighted=cfg.closeness_weighted)
     if metric == "betweenness":
         return betweenness_centrality(
             g, mode=cfg.betweenness_mode, sample_size=cfg.betweenness_samples,
-            seed=derive_seed(cfg.seed, "betweenness_pivots"), workers=WORKERS)
+            seed=derive_seed(cfg.seed, "betweenness_pivots"))
     if metric == "eigenvector":
         return eigenvector_centrality(
             g, PowerIterationConfig(tolerance=cfg.eig_tolerance,
@@ -337,7 +326,7 @@ def compute_metrics(g: DirectedGraph, cfg: RunConfig,
         if shared and metric in ("closeness", "betweenness"):
             harmonic = np.zeros(g.n)
             vectors["betweenness"] = betweenness_centrality(
-                g, "exact", harmonic=harmonic, workers=WORKERS)
+                g, "exact", harmonic=harmonic)
             vectors["closeness"] = ScoreVector(
                 metric="closeness", labels=g.labels, scores=harmonic,
                 params={"weighted": False, "mode": "exact"})

@@ -18,20 +18,23 @@ of two up to 64 sources share each BFS level's vectorised pass, on
 level pushing over the frontier's out-edges or, on a wide level of a
 large graph, pulling over the unvisited nodes' in-edges. Both add every
 term in the same order, so they give the same bytes; a source without
-out-edges adds nothing and is skipped. Betweenness and weighted
-closeness sum per-pivot contributions in ascending pivot order within
-fixed-size chunks, then add the chunk sums in ascending order.
+out-edges adds nothing and is skipped.
 
-Those chunks can run in forked worker processes (``workers``, default 1
-here; ``pipeline.WORKERS`` in a run), never more than the usable CPUs:
-the parent still adds the chunk sums in ascending order, so any worker
-count gives the same bytes. With one worker, one chunk, or no
-``os.fork`` and ``os.sched_getaffinity`` on the platform, they run
-serially in this process.
+Betweenness and weighted closeness run one source loop,
+``_accumulate_over_sources``: exact mode makes every node a pivot, in
+ascending order. Each fixed-size chunk of pivots sums its
+contributions in ascending pivot order, and the chunk sums are added in
+ascending chunk order. The chunks run in up to ``WORKERS`` forked
+worker processes, never more than the usable CPUs, and the parent
+still adds the chunk sums in ascending order, so any process count
+gives the same bytes. With one usable CPU (``taskset -c 0``), one
+chunk, or no ``os.fork`` and ``os.sched_getaffinity`` on the platform,
+they run serially in this process.
 
 Exact betweenness can also give exact hop closeness from its own
 forward pass (``harmonic``): each level's node count over its distance,
 added in ascending distance as the lanes add it, so the bytes match.
+A chunk then sums a second row holding its sources' closeness.
 :func:`netcent.pipeline.compute_metrics` uses it whenever a run asks for
 both metrics, both resolve to exact and closeness is unweighted. Exact
 closeness run alone keeps the lanes, which are cheaper than Brandes'
@@ -57,6 +60,11 @@ from .sweep import (LANE, Sweep, bit_counts, out_edges, popcounts,
 EXACT_NODE_LIMIT = 20_000
 SAMPLING_MODES = ("auto", "exact", "sampled")
 _SOURCE_CHUNK = 64
+# processes a source loop may use, fewer where fewer CPUs are usable
+# (worker_count). Each worker holds its own traversal scratch: on the
+# benchmark's sparse-exact input a worker's peak RSS reads about 30 MB,
+# so memory grows with the count; counts above 2 have not been measured
+WORKERS = 2
 # the most processes one source loop ran on since it was last set to 0;
 # run_pipeline reports it in timings.json
 workers_used = 0
@@ -108,40 +116,34 @@ def _dijkstra_distances(ptr, adj, w, source: int, n: int) -> np.ndarray:
     return dist
 
 
-def worker_count(workers: int, chunks: int) -> int:
+def worker_count(chunks: int) -> int:
     """Processes to run ``chunks`` source chunks on.
 
-    That is ``workers``, capped by the usable CPUs and by ``chunks``. It
+    That is ``WORKERS``, capped by the usable CPUs and by ``chunks``. It
     is 1, a serial run in this process, where the platform has no
     ``os.fork`` or ``os.sched_getaffinity``.
     """
-    if not (isinstance(workers, int) and workers >= 1):
-        raise InvalidParameter(
-            f"workers must be an integer >= 1, got {workers!r}")
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    return max(1, min(workers, cpus, chunks))
+    return max(1, min(WORKERS, len(os.sched_getaffinity(0)), chunks))
 
 
-def _accumulate_over_sources(sources, per_chunk, n, workers: int = 1,
-                             harmonic: np.ndarray | None = None):
-    """Sum per-chunk float arrays in ascending chunk order.
+def _accumulate_over_sources(sources, per_chunk, shape):
+    """Sum ``per_chunk``'s float arrays of ``shape`` in ascending chunk order.
 
-    With P = ``worker_count(workers, chunks)`` above 1, chunk i runs in
-    forked worker i mod P. The worker sends back the chunk's partial sum
-    as raw float64 bytes and, with ``harmonic``, the entries of the
-    chunk's sources that ``per_chunk`` filled in the worker's copy. The
-    parent adds the partials in ascending chunk order, as the serial
-    loop does, so every worker count gives the same bytes. It reads one
-    partial at a time, so the rest wait in the workers. Every worker is
-    reaped before this returns, and on an exception killed first.
+    With P = ``worker_count(chunks)`` above 1, chunk i runs in forked
+    worker i mod P. The worker sends back the chunk's partial sum as
+    raw float64 bytes. The parent adds the partials in ascending chunk
+    order, as the serial loop does, so every process count gives the
+    same bytes. It reads one partial at a time, so the rest wait in the
+    workers. Every worker is reaped before this returns, and on an
+    exception killed first.
     """
     sources = np.asarray(sources, dtype=np.int64)
     chunks = [sources[first:first + _SOURCE_CHUNK]
               for first in range(0, sources.size, _SOURCE_CHUNK)]
-    total = np.zeros(n)
-    procs = worker_count(workers, len(chunks))
+    total = np.zeros(shape)
+    procs = worker_count(len(chunks))
     global workers_used
     workers_used = max(workers_used, procs)
     if procs == 1:
@@ -154,22 +156,21 @@ def _accumulate_over_sources(sources, per_chunk, n, workers: int = 1,
     pids, pipes = [], []
     try:
         for w in range(procs):
+            # the read end joins pipes before the fork and the write end
+            # is closed whatever the fork does, so a failed fork leaks neither
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _worker(chunks[w::procs], per_chunk, harmonic, write_fd,
-                        [read_fd, *(pipe.fileno() for pipe in pipes)])
-            pids.append(pid)
-            os.close(write_fd)
             pipes.append(open(read_fd, "rb"))
-        partial = np.empty(n)
-        for i, chunk in enumerate(chunks):
-            if harmonic is None:
-                _receive(pipes[i % procs], partial)
-            else:
-                entries = np.empty(chunk.size)
-                _receive(pipes[i % procs], partial, entries)
-                harmonic[chunk] = entries
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(chunks[w::procs], per_chunk, write_fd,
+                            [pipe.fileno() for pipe in pipes])
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        partial = np.empty(shape)
+        for i in range(len(chunks)):
+            _receive(pipes[i % procs], partial)
             total += partial
     except BaseException:
         import signal
@@ -184,15 +185,14 @@ def _accumulate_over_sources(sources, per_chunk, n, workers: int = 1,
     return total
 
 
-def _worker(chunks, per_chunk, harmonic, write_fd, readers):
+def _worker(chunks, per_chunk, write_fd, readers):
     """A forked worker's life; it never returns.
 
-    For each chunk it sends status byte 0, the chunk's partial sum and,
-    with ``harmonic``, the chunk's entries of it, as raw float64 bytes.
-    An exception goes as status byte 1 and the pickled exception. Nothing
-    it writes to memory reaches the parent. It closes its copies of the
-    parent's ``readers``, so once the parent is gone the next write
-    raises BrokenPipeError and the worker exits.
+    For each chunk it sends status byte 0 and the chunk's partial sum as
+    raw float64 bytes. An exception goes as status byte 1 and the
+    pickled exception. Nothing it writes to memory reaches the parent.
+    It closes its copies of the parent's ``readers``, so once the parent
+    is gone the next write raises BrokenPipeError and the worker exits.
     """
     status = 1
     try:
@@ -204,8 +204,6 @@ def _worker(chunks, per_chunk, harmonic, write_fd, readers):
                     partial = per_chunk(chunk)
                     out.write(b"\0")
                     out.write(partial)
-                    if harmonic is not None:
-                        out.write(harmonic[chunk])
                     out.flush()
                 status = 0
             except BaseException as exc:
@@ -215,13 +213,13 @@ def _worker(chunks, per_chunk, harmonic, write_fd, readers):
         os._exit(status)
 
 
-def _receive(pipe, *arrays: np.ndarray) -> None:
-    """Fill ``arrays`` from a worker's next message; raise its exception."""
+def _receive(pipe, partial: np.ndarray) -> None:
+    """Fill ``partial`` from a worker's next message; raise its exception."""
     status = pipe.read(1)
     if status == b"\1":
         import pickle
         raise pickle.loads(pipe.read())
-    if status != b"\0" or any(pipe.readinto(a) != a.nbytes for a in arrays):
+    if status != b"\0" or pipe.readinto(partial) != partial.nbytes:
         raise RuntimeError("a worker process ended before sending its result")
 
 
@@ -230,16 +228,20 @@ def resolves_exact(n: int, mode: str) -> bool:
     return mode == "exact" or (mode == "auto" and n <= EXACT_NODE_LIMIT)
 
 
-def _resolve_sampling(n, mode, sample_size, op):
-    """Map (mode, sample_size) to the pivot count, or None for exact."""
+def _resolve_pivots(n, mode, sample_size, seed, op):
+    """The ascending pivots ``mode`` runs and the params that name them.
+
+    Exact mode makes every node a pivot; sampled mode picks k seeded ones.
+    """
     if resolves_exact(n, mode):
-        return None
+        return np.arange(n, dtype=np.int64), {"mode": "exact"}
     if mode not in SAMPLING_MODES:
         raise InvalidParameter(f"{op}: mode must be one of {SAMPLING_MODES}")
     k = default_sample_size(n) if sample_size is None else int(sample_size)
     if k < 1 or k > n:
         raise InvalidParameter(f"{op}: sample size must be in 1..{n}, got {k}")
-    return k
+    return (_pick_pivots(n, k, seed),
+            {"mode": "sampled", "sample_size": k, "seed": seed})
 
 
 def _pick_pivots(n, k, seed):
@@ -294,17 +296,7 @@ def _hop_closeness_to(sweep: Sweep, pivots: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _weighted_closeness(g: DirectedGraph) -> np.ndarray:
-    """Each node's sum of reciprocal Dijkstra distances to the others."""
-    scores = np.zeros(g.n)
-    for v in range(g.n):
-        d = _dijkstra_distances(g.out_ptr, g.out_dst, g.out_w, v, g.n)
-        scores[v] = (1.0 / d[np.isfinite(d) & (d > 0)]).sum()
-    return scores
-
-
-def _weighted_closeness_to(g: DirectedGraph, pivots: np.ndarray,
-                           workers: int = 1) -> np.ndarray:
+def _weighted_closeness_to(g: DirectedGraph, pivots: np.ndarray) -> np.ndarray:
     """Each node's sum of reciprocal Dijkstra distances to the pivots."""
     def per_chunk(chunk):
         out = np.zeros(g.n)
@@ -315,13 +307,12 @@ def _weighted_closeness_to(g: DirectedGraph, pivots: np.ndarray,
             out[reach] += 1.0 / d[reach]
         return out
 
-    return _accumulate_over_sources(pivots, per_chunk, g.n, workers)
+    return _accumulate_over_sources(pivots, per_chunk, g.n)
 
 
 def closeness_centrality(g: DirectedGraph, mode: str = "auto",
                          sample_size: int | None = None, seed: int = 0,
-                         weighted: bool = False, workers: int = 1
-                         ) -> ScoreVector:
+                         weighted: bool = False) -> ScoreVector:
     """Harmonic closeness: sum of reciprocal outgoing distances.
 
     Unreachable targets contribute zero, so disconnected graphs are
@@ -331,30 +322,23 @@ def closeness_centrality(g: DirectedGraph, mode: str = "auto",
 
     Hop scores add count_L / L in ascending L from each node's distance
     histogram, so nodes with equal histograms score bit-identically and
-    sampled mode with k = n equals exact bit for bit.
-
-    Sampled weighted closeness runs its pivot chunks on ``workers``
-    processes (see ``_accumulate_over_sources``); the other modes run
-    in this process.
+    sampled mode with k = n equals exact bit for bit. Weighted closeness
+    runs every pivot's reverse Dijkstra through
+    ``_accumulate_over_sources``, exact mode with every node a pivot, so
+    there too k = n equals exact bit for bit.
     """
     n = g.n
-    k = _resolve_sampling(n, mode, sample_size, "closeness")
-    params = {"weighted": weighted,
-              "mode": "exact" if k is None else "sampled"}
-
-    if k is None:
-        scores = _weighted_closeness(g) if weighted else _hop_closeness(Sweep(g))
+    pivots, params = _resolve_pivots(n, mode, sample_size, seed, "closeness")
+    if weighted:
+        scores = _weighted_closeness_to(g, pivots)
+    elif params["mode"] == "exact":
+        scores = _hop_closeness(Sweep(g))
     else:
-        params.update({"sample_size": k, "seed": seed})
-        pivots = _pick_pivots(n, k, seed)
-        if weighted:
-            scores = _weighted_closeness_to(g, pivots, workers)
-        else:
-            scores = _hop_closeness_to(Sweep(g.transpose()), pivots)
-        scores *= n / k
-
+        scores = _hop_closeness_to(Sweep(g.transpose()), pivots)
+    if pivots.size < n:
+        scores *= n / pivots.size
     return ScoreVector(metric="closeness", labels=g.labels, scores=scores,
-                       params=params)
+                       params={"weighted": weighted, **params})
 
 
 # -- betweenness (Brandes) ---------------------------------------------------
@@ -545,8 +529,7 @@ def _batch_width(g: DirectedGraph) -> int:
 
 def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
                            sample_size: int | None = None, seed: int = 0,
-                           harmonic: np.ndarray | None = None,
-                           workers: int = 1) -> ScoreVector:
+                           harmonic: np.ndarray | None = None) -> ScoreVector:
     """Freeman betweenness over ordered pairs, unnormalised.
 
     Exact mode runs Brandes accumulation from every source; sampled mode
@@ -564,44 +547,44 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
     its order, so the same bytes. Only exact mode reaches every source,
     so a sampled mode with ``harmonic`` raises InvalidParameter.
 
-    The 64-source chunks run on ``workers`` processes (see
-    ``_accumulate_over_sources``), with the same bytes for any count.
+    The 64-source chunks run through ``_accumulate_over_sources``, with
+    the same bytes for any process count. A chunk's partial has one row
+    of dependency sums and, with ``harmonic``, a second row holding its
+    sources' closeness and 0.0 everywhere else; adding 0.0 is exact.
     """
     n = g.n
-    k = _resolve_sampling(n, mode, sample_size, "betweenness")
-    if harmonic is not None and k is not None:
+    pivots, params = _resolve_pivots(n, mode, sample_size, seed,
+                                     "betweenness")
+    if harmonic is not None and params["mode"] != "exact":
         raise InvalidParameter(
             "betweenness: harmonic closeness needs exact mode")
-    params = {"mode": "exact" if k is None else "sampled"}
-
     out_degree, in_degree = g.out_degrees(), g.in_degrees()
     width = _batch_width(g)
+    rows = 1 if harmonic is None else 2
 
     def per_chunk(chunk):
-        out = np.zeros(n)
+        out = np.zeros((rows, n))
+        closeness = out[1] if rows == 2 else None
         # a source without out-edges depends on nothing: its delta is all 0
         chunk = chunk[out_degree[chunk] > 0]
         if width == 1:
             for v in chunk:
-                out += _brandes_from_source(g, out_degree, in_degree, int(v),
-                                            harmonic)
+                out[0] += _brandes_from_source(
+                    g, out_degree, in_degree, int(v), closeness)
             return out
         for first in range(0, chunk.size, width):
             batch = chunk[first:first + width]
             for delta in _brandes_batch(g, out_degree, batch, width,
-                                        harmonic):
-                out += delta
+                                        closeness):
+                out[0] += delta
         return out
 
-    if k is None:
-        scores = _accumulate_over_sources(np.arange(n), per_chunk, n,
-                                          workers, harmonic)
-    else:
-        params.update({"sample_size": k, "seed": seed})
-        pivots = _pick_pivots(n, k, seed)
-        scores = _accumulate_over_sources(pivots, per_chunk, n, workers)
-        scores *= n / k
-
+    sums = _accumulate_over_sources(pivots, per_chunk, (rows, n))
+    if harmonic is not None:
+        harmonic += sums[1]
+    scores = sums[0]
+    if pivots.size < n:
+        scores *= n / pivots.size
     return ScoreVector(metric="betweenness", labels=g.labels, scores=scores,
                        params=params)
 
@@ -627,22 +610,16 @@ def eigenvector_centrality(g: DirectedGraph,
     cfg = cfg or PowerIterationConfig()
     if reverse is None:
         reverse = g.direction == INFO_FLOW
-    n = g.n
-    esrc, edst, ew = g.edge_arrays()
-
-    def matvec(x):
-        if reverse:
-            # in-edges of the transpose are the stored out-edges
-            return np.bincount(esrc, weights=ew * x[edst], minlength=n)
-        return np.bincount(edst, weights=ew * x[esrc], minlength=n)
-
+    h = g.transpose() if reverse else g
+    n = h.n
+    esrc, edst, ew = h.edge_arrays()
     x = np.full(n, 1.0 / np.sqrt(n))
     params = {"tolerance": cfg.tolerance, "max_iterations": cfg.max_iterations,
               "reverse": reverse, "converged": False}
     iterations = 0
     eigenvalue = 0.0
     for _ in range(cfg.max_iterations):
-        y = matvec(x)
+        y = np.bincount(edst, weights=ew * x[esrc], minlength=n)
         # numpy's pairwise sum adds in a fixed order, so the norm has the
         # same bytes on every CPU; a BLAS dot product's order varies
         norm = float(np.sqrt(np.add.reduce(y * y)))

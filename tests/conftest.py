@@ -73,8 +73,8 @@ def use_cpus(monkeypatch, cpus):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Give the traversals two usable CPUs on any machine, so workers=2
-    forks two workers, and count the forks: the list of worker pids."""
+    """Give the traversals two usable CPUs on any machine, so a source
+    loop forks two workers, and count the forks: the list of worker pids."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         pytest.skip("traversals run in one process on this platform")
     use_cpus(monkeypatch, 2)

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 from types import SimpleNamespace
@@ -85,7 +86,9 @@ def tail_into_core(core):
 
 def count_tiers(mp, g):
     """Count from here on the tiers pushed over g's out-edges and pulled
-    over its in-edges: {"push": p, "pull": q}."""
+    over its in-edges: {"push": p, "pull": q}. The traversals run in this
+    process, on one usable CPU, so the counts see them."""
+    use_cpus(mp, 1)
     counts = {"push": 0, "pull": 0}
     out_edges = traditional.out_edges
 
@@ -214,7 +217,7 @@ class TestCloseness:
         exact = closeness_centrality(g, mode="exact", weighted=True).scores
         sampled = closeness_centrality(g, mode="sampled", sample_size=g.n,
                                        seed=2, weighted=True).scores
-        assert np.allclose(sampled, exact, atol=1e-12)
+        assert np.array_equal(sampled, exact)
 
 
 class TestBetweenness:
@@ -319,6 +322,8 @@ class TestBetweenness:
                 oracles.brandes_betweenness(sub, range(count)))
 
     def test_width_rule_picks_the_kernel(self, monkeypatch):
+        # 90 nodes make two chunks: one CPU keeps both in this process
+        use_cpus(monkeypatch, 1)
         g, _ = random_graph(90, 400, seed=21)
         size = g.n + g.num_edges
         runs = {"batch": 0, "source": 0}
@@ -486,29 +491,36 @@ class TestWorkers:
         g, _ = random_graph(200, 900, seed=8)
         if width:
             force_width(monkeypatch, g, width)
-        serial = betweenness_centrality(g, "exact", workers=1).scores
+        use_cpus(monkeypatch, 1)
+        serial = betweenness_centrality(g, "exact").scores
         assert not forks
-        forked = betweenness_centrality(g, "exact", workers=2).scores
+        use_cpus(monkeypatch, 2)
+        forked = betweenness_centrality(g, "exact").scores
         assert len(forks) == 2
         assert np.array_equal(forked, serial)
         assert_no_child_left()
 
-    def test_sampled_betweenness_same_bytes(self, forks):
+    def test_sampled_betweenness_same_bytes(self, forks, monkeypatch):
         g, _ = random_graph(300, 1400, seed=9)
-        runs = [betweenness_centrality(g, "sampled", sample_size=190, seed=4,
-                                       workers=w).scores for w in (1, 2)]
+        runs = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            runs.append(betweenness_centrality(g, "sampled", sample_size=190,
+                                               seed=4).scores)
         assert len(forks) == 2
         assert np.array_equal(*runs)
 
-    def test_sampled_weighted_closeness_same_bytes(self, forks):
+    def test_sampled_weighted_closeness_same_bytes(self, forks, monkeypatch):
         edges = random_edge_list(200, 800, seed=10)
         weights = stream(10).integers(1, 9, size=len(edges)) / 4
         g = DirectedGraph([f"{i:03d}" for i in range(200)],
                           [s for s, _ in edges], [d for _, d in edges],
                           weights)
-        runs = [closeness_centrality(g, "sampled", sample_size=150, seed=3,
-                                     weighted=True, workers=w).scores
-                for w in (1, 2)]
+        runs = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            runs.append(closeness_centrality(g, "sampled", sample_size=150,
+                                             seed=3, weighted=True).scores)
         assert len(forks) == 2
         assert np.array_equal(*runs)
 
@@ -524,9 +536,48 @@ class TestWorkers:
 
         monkeypatch.setattr(traditional, "_brandes_batch", failing)
         with pytest.raises(DataError, match="^no path past 64$"):
-            betweenness_centrality(g, "exact", workers=2)
+            betweenness_centrality(g, "exact")
         assert len(forks) == 2
         assert_no_child_left()
+
+    def test_worker_that_dies_silently_is_an_error(self, forks):
+        parent = os.getpid()
+
+        def per_chunk(chunk):
+            # chunk 1 runs on the second worker, which ends as an OOM
+            # kill would end it: without a message
+            if chunk[0] == 64 and os.getpid() != parent:
+                os._exit(9)
+            return np.zeros(200)
+
+        with pytest.raises(RuntimeError, match="^a worker process ended "
+                           "before sending its result$"):
+            traditional._accumulate_over_sources(np.arange(200), per_chunk,
+                                                 200)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_failed_fork_leaks_no_fd(self, forks, monkeypatch):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc to list this process's fds")
+        fork = os.fork
+        calls = []
+
+        def fork_once():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError) as caught:
+            traditional._accumulate_over_sources(
+                np.arange(200), lambda chunk: np.zeros(200), 200)
+        assert caught.value.errno == errno.EAGAIN
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert sorted(os.listdir("/proc/self/fd")) == fds
 
     def test_worker_exits_at_its_next_write_once_the_parent_is_gone(self):
         read_fd, write_fd = os.pipe()
@@ -534,7 +585,7 @@ class TestWorkers:
         if pid == 0:
             try:
                 traditional._worker([np.arange(4)] * 100,
-                                    lambda chunk: np.zeros(1 << 16), None,
+                                    lambda chunk: np.zeros(1 << 16),
                                     write_fd, [read_fd])
             finally:
                 os._exit(2)
@@ -547,14 +598,10 @@ class TestWorkers:
     def test_worker_count_within_cpus_and_chunks(self, monkeypatch, cpus):
         use_cpus(monkeypatch, cpus)
         for workers in (1, 2, 3, 16):
-            for chunks in (0, 1, 2, 5, 100):
-                got = worker_count(workers, chunks)
-                assert 1 <= got <= max(1, min(cpus, chunks))
-        assert worker_count(2, 100) == min(2, cpus)
-        assert worker_count(16, 3) == min(3, cpus)
-        for bad in (0, -1, 2.5, "2", None):
-            with pytest.raises(InvalidParameter):
-                worker_count(bad, 5)
+            monkeypatch.setattr(traditional, "WORKERS", workers)
+            for chunks in (0, 1, 2, 3, 5, 100):
+                assert worker_count(chunks) == max(1, min(workers, cpus,
+                                                          chunks))
 
     @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
     def test_serial_where_the_platform_cannot_fork(self, monkeypatch,
@@ -562,9 +609,10 @@ class TestWorkers:
         g, _ = random_graph(200, 900, seed=8)
         serial = betweenness_centrality(g, "exact").scores
         monkeypatch.delattr(os, missing)
-        assert worker_count(4, 10) == 1
+        monkeypatch.setattr(traditional, "WORKERS", 4)
+        assert worker_count(10) == 1
         assert np.array_equal(
-            betweenness_centrality(g, "exact", workers=4).scores, serial)
+            betweenness_centrality(g, "exact").scores, serial)
 
 
 class TestEigenvector:
