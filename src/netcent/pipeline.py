@@ -393,12 +393,14 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     are atomic. Stage failures raise PipelineError naming the stage.
 
     ``timings.json`` holds each stage's seconds, then ``workers``, the
-    most processes a source loop ran on (0: none ran), and
-    ``children_peak_rss_mb``, the largest reaped child's peak RSS.
+    most processes a source loop ran on (0: none ran), ``brandes_width``,
+    the sources per Brandes level pass betweenness ran (1: one at a time,
+    0: betweenness did not run), and ``children_peak_rss_mb``, the
+    largest reaped child's peak RSS.
     """
     out_dir = Path(cfg.out)
     timings: dict[str, float] = {}
-    _traditional.workers_used = 0
+    _traditional.workers_used = _traditional.width_used = 0
 
     def stage(name, fn):
         start = time.perf_counter()
@@ -474,6 +476,7 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     def write_report():
         _io.write_json(report.to_report_dict(), out_dir / "report.json")
         timings["workers"] = _traditional.workers_used
+        timings["brandes_width"] = _traditional.width_used
         try:
             import resource
         except ImportError:  # Windows, where traversals run in this process

@@ -11,14 +11,15 @@ the auto mode switches to seeded pivot sampling with
 runs 64 sources to a lane of the bit-parallel traversal in
 :mod:`netcent.sweep` and adds count/L level by level, so a score depends
 only on the node's distance histogram. Betweenness runs Brandes'
-accumulation with one of two kernels, chosen by graph size. Where
-B * (n + m) <= ``BATCH_BUDGET`` for some B >= 2, the largest such power
-of two up to 64 sources share each BFS level's vectorised pass, on
-(node, source) keys. A larger graph runs one source at a time, each
-level pushing over the frontier's out-edges or, on a wide level of a
-large graph, pulling over the unvisited nodes' in-edges. Both add every
-term in the same order, so they give the same bytes; a source without
-out-edges adds nothing and is skipped.
+accumulation with one of two kernels, chosen by one probe pass from the
+node with the most out-edges. Where a probe level pulls, sources run one
+at a time, each level pushing over the frontier's out-edges or pulling
+over the unvisited nodes' in-edges; a batch cannot pull. Otherwise B
+sources share each BFS level's vectorised pass, on (node, source) keys:
+the largest power of two B up to 64 with B * (n + m) <= ``BATCH_BUDGET``
+times the probe's depth, counting at most ``BATCH_DEPTH_CAP`` levels.
+Both add every term in the same order, so they give the same bytes; a
+source without out-edges adds nothing and is skipped.
 
 Betweenness and weighted closeness run one source loop,
 ``_accumulate_over_sources``: exact mode makes every node a pivot, in
@@ -62,7 +63,7 @@ SAMPLING_MODES = ("auto", "exact", "sampled")
 _SOURCE_CHUNK = 64
 # processes a source loop may use, fewer where fewer CPUs are usable
 # (worker_count). Each worker holds its own traversal scratch: on the
-# benchmark's sparse-exact input a worker's peak RSS reads about 30 MB,
+# benchmark's sparse-exact input a worker's peak RSS reads about 40 MB,
 # so memory grows with the count; counts above 2 have not been measured
 WORKERS = 2
 # the most processes one source loop ran on since it was last set to 0;
@@ -73,9 +74,16 @@ workers_used = 0
 PULL_MIN_EDGES = 1 << 14
 # edge scans a pull spends per node to find the unvisited ones
 PULL_NODE_COST = 1 / 4
-# betweenness runs B sources per level pass while B * (n + m) fits this;
-# a batch's scratch takes 7-11 bytes per unit, so it stays under 3 MB
-BATCH_BUDGET = 1 << 18
+# betweenness runs B sources per level pass while B * (n + m) fits this
+# many units for each level of the probe pass, counting at most
+# BATCH_DEPTH_CAP levels. A batch's scratch takes 7-11 bytes per unit, so
+# the cap keeps it under about 23 MB per process; on the benchmark's
+# sparse-exact input (B = 64) a worker's peak RSS reads about 40 MB
+BATCH_BUDGET = 1 << 16
+BATCH_DEPTH_CAP = 32
+# the widest batch betweenness ran since it was last set to 0 (1: one
+# source at a time); run_pipeline reports it in timings.json
+width_used = 0
 
 
 def default_sample_size(n: int) -> int:
@@ -352,16 +360,14 @@ def _pull_tier(g: DirectedGraph, in_degree, dist, level: int):
     return tails[on_tier], np.repeat(unseen, fanin)[on_tier]
 
 
-def _brandes_from_source(g: DirectedGraph, out_degree, in_degree,
-                         s: int, harmonic: np.ndarray | None = None
-                         ) -> np.ndarray:
-    """Source dependencies delta_s(.) on unweighted shortest paths.
-
-    With ``harmonic``, ``harmonic[s]`` gets s's hop closeness added:
-    each level's node count over its distance, in ascending distance.
+def _forward_pass(g: DirectedGraph, out_degree, in_degree, s: int):
+    """Brandes' forward pass from s: (tiers, sigma, closeness, pulled).
 
     Level L's tier holds the edges from the nodes at distance L-1 to the
-    nodes first reached at L. A level pushes or pulls it:
+    nodes first reached at L, as (src, dst, sigma[src]); ``closeness``
+    adds each level's node count over its distance, in ascending
+    distance, and ``pulled`` says whether any level chose to pull. A
+    level pushes or pulls its tier:
 
     * push scans the frontier's out-edges and keeps those whose head is
       unvisited, so the tier comes out in ascending (src, dst) order;
@@ -369,14 +375,14 @@ def _brandes_from_source(g: DirectedGraph, out_degree, in_degree,
       tail is at L-1, so the tier comes out in ascending (dst, src) order.
 
     Either way ``sigma[v]`` takes its terms in ascending source order
-    and ``delta[u]`` in ascending destination order, and bincount adds
-    them in that order, so both give the same bytes. A level pulls when
-    the frontier has at least ``PULL_MIN_EDGES`` out-edges and they
-    outnumber the unvisited nodes' in-edges plus ``PULL_NODE_COST``
-    scans per node for finding those nodes (Beamer, Asanovic & Patterson,
-    SC 2012). The in-edge count is kept running, so the choice costs
-    O(1) a level; a graph with fewer than ``PULL_MIN_EDGES`` edges never
-    pulls and keeps no count.
+    and, in the pass back, ``delta[u]`` in ascending destination order,
+    and bincount adds them in that order, so both give the same bytes.
+    A level pulls when the frontier has at least ``PULL_MIN_EDGES``
+    out-edges and they outnumber the unvisited nodes' in-edges plus
+    ``PULL_NODE_COST`` scans per node for finding those nodes (Beamer,
+    Asanovic & Patterson, SC 2012). The in-edge count is kept running, so
+    the choice costs O(1) a level; a graph with fewer than
+    ``PULL_MIN_EDGES`` edges never pulls and keeps no count.
     """
     n = g.n
     dist = np.full(n, -1, dtype=np.int64)
@@ -387,6 +393,7 @@ def _brandes_from_source(g: DirectedGraph, out_degree, in_degree,
     level = 0
     tiers = []
     closeness = 0.0
+    pulled = False
     # in-edges of the unvisited nodes, counted only on a graph that can pull
     unseen_in = (g.num_edges - int(in_degree[s])
                  if g.num_edges >= PULL_MIN_EDGES else None)
@@ -396,6 +403,7 @@ def _brandes_from_source(g: DirectedGraph, out_degree, in_degree,
         if unseen_in is not None and (
                 PULL_MIN_EDGES <= (push_edges := int(fanout.sum()))
                 and push_edges > unseen_in + PULL_NODE_COST * n):
+            pulled = True
             t_src, t_dst = _pull_tier(g, in_degree, dist, level)
             if not t_dst.size:
                 break
@@ -415,13 +423,25 @@ def _brandes_from_source(g: DirectedGraph, out_degree, in_degree,
         closeness += frontier.size / level
         if unseen_in is not None:
             unseen_in -= int(in_degree[frontier].sum())
+    return tiers, sigma, closeness, pulled
+
+
+def _brandes_from_source(g: DirectedGraph, out_degree, in_degree,
+                         s: int, harmonic: np.ndarray | None = None
+                         ) -> np.ndarray:
+    """Source dependencies delta_s(.) on unweighted shortest paths.
+
+    With ``harmonic``, ``harmonic[s]`` gets s's hop closeness added.
+    The tiers come from ``_forward_pass``, which pushes or pulls each.
+    """
+    tiers, sigma, closeness, _ = _forward_pass(g, out_degree, in_degree, s)
     if harmonic is not None:
         harmonic[s] += closeness
-    delta = np.zeros(n)
+    delta = np.zeros(g.n)
     for t_src, t_dst, carried in reversed(tiers):
         # sigma of a level-(L-1) node is final once level L-1 is done
         share = carried / sigma[t_dst] * (1.0 + delta[t_dst])
-        delta += np.bincount(t_src, weights=share, minlength=n)
+        delta += np.bincount(t_src, weights=share, minlength=g.n)
     delta[s] = 0.0
     return delta
 
@@ -519,10 +539,26 @@ def _batch_closeness(reached: list[np.ndarray], width: int) -> np.ndarray:
 
 
 def _batch_width(g: DirectedGraph) -> int:
-    """Sources per batched Brandes pass: the largest power of two up to
-    64 whose keys and edge scans fit ``BATCH_BUDGET``, else 1."""
+    """Sources per Brandes level pass, from ``_forward_pass`` run as a
+    probe from the node with the most out-edges (lowest id on ties). A
+    graph without edges, perhaps without nodes, runs one at a time."""
+    if not g.num_edges:
+        return 1
+    out_degree = g.out_degrees()
+    tiers, _, _, pulled = _forward_pass(g, out_degree, g.in_degrees(),
+                                        int(np.argmax(out_degree)))
+    return _width_for(g.n, g.num_edges, len(tiers), pulled)
+
+
+def _width_for(n: int, m: int, depth: int, pulled: bool) -> int:
+    """1 if the probe pulled, as a batch cannot; else the largest power of
+    two B up to 64 with B * (n + m) <= ``BATCH_BUDGET`` * min(depth,
+    ``BATCH_DEPTH_CAP``), or 1 where none fits."""
+    if pulled:
+        return 1
+    budget = BATCH_BUDGET * min(depth, BATCH_DEPTH_CAP)
     width = _SOURCE_CHUNK
-    while width > 1 and width * (g.n + g.num_edges) > BATCH_BUDGET:
+    while width > 1 and width * (n + m) > budget:
         width //= 2
     return width
 
@@ -537,10 +573,10 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
     set is every source in ascending order, so sampled output matches
     exact bit for bit.
 
-    A graph runs B sources per level pass (``_brandes_batch``), B the
-    largest power of two up to 64 with B * (n + m) <= ``BATCH_BUDGET``;
-    where not even B = 2 fits, it runs one source at a time
-    (``_brandes_from_source``). Both give the same bytes.
+    ``_batch_width`` picks the sources per level pass from a probe pass:
+    one at a time (``_brandes_from_source``) where the probe pulled or not
+    even B = 2 fits its depth's budget, else B at a time
+    (``_brandes_batch``). Both give the same bytes.
 
     ``harmonic``, n zeros, takes each node's exact hop closeness from the
     same traversal: the terms of ``closeness_centrality(g, "exact")`` in
@@ -560,6 +596,8 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
             "betweenness: harmonic closeness needs exact mode")
     out_degree, in_degree = g.out_degrees(), g.in_degrees()
     width = _batch_width(g)
+    global width_used
+    width_used = max(width_used, width)
     rows = 1 if harmonic is None else 2
 
     def per_chunk(chunk):

@@ -104,12 +104,28 @@ class TestRunPipeline:
                                                 tmp_path):
         # nine nodes make one chunk, and degree runs no source loop
         out = tmp_path / "out"
-        for metrics, workers in (("betweenness", 1), ("degree_total", 0)):
+        for metrics, workers, width in (("betweenness", 1, 64),
+                                        ("degree_total", 0, 0)):
             assert run_cli("run", "--input", interactions_csv, "--out", out,
                            "--metrics", metrics) == 0
             timings = json.loads((out / "timings.json").read_text())
             assert timings["workers"] == workers
+            assert timings["brandes_width"] == width
         assert not forks
+
+    def test_timings_name_the_brandes_width(self, tmp_path):
+        # m = 4 on 1000 nodes batches 64 sources; m = 10 on 3000 nodes
+        # pulls at its hub, so betweenness runs one source at a time
+        for n, m, width in ((1_000, 4, 64), (3_000, 10, 1)):
+            edges = tmp_path / f"edges{n}.csv"
+            write_edge_csv(preferential_attachment(n, m, seed=0), edges)
+            out = tmp_path / f"out{n}"
+            assert run_cli("run", "--input", edges, "--format", "edges",
+                           "--out", out, "--metrics", "betweenness",
+                           "--betweenness-mode", "sampled",
+                           "--betweenness-samples", "8") == 0
+            timings = json.loads((out / "timings.json").read_text())
+            assert timings["brandes_width"] == width
 
     def test_score_files_are_the_same_bytes_on_every_machine(self, tmp_path):
         # every sum behind these six files goes in an order numpy fixes,

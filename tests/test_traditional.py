@@ -1,7 +1,6 @@
 import errno
 import math
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from netcent import (DataError, DirectedGraph, InvalidParameter,
                      PowerIterationConfig, ZeroMatrix,
                      betweenness_centrality, closeness_centrality,
                      degree_centrality, eigenvector_centrality, from_edges,
-                     preferential_attachment, top_k)
+                     preferential_attachment, random_digraph, top_k)
 from netcent import traditional
 from netcent.rng import stream
 from netcent.traditional import (_brandes_from_source, _pick_pivots,
@@ -30,14 +29,9 @@ PULL_RULES = {"push": {"PULL_MIN_EDGES": math.inf},
 WIDTHS = (1, 2, 3, 64)
 
 
-def force_width(mp, g, width):
-    """Make betweenness run g ``width`` sources per pass: through the
-    budget for a power of two, which the width rule alone can pick."""
-    if width & (width - 1):
-        mp.setattr(traditional, "_batch_width", lambda _: width)
-    else:
-        mp.setattr(traditional, "BATCH_BUDGET", width * (g.n + g.num_edges))
-    assert traditional._batch_width(g) == width
+def force_width(mp, width):
+    """Make betweenness run ``width`` sources per level pass."""
+    mp.setattr(traditional, "_batch_width", lambda _: width)
 
 
 @st.composite
@@ -288,11 +282,11 @@ class TestBetweenness:
                     got = _brandes_from_source(g, out_degree, in_degree, s)
                     assert np.array_equal(got,
                                           oracles.brandes_from_source(g, s))
-                force_width(mp, g, 1)
+                force_width(mp, 1)
                 check_betweenness()
         for width in WIDTHS[1:]:
             with pytest.MonkeyPatch.context() as mp:
-                force_width(mp, g, width)
+                force_width(mp, width)
                 check_betweenness()
 
     @pytest.mark.parametrize("width", [8, 64])
@@ -308,7 +302,7 @@ class TestBetweenness:
             edges = [(s, d) for s, d in random_edge_list(n, 4 * n, count)
                      if not sink_every or s % sink_every != 2]
             g = graph_from_ids(n, edges)
-            force_width(monkeypatch, g, width)
+            force_width(monkeypatch, width)
             sampled = betweenness_centrality(g, mode="sampled",
                                              sample_size=count, seed=count)
             want = oracles.brandes_betweenness(
@@ -316,7 +310,7 @@ class TestBetweenness:
             assert np.array_equal(sampled.scores, want)
             sub = graph_from_ids(count, [(s, d) for s, d in edges
                                          if s < count and d < count])
-            force_width(monkeypatch, sub, width)
+            force_width(monkeypatch, width)
             assert np.array_equal(
                 betweenness_centrality(sub, mode="exact").scores,
                 oracles.brandes_betweenness(sub, range(count)))
@@ -325,7 +319,6 @@ class TestBetweenness:
         # 90 nodes make two chunks: one CPU keeps both in this process
         use_cpus(monkeypatch, 1)
         g, _ = random_graph(90, 400, seed=21)
-        size = g.n + g.num_edges
         runs = {"batch": 0, "source": 0}
         for kernel, name in ((traditional._brandes_batch, "batch"),
                              (traditional._brandes_from_source, "source")):
@@ -334,32 +327,87 @@ class TestBetweenness:
                 return kernel(*args)
             monkeypatch.setattr(traditional, kernel.__name__, counted)
         want = oracles.brandes_betweenness(g, range(g.n))
-        # over the budget even at B = 2: one source at a time
-        monkeypatch.setattr(traditional, "BATCH_BUDGET", 2 * size - 1)
-        assert np.array_equal(betweenness_centrality(g, mode="exact").scores,
-                              want)
-        assert runs == {"batch": 0, "source": int(np.sum(g.out_degrees() > 0))}
-        # under it: batches only
-        runs.update(source=0)
-        monkeypatch.setattr(traditional, "BATCH_BUDGET", 2 * size)
+        # the probe pushes every level and 64 sources fit: batches only
         assert np.array_equal(betweenness_centrality(g, mode="exact").scores,
                               want)
         assert runs["source"] == 0 and runs["batch"] > 0
+        # a probe that pulls runs one source at a time
+        runs.update(batch=0)
+        for name, value in PULL_RULES["pull"].items():
+            monkeypatch.setattr(traditional, name, value)
+        assert np.array_equal(betweenness_centrality(g, mode="exact").scores,
+                              want)
+        assert runs == {"batch": 0, "source": int(np.sum(g.out_degrees() > 0))}
 
     def test_width_is_the_largest_power_of_two_in_budget(self):
-        def width(n, m):
-            return traditional._batch_width(SimpleNamespace(n=n, num_edges=m))
+        def width(n, m, depth=1, pulled=False):
+            return traditional._width_for(n, m, depth, pulled)
         budget = traditional.BATCH_BUDGET
+        cap = traditional.BATCH_DEPTH_CAP
+        # B * (n + m) equal to the budget, and one node or edge over it
         assert width(1, budget // 64 - 1) == 64
         assert width(1, budget // 64) == 32
         assert width(1, budget // 2 - 1) == 2
         assert width(1, budget // 2) == 1
-        # the benchmark's graph shapes: sparse-exact, intervention-ic,
-        # social-run and the 1e6-edge scale graph
-        assert width(8_000, 12_000) == 8
-        assert width(1_000, 4_000) == 32
-        assert width(30_000, 300_000) == 1
-        assert width(100_000, 1_000_000) == 1
+        # the budget is per level of the probe's depth
+        assert width(1, 5 * budget // 64 - 1, depth=5) == 64
+        assert width(1, 5 * budget // 64, depth=5) == 32
+        # a depth above the cap counts as the cap
+        assert width(1, cap * budget // 64 - 1, depth=cap + 1) == 64
+        assert width(1, cap * budget // 64, depth=cap + 1) == 32
+        assert width(1, cap * budget // 64, depth=10 ** 6) == 32
+        # a probe that reached no level fits nothing
+        assert width(1, 0, depth=0) == 1
+        # a probe that pulled runs one source at a time, however small
+        assert width(1, 0, depth=cap, pulled=True) == 1
+
+    def test_width_on_the_benchmark_graph_shapes(self):
+        # sparse-exact's and intervention-ic's shapes batch 64 sources;
+        # a graph of m = 10, as social-run's, pulls at its hub
+        assert traditional._batch_width(
+            random_digraph(8_000, 12_000, seed=0)) == 64
+        assert traditional._batch_width(
+            preferential_attachment(1_000, 4, seed=0)) == 64
+        g = preferential_attachment(3_000, 10, seed=0)
+        assert g.num_edges >= traditional.PULL_MIN_EDGES
+        assert traditional._batch_width(g) == 1
+
+    @pytest.mark.parametrize("shape", ["tail_into_core", "hubs", "deep"])
+    def test_probe_agrees_with_the_kernel(self, monkeypatch, shape):
+        """The probe pulls exactly when the per-source pass from the same
+        hub calls ``_pull_tier``, and its depth is that pass's level count
+        and the hub's largest hop distance."""
+        g, pulls = {
+            "tail_into_core": (tail_into_core(130), True),
+            "hubs": (preferential_attachment(3_000, 10, seed=1), True),
+            "deep": (random_digraph(4_000, 6_000, seed=2), False),
+        }[shape]
+        probed = []
+        width_for = traditional._width_for
+
+        def recorded(n, m, depth, pulled):
+            probed.append((depth, pulled))
+            return width_for(n, m, depth, pulled)
+
+        monkeypatch.setattr(traditional, "_width_for", recorded)
+        traditional._batch_width(g)
+        [(depth, pulled)] = probed
+        out_degree = g.out_degrees()
+        hub = int(np.argmax(out_degree))
+        # a level scans in-edges only in _pull_tier, and the pass ends
+        # on a level that reaches nothing
+        counts = count_tiers(monkeypatch, g)
+        _brandes_from_source(g, out_degree, g.in_degrees(), hub)
+        assert pulled == (counts["pull"] > 0) == pulls
+        assert depth == counts["push"] + counts["pull"] - 1
+        src, dst, _ = g.edge_arrays()
+        adj = oracles.adjacency_dict(zip(src.tolist(), dst.tolist()), g.n)
+        assert depth == max(oracles.bfs_dist(adj, hub, g.n).values())
+
+    def test_graph_without_edges_runs_one_source_at_a_time(self):
+        for g in (graph_from_ids(5, []), DirectedGraph([], [], [], [])):
+            assert traditional._batch_width(g) == 1
+            assert not betweenness_centrality(g, mode="exact").scores.any()
 
     def test_default_rule_pushes_narrow_levels_and_pulls_the_core(
             self, monkeypatch):
@@ -374,11 +422,9 @@ class TestBetweenness:
     def test_tail_into_core_matches_oracle_bit_for_bit(self, monkeypatch):
         g = tail_into_core(130)
         want = oracles.brandes_betweenness(g, range(g.n))
-        # the width rule batches this graph; one source at a time, it pulls
-        assert traditional._batch_width(g) == 8
-        assert np.array_equal(betweenness_centrality(g, mode="exact").scores,
-                              want)
-        force_width(monkeypatch, g, 1)
+        # the probe pulls at the core, so the width rule runs one source
+        # at a time
+        assert traditional._batch_width(g) == 1
         counts = count_tiers(monkeypatch, g)
         exact = betweenness_centrality(g, mode="exact").scores
         assert counts["pull"] > 0 and counts["push"] > 0
@@ -386,11 +432,15 @@ class TestBetweenness:
         sampled = betweenness_centrality(g, mode="sampled", sample_size=g.n,
                                          seed=5).scores
         assert np.array_equal(sampled, exact)
+        # a batch of 8 gives the same bytes
+        force_width(monkeypatch, 8)
+        assert np.array_equal(betweenness_centrality(g, mode="exact").scores,
+                              want)
 
     def test_graph_below_the_floor_never_pulls(self, monkeypatch):
         g = tail_into_core(120)
         assert g.num_edges < traditional.PULL_MIN_EDGES
-        force_width(monkeypatch, g, 1)
+        force_width(monkeypatch, 1)
         counts = count_tiers(monkeypatch, g)
         exact = betweenness_centrality(g, mode="exact").scores
         assert counts["pull"] == 0 and counts["push"] > 0
@@ -442,11 +492,11 @@ class TestSharedClosenessPass:
             with pytest.MonkeyPatch.context() as mp:
                 for name, value in rule.items():
                     mp.setattr(traditional, name, value)
-                force_width(mp, g, 1)
+                force_width(mp, 1)
                 self.check(g)
         for width in WIDTHS[1:]:
             with pytest.MonkeyPatch.context() as mp:
-                force_width(mp, g, width)
+                force_width(mp, width)
                 self.check(g)
 
     @pytest.mark.parametrize("width", WIDTHS)
@@ -454,7 +504,7 @@ class TestSharedClosenessPass:
         # 0 -> 1 -> 2 and 0 -> 3, with 2 and 3 sinks and 4 isolated
         for g in (graph_from_ids(5, [(0, 1), (1, 2), (0, 3)]),
                   graph_from_ids(5, []), graph_from_ids(1, [])):
-            force_width(monkeypatch, g, width)
+            force_width(monkeypatch, width)
             self.check(g)
         between, harmonic = shared_closeness(
             graph_from_ids(5, [(0, 1), (1, 2), (0, 3)]))
@@ -462,7 +512,7 @@ class TestSharedClosenessPass:
 
     def test_pulled_levels_give_closeness_bytes(self, monkeypatch):
         g = tail_into_core(130)
-        force_width(monkeypatch, g, 1)
+        force_width(monkeypatch, 1)
         counts = count_tiers(monkeypatch, g)
         self.check(g)
         assert counts["pull"] > 0
@@ -490,7 +540,7 @@ class TestWorkers:
     def test_exact_betweenness_same_bytes(self, forks, monkeypatch, width):
         g, _ = random_graph(200, 900, seed=8)
         if width:
-            force_width(monkeypatch, g, width)
+            force_width(monkeypatch, width)
         use_cpus(monkeypatch, 1)
         serial = betweenness_centrality(g, "exact").scores
         assert not forks
