@@ -12,8 +12,8 @@ first-appearance order with sorts and array compares, not a dict:
   so far;
 * every occurrence is compared word for word with one occurrence of its
   group, and every group found in the table with the label stored
-  there. A mismatch is a hash collision: the batch is hashed again with
-  the next seed and, after :data:`SEEDS` seeds, grouped by exact bytes.
+  there. A mismatch is a hash collision, and the batch is grouped by
+  exact bytes instead.
 
 So two labels get one id exactly when their UTF-8 bytes are equal.
 """
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# hash seeds tried on a batch before it is grouped by exact bytes
-SEEDS = 3
 # MASKS[r] keeps the low r bytes of a word
 MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 _U = np.uint64
@@ -127,11 +125,9 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def label_hash(length: np.ndarray, words: list, seed: int) -> np.ndarray:
+def label_hash(length: np.ndarray, words: list) -> np.ndarray:
     """One uint64 per cell from its length and words (:func:`cell_words`)."""
-    h = length.astype(np.uint64)
-    h += _U(seed * 0x9E3779B97F4A7C15 % (1 << 64))
-    _mix(h)
+    h = _mix(length.astype(np.uint64))
     for _, rows, word in words:
         h[rows] = _mix(h[rows] ^ word)
     return h
@@ -180,14 +176,13 @@ class LabelTable:
     """Distinct labels numbered 0, 1, ... in first-appearance order.
 
     ``known`` holds label i's bytes as cell i of a growing buffer;
-    ``keys`` is their hashes under ``seed``, sorted, with ``key_ids``
-    the label each belongs to. Memory is O(distinct labels).
+    ``keys`` is their hashes, sorted, with ``key_ids`` the label each
+    belongs to. Memory is O(distinct labels).
     """
 
-    __slots__ = ("seed", "keys", "key_ids", "known", "_used")
+    __slots__ = ("keys", "key_ids", "known", "_used")
 
     def __init__(self):
-        self.seed = 0
         self.keys = np.empty(0, dtype=np.uint64)
         self.key_ids = np.empty(0, dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
@@ -203,35 +198,20 @@ class LabelTable:
         Labels new to the table take the next ids in the order they
         first occur among ``cells``.
         """
-        words = cell_words(cells)
-        for seed in range(self.seed, self.seed + SEEDS):
-            groups = self._hashed_groups(cells, words, seed)
-            if groups:
-                break
-        else:
-            seed = self.seed
-            groups = self._exact_groups(cells)
-        inverse, ids = groups
+        inverse, ids = (self._hashed_groups(cells, cell_words(cells))
+                        or self._exact_groups(cells))
         fresh = np.flatnonzero(ids[inverse] < 0)
         _, at = np.unique(inverse[fresh], return_index=True)
         first = fresh[np.sort(at)]
         ids[inverse[first]] = np.arange(len(self), len(self) + first.size)
-        self._add(cells[first], seed)
+        self._add(cells[first])
         return ids[inverse], first
 
-    def _table(self, seed):
-        """(keys, key_ids) of the known labels under ``seed``."""
-        if seed == self.seed:
-            return self.keys, self.key_ids
-        h = label_hash(self.known.length, cell_words(self.known), seed)
-        order = np.argsort(h, kind="stable")
-        return h[order], order
-
-    def _hashed_groups(self, cells, words, seed):
+    def _hashed_groups(self, cells, words):
         """(inverse, ids): cell i is in group ``inverse[i]``, and group g
-        is known label ``ids[g]``, or new if -1. None if ``seed``'s hash
-        gives two distinct labels one key."""
-        keys, inverse = np.unique(label_hash(cells.length, words, seed),
+        is known label ``ids[g]``, or new if -1. None if the hash gives
+        two distinct labels one key."""
+        keys, inverse = np.unique(label_hash(cells.length, words),
                                   return_inverse=True)
         # numpy 2.0.0 shapes the inverse like the input; keep it flat
         inverse = inverse.reshape(-1)
@@ -239,27 +219,26 @@ class LabelTable:
         rep[inverse] = np.arange(inverse.size)      # some cell of each group
         if not same(cells.length, words, rep[inverse]):
             return None
-        known, known_ids = self._table(seed)
         ids = np.full(keys.size, -1, dtype=np.int64)
-        if known.size:
-            at = np.minimum(np.searchsorted(known, keys), known.size - 1)
-            hit = np.flatnonzero(known[at] == keys)
-            ids[hit] = known_ids[at[hit]]
+        if self.keys.size:
+            at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+            hit = np.flatnonzero(self.keys[at] == keys)
+            ids[hit] = self.key_ids[at[hit]]
             if not same(cells.length, words, rep[hit], self.known[ids[hit]]):
                 return None
         return inverse, ids
 
     def _exact_groups(self, cells):
-        """:meth:`_hashed_groups` by exact bytes, for when every seed collides."""
+        """:meth:`_hashed_groups` by exact bytes, for when the hash collides."""
         rank = _exact_ranks(_joined(self.known, cells))
         ranks, inverse = np.unique(rank[len(self):], return_inverse=True)
         id_of_rank = np.full(rank.size + 1, -1, dtype=np.int64)
         id_of_rank[rank[:len(self)]] = np.arange(len(self))
         return inverse.reshape(-1), id_of_rank[ranks]
 
-    def _add(self, new: Cells, seed: int):
-        """Store the new labels' bytes, and every key under ``seed``."""
-        if not len(new) and seed == self.seed:
+    def _add(self, new: Cells):
+        """Store the new labels' bytes and keys."""
+        if not len(new):
             return
         raw, offset = new.bytes()
         data = self.known.data
@@ -271,11 +250,7 @@ class LabelTable:
                                                  offset + self._used]),
                            np.concatenate([self.known.length, new.length]))
         self._used += raw.size
-        if seed != self.seed:
-            self.keys, self.key_ids = self._table(seed)
-            self.seed = seed
-            return
-        keys = label_hash(new.length, cell_words(new), seed)
+        keys = label_hash(new.length, cell_words(new))
         order = np.argsort(keys, kind="stable")
         at = np.searchsorted(self.keys, keys[order])
         first_new = len(self) - len(new)

@@ -387,13 +387,18 @@ def read_scores_csv(path, metric: str | None = None) -> ScoreVector:
     """Read a score CSV back; metric defaults to the ``<metric>.scores.csv`` stem.
 
     A label given twice raises ParseError at its second line, once every
-    row has parsed.
+    row has parsed; a score that is not finite raises it at its line.
     """
     if metric is None:
         metric = Path(path).name.split(".")[0]
     labels, values, rows = [], [], []
     for lines, (label, score) in _read_csv(path, ("node_label", "score"), ()):
         score, fault = _numbers(score)
+        bad = np.flatnonzero(~np.isfinite(score))
+        if bad.size:
+            row = int(bad[0])
+            fault = first_fault(fault, RowError(row, f"score {score[row]} "
+                                                     "is not finite"))
         fault = first_fault(missing("missing node label", label), fault)
         if fault:
             raise ParseError(f"{path}: {fault}", line=lines[fault.row])
@@ -423,8 +428,8 @@ def read_attributes_csv(path) -> dict[str, dict[str, float]]:
 
     Empty cells mean the node lacks that attribute. Returns
     {column -> {node_label -> value}}. A row wider than the header, a
-    node given twice or a cell float() rejects raises ParseError at its
-    line.
+    node given twice, or a cell that float() rejects or reads as nan or
+    infinite raises ParseError at its line.
     """
     rows = (row for first, text in _blocks(path) for row in _data_lines(first, text))
     try:
@@ -452,10 +457,14 @@ def read_attributes_csv(path) -> dict[str, dict[str, float]]:
             if not cell:
                 continue
             try:
-                columns[col][node] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise ParseError(f"{path}: bad number {cell!r} in column {col!r}",
                                  line=lineno) from None
+            if not np.isfinite(value):
+                raise ParseError(f"{path}: {cell!r} in column {col!r} is not finite",
+                                 line=lineno)
+            columns[col][node] = value
     return columns
 
 

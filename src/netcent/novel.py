@@ -13,7 +13,7 @@ a final min-max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from . import rng as _rng
 from .errors import InvalidParameter, MissingAttribute
 from .graph import ENDORSEMENT, INFO_FLOW, DirectedGraph
 from .scores import ScoreVector, min_max
+from .traditional import PowerIterationConfig, power_iterate
 
 EXPOSURE_MODES = ("in_degree", "out_degree", "total_degree")
 MVC_INITS = ("seeded_uniform", "attribute")
@@ -63,22 +64,17 @@ class NodeAttributes:
 
 
 @dataclass
-class PcConfig:
+class PcConfig(PowerIterationConfig):
     damping: float = 0.85
-    tolerance: float = 1e-10
-    max_iterations: int = 100
     weighted: bool = False
     # None resolves from the graph's direction metadata: rank runs on the
     # endorsement orientation so resharing confers influence
     reverse: bool | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.damping < 1.0:
             raise InvalidParameter("damping must be in (0, 1)")
-        if not self.tolerance > 0:
-            raise InvalidParameter("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise InvalidParameter("max_iterations must be >= 1")
 
 
 @dataclass
@@ -135,23 +131,15 @@ def propagation_centrality(g: DirectedGraph,
         edge_frac = 1.0 / outdeg[esrc] if esrc.size else np.empty(0)
 
     d = cfg.damping
-    x = np.full(n, 1.0 / n)
-    iterations = 0
-    converged = False
-    while iterations < cfg.max_iterations:
+
+    def step(x):
         inflow = np.bincount(edst, weights=x[esrc] * edge_frac, minlength=n)
         loose = float(x[dangling].sum())
-        x_new = (1.0 - d) / n + d * (inflow + loose / n)
-        change = float(np.abs(x_new - x).sum())
-        x = x_new
-        iterations += 1
-        if change < cfg.tolerance:
-            converged = True
-            break
+        return (1.0 - d) / n + d * (inflow + loose / n)
 
-    params = {"damping": d, "tolerance": cfg.tolerance,
-              "max_iterations": cfg.max_iterations, "weighted": cfg.weighted,
-              "reverse": reverse, "converged": converged}
+    x, iterations, _, converged = power_iterate(step, np.full(n, 1.0 / n),
+                                                cfg, "pc")
+    params = {**asdict(cfg), "reverse": reverse, "converged": converged}
     return ScoreVector(metric="pc", labels=g.labels, scores=x, params=params,
                        iterations_run=iterations)
 

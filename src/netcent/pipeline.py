@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,8 @@ from .traditional import (SAMPLING_MODES, PowerIterationConfig,
                           betweenness_centrality, closeness_centrality,
                           degree_centrality, eigenvector_centrality,
                           resolves_exact)
+
+log = logging.getLogger(__name__)
 
 DEFAULT_METRICS = ("degree_total", "closeness", "betweenness", "eigenvector",
                    "pc", "mvc", "dic")
@@ -214,8 +217,6 @@ def option_parser(f: dataclasses.Field):
 
 
 _FILE_KEYS = {f.metadata["ini"]: f for f in dataclasses.fields(RunConfig)}
-# accepted so older config files still load; the setting has no effect
-_IGNORED_FILE_KEYS = {("run", "workers")}
 
 
 def load_config_file(path) -> dict:
@@ -226,7 +227,9 @@ def load_config_file(path) -> dict:
     values: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            if (section, key) in _IGNORED_FILE_KEYS:
+            if (section, key) == ("run", "workers"):
+                # loads so older config files still work, but has no effect
+                log.warning("%s: [run] workers is ignored and will be removed", path)
                 continue
             f = _FILE_KEYS.get((section, key))
             if f is None:

@@ -45,8 +45,9 @@ forward pass.
 from __future__ import annotations
 
 import heapq
+import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import zip_longest
 
 import numpy as np
@@ -57,6 +58,8 @@ from .graph import DEGREE_MODES, INFO_FLOW, DirectedGraph
 from .scores import ScoreVector
 from .sweep import (LANE, Sweep, bit_counts, out_edges, popcounts,
                     unit_words)
+
+log = logging.getLogger(__name__)
 
 EXACT_NODE_LIMIT = 20_000
 SAMPLING_MODES = ("auto", "exact", "sampled")
@@ -102,6 +105,28 @@ class PowerIterationConfig:
             raise InvalidParameter("tolerance must be positive")
         if self.max_iterations < 1:
             raise InvalidParameter("max_iterations must be >= 1")
+
+
+def power_iterate(step, x: np.ndarray, cfg: PowerIterationConfig, metric: str):
+    """Apply ``x = step(x)`` until the L1 change drops below ``cfg.tolerance``.
+
+    Runs at most ``cfg.max_iterations`` steps; ``step`` may return None
+    to stop early, keeping the last iterate. Returns (x, iterations, the
+    last L1 change, converged). Stopping unconverged logs one warning.
+    """
+    iterations, residual = 0, float("inf")
+    while iterations < cfg.max_iterations:
+        y = step(x)
+        if y is None:
+            break
+        iterations += 1
+        residual = float(np.abs(y - x).sum())
+        x = y
+        if residual < cfg.tolerance:
+            return x, iterations, residual, True
+    log.warning("%s did not converge: L1 change %.2e against tolerance %g after "
+                "%d iterations", metric, residual, cfg.tolerance, iterations)
+    return x, iterations, residual, False
 
 
 # -- shared traversal kernels ---------------------------------------------
@@ -651,12 +676,9 @@ def eigenvector_centrality(g: DirectedGraph,
     h = g.transpose() if reverse else g
     n = h.n
     esrc, edst, ew = h.edge_arrays()
-    x = np.full(n, 1.0 / np.sqrt(n))
-    params = {"tolerance": cfg.tolerance, "max_iterations": cfg.max_iterations,
-              "reverse": reverse, "converged": False}
-    iterations = 0
-    eigenvalue = 0.0
-    for _ in range(cfg.max_iterations):
+    params = {**asdict(cfg), "reverse": reverse, "eigenvalue": 0.0}
+
+    def step(x):
         y = np.bincount(edst, weights=ew * x[esrc], minlength=n)
         # numpy's pairwise sum adds in a fixed order, so the norm has the
         # same bytes on every CPU; a BLAS dot product's order varies
@@ -664,15 +686,11 @@ def eigenvector_centrality(g: DirectedGraph,
         if norm == 0.0:
             # nilpotent direction: iterate collapsed to zero, keep last x
             params["note"] = "iterate collapsed to zero (nilpotent adjacency)"
-            break
-        y /= norm
-        iterations += 1
-        eigenvalue = norm
-        change = float(np.abs(y - x).sum())
-        x = y
-        if change < cfg.tolerance:
-            params["converged"] = True
-            break
-    params["eigenvalue"] = eigenvalue
+            return None
+        params["eigenvalue"] = norm
+        return y / norm
+
+    x, iterations, _, params["converged"] = power_iterate(
+        step, np.full(n, 1.0 / np.sqrt(n)), cfg, "eigenvector")
     return ScoreVector(metric="eigenvector", labels=g.labels, scores=x,
                        params=params, iterations_run=iterations)

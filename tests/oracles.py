@@ -525,6 +525,9 @@ def read_scores_csv(path, metric: str | None = None) -> ScoreVector:
             values.append(float(score))
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from None
+        if not np.isfinite(values[-1]):
+            raise ParseError(f"{path}: score {values[-1]} is not finite",
+                             line=lineno)
         labels.append(label)
         lines.append(lineno)
     if not labels:

@@ -7,6 +7,7 @@ to how the surface is declared cannot silently drop or rename one.
 
 import contextlib
 import io
+import logging
 
 import pytest
 
@@ -181,10 +182,22 @@ def test_every_flag_parses_into_its_field(parse_config, commands, flag, name,
 
 
 @pytest.mark.parametrize("command", EVERY)
-def test_workers_flag_is_accepted_and_changes_nothing(parse_config, command):
-    plain = parse_config(BASE_ARGS[command])
-    assert parse_config(BASE_ARGS[command] + ["--workers", "3"]).to_dict() \
-        == plain.to_dict()
+def test_workers_flag_is_accepted_and_changes_nothing(parse_config, command,
+                                                      caplog):
+    with caplog.at_level(logging.WARNING):
+        plain = parse_config(BASE_ARGS[command])
+        assert not caplog.records
+        assert parse_config(BASE_ARGS[command] + ["--workers", "3"]).to_dict() \
+            == plain.to_dict()
+    assert caplog.messages == ["--workers is ignored and will be removed"]
+
+
+def test_workers_config_key_loads_with_a_warning(tmp_path, caplog):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\ninput = data.csv\nworkers = 3\n")
+    with caplog.at_level(logging.WARNING):
+        assert load_config_file(ini) == {"input": "data.csv"}
+    assert caplog.messages == [f"{ini}: [run] workers is ignored and will be removed"]
 
 
 def test_flags_override_config_file(parse_config, tmp_path):

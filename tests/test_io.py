@@ -459,19 +459,17 @@ def test_clean_blocks_parse_as_bytes(tmp_path):
 REAL_HASH = cells.label_hash
 
 
-def constant_hash(length, words, seed):
+def constant_hash(length, words):
     return np.zeros(length.size, dtype=np.uint64)
 
 
-def long_labels_collide_below_seed_2(length, words, seed):
-    h = REAL_HASH(length, words, seed)
-    if seed < 2:
-        h[length > 8] = 0
+def long_labels_collide(length, words):
+    h = REAL_HASH(length, words)
+    h[length > 8] = 0
     return h
 
 
-@pytest.mark.parametrize("collide", [constant_hash,
-                                     long_labels_collide_below_seed_2])
+@pytest.mark.parametrize("collide", [constant_hash, long_labels_collide])
 def test_label_hash_collisions_keep_ids_exact(tmp_path, monkeypatch, collide):
     labels = CLEAN_LABEL_CELLS[:-1] + [f"n{i:08d}" for i in range(40)]
     rng = np.random.default_rng(5)
@@ -507,6 +505,27 @@ def test_attributes_csv_rejects_malformed_rows(tmp_path, text, line, message):
     with pytest.raises(ParseError, match=message) as exc:
         ncio.read_attributes_csv(p)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_scores_and_attributes_fail_at_their_line(tmp_path, capsys,
+                                                             value):
+    scores = tmp_path / "pc.scores.csv"
+    scores.write_text(f"node_label,score\na,1\n# note\nb,{value}\nc,2\n")
+    with pytest.raises(ParseError, match="not finite") as exc:
+        ncio.read_scores_csv(scores)
+    assert exc.value.line == 4
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_text(f"node,vulnerability_0\na,0.5\nb,{value}\n")
+    with pytest.raises(ParseError, match="not finite") as exc:
+        ncio.read_attributes_csv(attrs)
+    assert exc.value.line == 3
+    assert main(["compare", "--scores", str(scores)]) == 2
+    assert "line 4" in capsys.readouterr().err
+    scores.write_text("node_label,score\na,1\nb,2\n")
+    assert main(["correlate", "--scores", str(scores), "--attributes",
+                 str(attrs), "--proxy", "vulnerability_0"]) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 # -- writers == csv.writer

@@ -1,4 +1,6 @@
 import errno
+import hashlib
+import logging
 import math
 import os
 
@@ -11,15 +13,16 @@ import oracles
 from conftest import (assert_no_child_left, graph_from_ids,
                       random_edge_list, random_graph, strongly_connected_graph,
                       use_cpus)
-from netcent import (DataError, DirectedGraph, InvalidParameter,
+from netcent import (DataError, DirectedGraph, InvalidParameter, PcConfig,
                      PowerIterationConfig, ZeroMatrix,
                      betweenness_centrality, closeness_centrality,
-                     degree_centrality, eigenvector_centrality, from_edges,
-                     preferential_attachment, random_digraph, top_k)
+                     degree_centrality, dic, eigenvector_centrality,
+                     from_edges, preferential_attachment,
+                     propagation_centrality, random_digraph, top_k)
 from netcent import traditional
 from netcent.rng import stream
 from netcent.traditional import (_brandes_from_source, _pick_pivots,
-                                 worker_count)
+                                 power_iterate, worker_count)
 
 # module constants that force each way of building a Brandes tier
 PULL_RULES = {"push": {"PULL_MIN_EDGES": math.inf},
@@ -731,3 +734,103 @@ class TestEigenvector:
                 g, PowerIterationConfig(tolerance=1e-10, max_iterations=5000))
             converged += bool(sv.params["converged"])
         assert converged >= 99
+
+
+# sha256 of the scores' bytes, iterations_run and converged, recorded
+# before eigenvector and pc shared one power-iteration loop
+POWER_ITERATION_PINS = {
+    ("pa", "eigenvector", True): (
+        "cb9f256114a49ceceb0c62568e91233e674673264a8d769a3421c95b6cb930f1",
+        35, True),
+    ("pa", "eigenvector", False): (
+        "67fdb0785cd54b2eadadc6cbf0e032c68c356c244c3808f572a24487fe55fc25",
+        35, True),
+    ("pa", "pc", False, False): (
+        "f48427bf9f65459ef573507b720f0a9dc3fdae87562d5bdee34c4352ffa4ab83",
+        35, True),
+    ("pa", "pc", False, True): (
+        "66a9080993372f57c6ee81e15bf696b3609fc733c13a5f4619b0083243a0b735",
+        42, True),
+    ("pa", "pc", True, False): (
+        "f48427bf9f65459ef573507b720f0a9dc3fdae87562d5bdee34c4352ffa4ab83",
+        35, True),
+    ("pa", "pc", True, True): (
+        "66a9080993372f57c6ee81e15bf696b3609fc733c13a5f4619b0083243a0b735",
+        42, True),
+    ("sparse", "eigenvector", True): (
+        "0bd21585159412436d4db78780aea6198c8e103e2c91856115029a53a2332ac3",
+        100, False),
+    ("sparse", "eigenvector", False): (
+        "d6137b02d01d6d48d7ef5fd84ee3786cec71885da1ec0ce5398da5fcf7ef0ac6",
+        100, False),
+    ("sparse", "pc", False, False): (
+        "6f7dfe65e6d5f06417a44c9ac82ac41558306b3ab7c5f14bf3e7761effd6e952",
+        43, True),
+    ("sparse", "pc", False, True): (
+        "72fa06917923f492844c4f653ff02ba68b87e2a5a2075f5484254ccdbf2abbb1",
+        43, True),
+    ("sparse", "pc", True, False): (
+        "6f7dfe65e6d5f06417a44c9ac82ac41558306b3ab7c5f14bf3e7761effd6e952",
+        43, True),
+    ("sparse", "pc", True, True): (
+        "72fa06917923f492844c4f653ff02ba68b87e2a5a2075f5484254ccdbf2abbb1",
+        43, True),
+}
+POWER_GRAPHS = {"pa": lambda: preferential_attachment(300, 3, seed=1),
+                # eigenvector stops unconverged here at 100 iterations
+                "sparse": lambda: random_digraph(8000, 12000, seed=0)}
+
+
+class TestPowerIteration:
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return {name: make() for name, make in POWER_GRAPHS.items()}
+
+    @pytest.mark.parametrize("key", POWER_ITERATION_PINS,
+                             ids=lambda key: "-".join(map(str, key)))
+    def test_scores_keep_their_pinned_bytes(self, graphs, key):
+        name, metric, *flags = key
+        if metric == "eigenvector":
+            sv = eigenvector_centrality(graphs[name], reverse=flags[0])
+        else:
+            weighted, reverse = flags
+            sv = propagation_centrality(
+                graphs[name], PcConfig(weighted=weighted, reverse=reverse))
+        digest = hashlib.sha256(sv.scores.tobytes()).hexdigest()
+        assert (digest, sv.iterations_run, sv.params["converged"]) \
+            == POWER_ITERATION_PINS[key]
+
+    def test_unconverged_eigenvector_logs_one_warning(self, caplog):
+        g = random_digraph(3000, 4500, seed=11)
+        with caplog.at_level(logging.WARNING):
+            sv = eigenvector_centrality(g)
+        assert sv.params["converged"] is False and sv.iterations_run == 100
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage().startswith("eigenvector did not converge")
+        assert "after 100 iterations" in record.getMessage()
+
+    def test_pc_over_its_budget_warns(self, caplog):
+        g, _ = random_graph(40, 160, seed=2)
+        with caplog.at_level(logging.WARNING):
+            sv = propagation_centrality(g, PcConfig(max_iterations=2))
+        assert sv.params["converged"] is False
+        (record,) = caplog.records
+        assert record.getMessage().startswith("pc did not converge")
+        assert "after 2 iterations" in record.getMessage()
+
+    def test_converged_runs_and_dic_log_nothing(self, caplog):
+        g = preferential_attachment(300, 3, seed=1)
+        with caplog.at_level(logging.DEBUG):
+            assert eigenvector_centrality(g).params["converged"]
+            assert propagation_centrality(g).params["converged"]
+            dic(g)
+        assert caplog.records == []
+
+    def test_step_returning_none_stops_with_the_last_iterate(self, caplog):
+        steps = iter([np.array([0.5]), None])
+        with caplog.at_level(logging.WARNING):
+            x, *rest = power_iterate(lambda x: next(steps), np.array([1.0]),
+                                     PowerIterationConfig(), "probe")
+        assert x.tolist() == [0.5] and rest == [1, 0.5, False]
+        assert caplog.records[0].getMessage().startswith("probe did not converge")
