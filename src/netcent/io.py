@@ -423,13 +423,30 @@ def read_labels(path) -> list[str]:
             for label in map(str.strip, text.split("\n")) if label]
 
 
+# the closed range each known attribute column must lie in
+ATTRIBUTE_BOUNDS = {"vulnerability_0": (0.0, 1.0),
+                    "retweet_count": (0.0, np.inf),
+                    "emotion_word_count": (0.0, np.inf)}
+
+
+def attribute_fault(column: str, value: float) -> str | None:
+    """Why ``value`` cannot stand in attribute ``column``, or None if it can."""
+    if not np.isfinite(value):
+        return "is not finite"
+    lo, hi = ATTRIBUTE_BOUNDS.get(column, (-np.inf, np.inf))
+    if not lo <= value <= hi:
+        return f"is out of range [{lo:g}, {hi:g}]"
+    return None
+
+
 def read_attributes_csv(path) -> dict[str, dict[str, float]]:
     """Read per-node attributes: first column ``node``, one column per attribute.
 
     Empty cells mean the node lacks that attribute. Returns
     {column -> {node_label -> value}}. A row wider than the header, a
-    node given twice, or a cell that float() rejects or reads as nan or
-    infinite raises ParseError at its line.
+    node given twice, or a cell that float() rejects, reads as nan or
+    infinite, or falls outside its column's ``ATTRIBUTE_BOUNDS`` raises
+    ParseError at its line.
     """
     rows = (row for first, text in _blocks(path) for row in _data_lines(first, text))
     try:
@@ -461,8 +478,9 @@ def read_attributes_csv(path) -> dict[str, dict[str, float]]:
             except ValueError:
                 raise ParseError(f"{path}: bad number {cell!r} in column {col!r}",
                                  line=lineno) from None
-            if not np.isfinite(value):
-                raise ParseError(f"{path}: {cell!r} in column {col!r} is not finite",
+            fault = attribute_fault(col, value)
+            if fault:
+                raise ParseError(f"{path}: {cell!r} in column {col!r} {fault}",
                                  line=lineno)
             columns[col][node] = value
     return columns

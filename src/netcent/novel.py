@@ -20,6 +20,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import InvalidParameter, MissingAttribute
 from .graph import ENDORSEMENT, INFO_FLOW, DirectedGraph
+from .io import attribute_fault, read_attributes_csv
 from .scores import ScoreVector, min_max
 from .traditional import PowerIterationConfig, power_iterate
 
@@ -31,35 +32,28 @@ MVC_INITS = ("seeded_uniform", "attribute")
 class NodeAttributes:
     """Optional per-node reals keyed by column name then node label.
 
-    Known columns carry range checks: ``vulnerability_0`` must lie in
-    [0, 1]; ``retweet_count`` and ``emotion_word_count`` must be
-    non-negative. Arbitrary extra columns are allowed for custom proxies.
+    Every value must be finite, and known columns carry range checks
+    (``io.ATTRIBUTE_BOUNDS``): ``vulnerability_0`` must lie in [0, 1];
+    ``retweet_count`` and ``emotion_word_count`` must be non-negative.
+    Arbitrary extra columns are allowed for custom proxies.
+    ``from_csv`` checks each cell at its file line.
     """
 
     columns: dict[str, dict[str, float]] = field(default_factory=dict)
 
-    _BOUNDS = {"vulnerability_0": (0.0, 1.0),
-               "retweet_count": (0.0, None),
-               "emotion_word_count": (0.0, None)}
-
     def __post_init__(self):
         for col, values in self.columns.items():
-            lo, hi = self._BOUNDS.get(col, (None, None))
             for node, value in values.items():
-                if not np.isfinite(value):
+                fault = attribute_fault(col, value)
+                if fault:
                     raise InvalidParameter(
-                        f"attribute {col}={value} for node {node!r} is not finite")
-                if (lo is not None and value < lo) \
-                        or (hi is not None and value > hi):
-                    raise InvalidParameter(
-                        f"attribute {col}={value} for node {node!r} out of range")
+                        f"attribute {col}={value} for node {node!r} {fault}")
 
     def column(self, name: str) -> dict[str, float]:
         return self.columns.get(name, {})
 
     @classmethod
     def from_csv(cls, path) -> "NodeAttributes":
-        from .io import read_attributes_csv
         return cls(columns=read_attributes_csv(path))
 
 

@@ -35,16 +35,18 @@ _POPCOUNT8 = _BITS8.sum(axis=1).astype(np.int64)
 _BYTE_BINS = 256 * np.arange(8)
 
 
-def out_edges(out_ptr: np.ndarray, nodes: np.ndarray,
-              fanout: np.ndarray) -> np.ndarray:
-    """Out-adjacency indices of the edges leaving ``nodes``, node by node.
+def out_edges(out_ptr: np.ndarray, nodes: np.ndarray, fanout: np.ndarray):
+    """(edges, owner) for the edges leaving ``nodes``, node by node.
 
-    ``fanout`` is the nodes' out-degrees; each node's edges keep their
-    CSR order, so the result ascends when ``nodes`` does.
+    ``fanout`` is the nodes' out-degrees. ``edges`` holds out-adjacency
+    indices; each node's edges keep their CSR order, so they ascend when
+    ``nodes`` does. ``owner`` holds the position in ``nodes`` of each
+    edge's tail, so ``values[owner]`` repeats per-node values per edge.
     """
-    edges = np.repeat(out_ptr[nodes] - np.cumsum(fanout) + fanout, fanout)
+    owner = np.repeat(np.arange(nodes.size), fanout)
+    edges = (out_ptr[nodes] - np.cumsum(fanout) + fanout)[owner]
     edges += np.arange(edges.size)
-    return edges
+    return edges, owner
 
 
 def unit_words(width: int) -> np.ndarray:
@@ -129,9 +131,9 @@ class Sweep:
         return self.targets[hit], reached[hit]
 
     def _push(self, nodes, words, fanout, live, active):
-        edges = out_edges(self.out_ptr, nodes, fanout)
+        edges, owner = out_edges(self.out_ptr, nodes, fanout)
         dst = self.out_dst[edges]
-        carried = np.repeat(words, fanout)
+        carried = words[owner]
         if live is not None:
             carried &= live[self.out_to_in[edges]]
         carried &= ~active[dst]

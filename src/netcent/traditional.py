@@ -18,8 +18,11 @@ over the unvisited nodes' in-edges; a batch cannot pull. Otherwise B
 sources share each BFS level's vectorised pass, on (node, source) keys:
 the largest power of two B up to 64 with B * (n + m) <= ``BATCH_BUDGET``
 times the probe's depth, counting at most ``BATCH_DEPTH_CAP`` levels.
-Both add every term in the same order, so they give the same bytes; a
-source without out-edges adds nothing and is skipped.
+A batch returns its dependencies node-major, a contiguous row of B per
+node, and one ``np.add.accumulate`` along the rows folds them into the
+chunk's sum source after source. Both kernels add every term in the
+same order, so they give the same bytes; a source without out-edges
+adds nothing and is skipped.
 
 Betweenness and weighted closeness run one source loop,
 ``_accumulate_over_sources``: exact mode makes every node a pivot, in
@@ -79,9 +82,11 @@ PULL_MIN_EDGES = 1 << 14
 PULL_NODE_COST = 1 / 4
 # betweenness runs B sources per level pass while B * (n + m) fits this
 # many units for each level of the probe pass, counting at most
-# BATCH_DEPTH_CAP levels. A batch's scratch takes 7-11 bytes per unit, so
-# the cap keeps it under about 23 MB per process; on the benchmark's
-# sparse-exact input (B = 64) a worker's peak RSS reads about 40 MB
+# BATCH_DEPTH_CAP levels. A batch's scratch took 7-10 bytes per unit on
+# graphs 15-32 levels deep and 14 on graphs 6-8 deep, whose budget is at
+# most 8 levels', so it stays under about 22 MB per process; on the
+# benchmark's sparse-exact input (B = 64) a worker's peak RSS reads about
+# 40 MB
 BATCH_BUDGET = 1 << 16
 BATCH_DEPTH_CAP = 32
 # the widest batch betweenness ran since it was last set to 0 (1: one
@@ -379,10 +384,10 @@ def closeness_centrality(g: DirectedGraph, mode: str = "auto",
 def _pull_tier(g: DirectedGraph, in_degree, dist, level: int):
     """A level's tier from the unvisited nodes' in-edges, in (dst, src) order."""
     unseen = np.flatnonzero(dist < 0)
-    fanin = in_degree[unseen]
-    tails = g.in_src[out_edges(g.in_ptr, unseen, fanin)]
-    on_tier = dist[tails] == level - 1
-    return tails[on_tier], np.repeat(unseen, fanin)[on_tier]
+    edges, owner = out_edges(g.in_ptr, unseen, in_degree[unseen])
+    tails = g.in_src[edges]
+    on_tier = np.flatnonzero(dist[tails] == level - 1)
+    return tails[on_tier], unseen[owner[on_tier]]
 
 
 def _forward_pass(g: DirectedGraph, out_degree, in_degree, s: int):
@@ -433,13 +438,13 @@ def _forward_pass(g: DirectedGraph, out_degree, in_degree, s: int):
             if not t_dst.size:
                 break
         else:
-            t_dst = g.out_dst[out_edges(g.out_ptr, frontier, fanout)]
+            edges, owner = out_edges(g.out_ptr, frontier, fanout)
+            t_dst = g.out_dst[edges]
             # nothing is at distance `level` yet, so every unvisited head is new
-            on_tier = dist[t_dst] < 0
-            t_dst = t_dst[on_tier]
-            if not t_dst.size:
+            on_tier = np.flatnonzero(dist[t_dst] < 0)
+            if not on_tier.size:
                 break
-            t_src = np.repeat(frontier, fanout)[on_tier]
+            t_dst, t_src = t_dst[on_tier], frontier[owner[on_tier]]
         dist[t_dst] = level
         carried = sigma[t_src]
         sigma += np.bincount(t_dst, weights=carried, minlength=n)
@@ -478,16 +483,23 @@ def _batch_level(g: DirectedGraph, out_degree, width: int, unseen, pos,
     Returns the level's sorted keys, their sigma, and the frontier slot
     (tail) and level slot (head) of each tier edge into it, both int32.
     """
-    nodes, cols = np.divmod(frontier, width)
-    fanout = out_degree[nodes]
-    heads = g.out_dst[out_edges(g.out_ptr, nodes, fanout)]
+    # every width _width_for picks is a power of two: a shift and a mask
+    # split its keys, where other widths need divmod
+    if width & (width - 1):
+        nodes, cols = np.divmod(frontier, width)
+    else:
+        nodes, cols = frontier >> (width.bit_length() - 1), frontier & (width - 1)
+    edges, tails = out_edges(g.out_ptr, nodes, out_degree[nodes])
+    heads = g.out_dst[edges]
+    # at most three edge-sized arrays live at once: tails, heads, a temporary
+    del edges
     heads *= width
-    heads += np.repeat(cols, fanout)
-    fresh = unseen[heads]
-    heads = heads[fresh]
-    if not heads.size:
+    heads += cols[tails]
+    fresh = np.flatnonzero(unseen[heads])
+    if not fresh.size:
         return None
-    tails = np.repeat(np.arange(frontier.size), fanout)[fresh]
+    heads = heads[fresh]
+    tails = tails[fresh]
     keys = np.sort(heads)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     unseen[keys] = False
@@ -500,7 +512,8 @@ def _batch_level(g: DirectedGraph, out_degree, width: int, unseen, pos,
 def _brandes_batch(g: DirectedGraph, out_degree, sources: np.ndarray,
                    width: int, harmonic: np.ndarray | None = None
                    ) -> np.ndarray:
-    """Dependencies delta_s(.) of each source in ``sources``, one row each.
+    """Dependencies delta_s(.) of the k ``sources`` as an (n, k) block:
+    column c holds ``sources[c]``'s, and each node's row is contiguous.
 
     Column c runs ``sources[c]`` on keys ``node * width + c``, one level
     for every column at a time. A level expands the sorted frontier's
@@ -543,7 +556,7 @@ def _brandes_batch(g: DirectedGraph, out_degree, sources: np.ndarray,
         after = np.bincount(tails, weights=share, minlength=keys.size)
         delta[keys] = after
         sigma, (tails, slots) = before, into
-    return delta.reshape(n, width)[:, :sources.size].T
+    return delta.reshape(n, width)[:, :sources.size]
 
 
 def _batch_closeness(reached: list[np.ndarray], width: int) -> np.ndarray:
@@ -636,10 +649,13 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
                     g, out_degree, in_degree, int(v), closeness)
             return out
         for first in range(0, chunk.size, width):
-            batch = chunk[first:first + width]
-            for delta in _brandes_batch(g, out_degree, batch, width,
-                                        closeness):
-                out[0] += delta
+            block = _brandes_batch(g, out_degree, chunk[first:first + width],
+                                   width, closeness)
+            # each node's row adds onto the partial so far one source after
+            # another, the order of one += per source
+            block[:, 0] += out[0]
+            np.add.accumulate(block, axis=1, out=block)
+            out[0] = block[:, -1]
         return out
 
     sums = _accumulate_over_sources(pivots, per_chunk, (rows, n))

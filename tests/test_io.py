@@ -507,6 +507,28 @@ def test_attributes_csv_rejects_malformed_rows(tmp_path, text, line, message):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("column,value", [
+    ("vulnerability_0", "1.5"), ("vulnerability_0", "-0.1"),
+    ("retweet_count", "-2"), ("emotion_word_count", "-1e-9")])
+def test_attribute_out_of_range_fails_at_its_line(tmp_path, capsys, column,
+                                                  value):
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_text(f"node,{column},other\na,0.5,-7\n# note\nb,{value},1\n")
+    with pytest.raises(ParseError, match=f"{value}' in column '{column}' is "
+                       "out of range") as exc:
+        ncio.read_attributes_csv(attrs)
+    assert exc.value.line == 4
+    scores = tmp_path / "pc.scores.csv"
+    scores.write_text("node_label,score\na,1\nb,2\n")
+    assert main(["correlate", "--scores", str(scores), "--attributes",
+                 str(attrs), "--proxy", column]) == 2
+    assert "line 4" in capsys.readouterr().err
+    # the bounds are closed, and a column without bounds takes any value
+    attrs.write_text(f"node,{column},other\na,0,-7\n")
+    assert ncio.read_attributes_csv(attrs) == {column: {"a": 0.0},
+                                               "other": {"a": -7.0}}
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_scores_and_attributes_fail_at_their_line(tmp_path, capsys,
                                                              value):

@@ -65,3 +65,22 @@ def test_popcounts_and_bit_counts_match_python_bits(size):
     assert sweep.popcounts(words).tolist() == [bin(w).count("1") for w in ints]
     assert sweep.bit_counts(words).tolist() == [
         sum(w >> j & 1 for w in ints) for j in range(64)]
+
+
+@given(st.lists(st.integers(0, 5), max_size=30), st.data())
+@settings(max_examples=200, deadline=None)
+def test_out_edges_lists_each_nodes_edges_with_its_owner(degrees, data):
+    """Random CSRs with zero-fanout nodes; ``nodes`` may be empty, and
+    need be neither sorted nor distinct."""
+    out_ptr = np.concatenate(([0], np.cumsum(degrees, dtype=np.int64)))
+    nodes = np.array(data.draw(st.lists(st.integers(0, len(degrees) - 1),
+                                        max_size=40) if degrees
+                               else st.just([])), dtype=np.int64)
+    fanout = np.diff(out_ptr)[nodes]
+    edges, owner = sweep.out_edges(out_ptr, nodes, fanout)
+    # the form out_edges had before it returned each edge's owner
+    before = np.repeat(out_ptr[nodes] - np.cumsum(fanout) + fanout, fanout)
+    before += np.arange(before.size)
+    assert edges.tolist() == before.tolist() == [
+        e for v in nodes.tolist() for e in range(out_ptr[v], out_ptr[v + 1])]
+    assert owner.tolist() == np.repeat(np.arange(len(nodes)), fanout).tolist()

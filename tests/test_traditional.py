@@ -292,14 +292,16 @@ class TestBetweenness:
                 force_width(mp, width)
                 check_betweenness()
 
-    @pytest.mark.parametrize("width", [8, 64])
+    @pytest.mark.parametrize("width", [3, 8, 64])
     @pytest.mark.parametrize("sink_every", [None, 5])
     def test_batch_and_chunk_boundaries_match_oracle(self, monkeypatch,
                                                      width, sink_every):
         """Source counts on each side of a batch (width) and of a chunk
         (64 sources); with ``sink_every``, one node in every
         ``sink_every`` has no out-edges, so batches skip sinks from their
-        middle."""
+        middle. Below 64 a chunk holds several batches, and each after
+        the first folds onto the chunk's running sum; width 3 splits keys
+        by divmod, the powers of two by shift and mask."""
         for count in (width - 1, width, width + 1, 63, 64, 65):
             n = count + 9
             edges = [(s, d) for s, d in random_edge_list(n, 4 * n, count)
