@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import shutil
 import sys
 from pathlib import Path
@@ -27,8 +26,6 @@ from .pipeline import (RunConfig, boolean, cascade_config, compute_metrics,
 from .ranking import overlap_report, rank_correlation, top_k
 from .scores import TRADITIONAL_METRICS
 from .simulate import STRATEGIES, intervention_experiment
-
-log = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,8 +71,6 @@ def _config_from_args(args) -> RunConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    if getattr(args, "workers", None) is not None:
-        log.warning("--workers is ignored and will be removed")
     if not values.get("input"):
         raise UsageError("an input file is required (--input or config [run] input)")
     return RunConfig.from_dict(values)
@@ -90,7 +85,6 @@ def _ingest_flags(p):
 def _compute_flags(p):
     _add_config_flags(p, (*_INPUT, "metrics", "seed", "attributes", "out",
                           *_METRIC_OPTIONS))
-    p.add_argument("--workers", type=int, help="ignored; will be removed")
 
 
 def _compare_flags(p):
@@ -116,7 +110,6 @@ def _simulate_flags(p):
                       spellings={"sim_seeds": "--seeds",
                                  "sim_random_seeds": "--random-seeds",
                                  "sim_model": "--model"})
-    p.add_argument("--workers", type=int, help="ignored; will be removed")
     p.add_argument("--remove", type=str_list, default=(),
                    help="explicit node labels to remove")
     p.add_argument("--removal-file", help="file with one label per line")
@@ -133,7 +126,6 @@ def _simulate_flags(p):
 def _run_flags(p):
     p.add_argument("--config", help="INI config file; flags override it")
     _add_config_flags(p, _CONFIG_FIELDS)
-    p.add_argument("--workers", type=int, help="ignored; will be removed")
 
 
 def _emit_plots_flags(p):

@@ -236,9 +236,8 @@ class DirectedGraph:
             raise InvalidParameter("edge weights must be finite and positive")
 
         self.out_ptr, self.out_dst, self.out_w = _csr_from_sorted(src, dst, w, self.n)
-        # the edges ascend by (src, dst), so a stable sort by dst alone
-        # orders them by (dst, src)
-        order = np.argsort(dst, kind="stable")
+        # the (dst, src) keys are distinct, so any sort orders them alike
+        order = np.argsort(dst * self.n + src)
         self.in_ptr, self.in_src, self.in_w = _csr_from_sorted(
             dst[order], src[order], w[order], self.n)
         for arr in (self.out_ptr, self.out_dst, self.out_w,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
-import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,8 +36,6 @@ from .traditional import (SAMPLING_MODES, PowerIterationConfig,
                           betweenness_centrality, closeness_centrality,
                           degree_centrality, eigenvector_centrality,
                           resolves_exact)
-
-log = logging.getLogger(__name__)
 
 DEFAULT_METRICS = ("degree_total", "closeness", "betweenness", "eigenvector",
                    "pc", "mvc", "dic")
@@ -227,10 +224,6 @@ def load_config_file(path) -> dict:
     values: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            if (section, key) == ("run", "workers"):
-                # loads so older config files still work, but has no effect
-                log.warning("%s: [run] workers is ignored and will be removed", path)
-                continue
             f = _FILE_KEYS.get((section, key))
             if f is None:
                 raise InvalidParameter(f"{path}: unknown config key [{section}] {key}")

@@ -89,7 +89,10 @@ class Sweep:
     def out_to_in(self) -> np.ndarray:
         """In-adjacency index of each out-edge, so pushes read ``live`` too."""
         out_to_in = np.empty(self.m, dtype=np.int64)
-        out_to_in[np.argsort(self.out_dst, kind="stable")] = np.arange(self.m)
+        # the in-adjacency orders edges by (dst, src), and those keys are
+        # distinct, so any sort orders them alike
+        src = np.repeat(np.arange(self.n), self.out_degree)
+        out_to_in[np.argsort(self.out_dst * self.n + src)] = np.arange(self.m)
         return out_to_in
 
     def levels(self, nodes: np.ndarray, words: np.ndarray,

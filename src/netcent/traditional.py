@@ -15,14 +15,15 @@ accumulation with one of two kernels, chosen by one probe pass from the
 node with the most out-edges. Where a probe level pulls, sources run one
 at a time, each level pushing over the frontier's out-edges or pulling
 over the unvisited nodes' in-edges; a batch cannot pull. Otherwise B
-sources share each BFS level's vectorised pass, on (node, source) keys:
-the largest power of two B up to 64 with B * (n + m) <= ``BATCH_BUDGET``
-times the probe's depth, counting at most ``BATCH_DEPTH_CAP`` levels.
-A batch returns its dependencies node-major, a contiguous row of B per
-node, and one ``np.add.accumulate`` along the rows folds them into the
-chunk's sum source after source. Both kernels add every term in the
-same order, so they give the same bytes; a source without out-edges
-adds nothing and is skipped.
+sources share each BFS level's vectorised pass: the largest power of two
+B up to 64 with B * (n + m) <= ``BATCH_BUDGET`` times the probe's depth,
+counting at most ``BATCH_DEPTH_CAP`` levels. A batch keys source c's
+nodes ``c << shift | node``, one row of keys per source, and one sort of
+each level's (head, tail) pairs gives the next frontier and the order
+both passes add in, at any width. It returns a row of dependencies per
+source, and the chunk's sum adds the rows in source order. Both kernels
+add every term in the same order, so they give the same bytes; a source
+without out-edges adds nothing and is skipped.
 
 Betweenness and weighted closeness run one source loop,
 ``_accumulate_over_sources``: exact mode makes every node a pivot, in
@@ -69,7 +70,7 @@ SAMPLING_MODES = ("auto", "exact", "sampled")
 _SOURCE_CHUNK = 64
 # processes a source loop may use, fewer where fewer CPUs are usable
 # (worker_count). Each worker holds its own traversal scratch: on the
-# benchmark's sparse-exact input a worker's peak RSS reads about 40 MB,
+# benchmark's sparse-exact input a worker's peak RSS reads about 41 MB,
 # so memory grows with the count; counts above 2 have not been measured
 WORKERS = 2
 # the most processes one source loop ran on since it was last set to 0;
@@ -82,11 +83,12 @@ PULL_MIN_EDGES = 1 << 14
 PULL_NODE_COST = 1 / 4
 # betweenness runs B sources per level pass while B * (n + m) fits this
 # many units for each level of the probe pass, counting at most
-# BATCH_DEPTH_CAP levels. A batch's scratch took 7-10 bytes per unit on
-# graphs 15-32 levels deep and 14 on graphs 6-8 deep, whose budget is at
-# most 8 levels', so it stays under about 22 MB per process; on the
+# BATCH_DEPTH_CAP levels. A batch's scratch took 9-13.5 bytes per unit on
+# graphs 13-34 levels deep and 14.5-15 on graphs 6-7 deep, whose budget is
+# at most 8 levels', so it stays under about 28 MB per process; on the
 # benchmark's sparse-exact input (B = 64) a worker's peak RSS reads about
-# 40 MB
+# 41 MB. The budget also keeps a batch's keys, B << shift with 2^shift < 2n,
+# below 2^22
 BATCH_BUDGET = 1 << 16
 BATCH_DEPTH_CAP = 32
 # the widest batch betweenness ran since it was last set to 0 (1: one
@@ -476,104 +478,95 @@ def _brandes_from_source(g: DirectedGraph, out_degree, in_degree,
     return delta
 
 
-def _batch_level(g: DirectedGraph, out_degree, width: int, unseen, pos,
+def _batch_level(g: DirectedGraph, out_degree, shift: int, unseen,
                  frontier: np.ndarray, sigma: np.ndarray):
     """The level after ``frontier`` in ``_brandes_batch``, or None.
 
-    Returns the level's sorted keys, their sigma, and the frontier slot
-    (tail) and level slot (head) of each tier edge into it, both int32.
+    Returns the level's ascending keys, their sigma, and the frontier
+    slot (tail) and level slot (head) of each tier edge into it, in
+    ascending (head, tail) order.
     """
-    # every width _width_for picks is a power of two: a shift and a mask
-    # split its keys, where other widths need divmod
-    if width & (width - 1):
-        nodes, cols = np.divmod(frontier, width)
-    else:
-        nodes, cols = frontier >> (width.bit_length() - 1), frontier & (width - 1)
+    nodes = frontier & ((1 << shift) - 1)
     edges, tails = out_edges(g.out_ptr, nodes, out_degree[nodes])
     heads = g.out_dst[edges]
-    # at most three edge-sized arrays live at once: tails, heads, a temporary
     del edges
-    heads *= width
-    heads += cols[tails]
+    # a head takes its tail's column bits
+    heads |= (frontier ^ nodes)[tails]
     fresh = np.flatnonzero(unseen[heads])
     if not fresh.size:
         return None
-    heads = heads[fresh]
-    tails = tails[fresh]
-    keys = np.sort(heads)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    # one sort of (head, tail) pairs gives the keys, each tier edge's
+    # slots and the order both passes add in. The width rule keeps heads
+    # below 2^22 and tails are below 2^bits, so a pair fits in int64
+    bits = frontier.size.bit_length()
+    pairs = heads[fresh]
+    del heads
+    pairs <<= bits
+    pairs |= tails[fresh]
+    del tails, fresh
+    pairs.sort()
+    heads = pairs >> bits
+    tails = pairs
+    tails &= (1 << bits) - 1
+    first = np.empty(heads.size, dtype=bool)
+    first[0] = True
+    np.not_equal(heads[1:], heads[:-1], out=first[1:])
+    # compress: a boolean index took 4-5 times as long on numpy 2.4
+    keys = np.compress(first, heads)
     unseen[keys] = False
-    pos[keys] = np.arange(keys.size, dtype=np.int32)
-    slots = pos[heads]
-    sigma = np.bincount(slots, weights=sigma[tails], minlength=keys.size)
-    return keys, sigma, tails.astype(np.int32), slots
+    slots = np.cumsum(first)
+    slots -= 1
+    return keys, np.bincount(slots, weights=sigma[tails]), tails, slots
 
 
 def _brandes_batch(g: DirectedGraph, out_degree, sources: np.ndarray,
-                   width: int, harmonic: np.ndarray | None = None
-                   ) -> np.ndarray:
-    """Dependencies delta_s(.) of the k ``sources`` as an (n, k) block:
-    column c holds ``sources[c]``'s, and each node's row is contiguous.
+                   harmonic: np.ndarray | None = None) -> np.ndarray:
+    """Dependencies delta_s(.) of the k ``sources`` as a (k, n) block, a
+    row per source.
 
-    Column c runs ``sources[c]`` on keys ``node * width + c``, one level
-    for every column at a time. A level expands the sorted frontier's
-    keys over their nodes' out-edges in CSR order, keeps the heads whose
-    key is unseen, and sorts and dedupes those into the next frontier;
-    a head's slot in it indexes that frontier's ``sigma`` and ``delta``.
-    Within a column the frontier ascends by node, so every ``sigma`` and
-    ``delta`` term comes in the order the per-source push adds it in and
-    the bytes match. Each level keeps its keys, sigma and int32 tier
-    slots for the pass back; a level's scratch dies with its call.
+    Row c runs ``sources[c]`` on keys ``c << shift | node``, with
+    ``1 << shift`` the power of two at or above n, one level for every
+    row at a time. A level expands the frontier's nodes over their
+    out-edges, keeps the heads whose key is unseen, and sorts the tier's
+    (head, tail) pairs once; the distinct heads are the next frontier.
+    Within a head the tails ascend, and within a tail the heads, so every
+    ``sigma`` and ``delta`` term comes in the order the per-source push
+    adds it in and the bytes match. Each level keeps its keys, sigma and
+    tier slots for the pass back; a level's scratch dies with its call.
 
     With ``harmonic``, each source's hop closeness is added to its entry,
-    as in ``_brandes_from_source``, from one count of the kept levels'
-    keys by (level, column) (``_batch_closeness``).
+    as in ``_brandes_from_source``, from each level's key count per row.
     """
-    n = g.n
-    unseen = np.ones(n * width, dtype=bool)
-    pos = np.empty(unseen.size, dtype=np.int32)
-    frontier = sources * width + np.arange(sources.size)
+    k = sources.size
+    shift = (g.n - 1).bit_length()
+    unseen = np.ones(k << shift, dtype=bool)
+    frontier = np.arange(k) << shift | sources
     unseen[frontier] = False
-    levels = [(frontier, np.ones(sources.size), None, None)]
-    while (level := _batch_level(g, out_degree, width, unseen, pos,
+    levels = [(frontier, np.ones(k), None, None)]
+    counts = []
+    while (level := _batch_level(g, out_degree, shift, unseen,
                                  *levels[-1][:2])) is not None:
         levels.append(level)
+        if harmonic is not None:
+            counts.append(np.bincount(level[0] >> shift, minlength=k))
     # the forward scratch goes before delta takes its place, and each
     # level as soon as the pass back has used it
-    del unseen, pos
-    if harmonic is not None and len(levels) > 1:
-        harmonic[sources] += _batch_closeness(
-            [keys for keys, *_ in levels[1:]], width)[:sources.size]
-    delta = np.zeros(n * width)
+    del unseen
+    if counts:
+        # cumsum adds level after level, so each row sums in level order
+        harmonic[sources] += np.cumsum(
+            counts / np.arange(1.0, len(counts) + 1)[:, None], axis=0)[-1]
+    delta = np.zeros(k << shift)
     # the last level depends on nothing, and the sources' own delta is 0
     _, sigma, tails, slots = levels.pop()
     after = np.zeros(sigma.size)
     while len(levels) > 1:
         keys, before, *into = levels.pop()
-        # int32 gathers take numpy's slow path: widen them once
-        tails, slots = tails.astype(np.intp), slots.astype(np.intp)
         share = before[tails] / sigma[slots] * (1.0 + after[slots])
         after = np.bincount(tails, weights=share, minlength=keys.size)
         delta[keys] = after
         sigma, (tails, slots) = before, into
-    return delta.reshape(n, width)[:, :sources.size]
-
-
-def _batch_closeness(reached: list[np.ndarray], width: int) -> np.ndarray:
-    """Each column's sum of count_L / L in ascending L, where ``reached``
-    holds the keys first reached at hop 1, 2, ... of ``_brandes_batch``."""
-    depth = len(reached)
-    tags = np.concatenate(reached)
-    # the column of a key; a mask costs a tenth of % for widths 2^k
-    if width & (width - 1):
-        tags %= width
-    else:
-        tags &= width - 1
-    tags += np.repeat(np.arange(0, width * depth, width),
-                      [keys.size for keys in reached])
-    counts = np.bincount(tags, minlength=width * depth).reshape(depth, width)
-    # cumsum adds row after row, so each column sums in level order
-    return np.cumsum(counts / np.arange(1, depth + 1)[:, None], axis=0)[-1]
+    return delta.reshape(k, -1)[:, :g.n]
 
 
 def _batch_width(g: DirectedGraph) -> int:
@@ -649,13 +642,10 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
                     g, out_degree, in_degree, int(v), closeness)
             return out
         for first in range(0, chunk.size, width):
-            block = _brandes_batch(g, out_degree, chunk[first:first + width],
-                                   width, closeness)
-            # each node's row adds onto the partial so far one source after
-            # another, the order of one += per source
-            block[:, 0] += out[0]
-            np.add.accumulate(block, axis=1, out=block)
-            out[0] = block[:, -1]
+            # each node's entry adds one source after another, in order
+            for row in _brandes_batch(g, out_degree,
+                                      chunk[first:first + width], closeness):
+                out[0] += row
         return out
 
     sums = _accumulate_over_sources(pivots, per_chunk, (rows, n))

@@ -7,11 +7,11 @@ to how the surface is declared cannot silently drop or rename one.
 
 import contextlib
 import io
-import logging
 
 import pytest
 
 import netcent.cli
+from netcent.errors import InvalidParameter
 from netcent.pipeline import RunConfig, load_config_file
 
 # (section, key, raw value, field, parsed value); every value differs
@@ -58,8 +58,6 @@ INI_ENTRIES = [
     ("simulate", "budget", "natural", "sim_budget", "natural"),
     ("simulate", "weight_scaled", "true", "sim_weight_scaled", True),
 ]
-# accepted and without effect on the run or its report
-IGNORED_INI = ("run", "workers", "3")
 
 RUN, COMPUTE, SIMULATE = "run", "compute", "simulate"
 METRIC_COMMANDS = (RUN, COMPUTE)
@@ -161,7 +159,7 @@ def _ini_text(entries):
 
 def test_every_ini_key_loads_into_its_field(tmp_path):
     ini = tmp_path / "all.ini"
-    ini.write_text(_ini_text(INI_ENTRIES + [IGNORED_INI]))
+    ini.write_text(_ini_text(INI_ENTRIES))
     cfg = RunConfig.from_dict(load_config_file(ini))
     default = RunConfig()
     for section, key, _, name, value in INI_ENTRIES:
@@ -182,22 +180,17 @@ def test_every_flag_parses_into_its_field(parse_config, commands, flag, name,
 
 
 @pytest.mark.parametrize("command", EVERY)
-def test_workers_flag_is_accepted_and_changes_nothing(parse_config, command,
-                                                      caplog):
-    with caplog.at_level(logging.WARNING):
-        plain = parse_config(BASE_ARGS[command])
-        assert not caplog.records
-        assert parse_config(BASE_ARGS[command] + ["--workers", "3"]).to_dict() \
-            == plain.to_dict()
-    assert caplog.messages == ["--workers is ignored and will be removed"]
+def test_workers_flag_is_an_unknown_flag(command, capsys):
+    assert netcent.cli.main(BASE_ARGS[command] + ["--workers", "3"]) == 1
+    assert "unrecognized arguments: --workers 3" in capsys.readouterr().err
 
 
-def test_workers_config_key_loads_with_a_warning(tmp_path, caplog):
+def test_workers_config_key_is_an_unknown_key(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\ninput = data.csv\nworkers = 3\n")
-    with caplog.at_level(logging.WARNING):
-        assert load_config_file(ini) == {"input": "data.csv"}
-    assert caplog.messages == [f"{ini}: [run] workers is ignored and will be removed"]
+    with pytest.raises(InvalidParameter,
+                       match=r"unknown config key \[run\] workers"):
+        load_config_file(ini)
 
 
 def test_flags_override_config_file(parse_config, tmp_path):

@@ -84,11 +84,10 @@ class TestRunPipeline:
                 "--simulate", "--sim-random-seeds", "2", "--ic-trials", "120"]
         out = tmp_path / "out"
         outputs = {}
-        # --workers is ignored: the usable CPUs, capped at two, decide
-        for cpus, flags, workers in ((1, [], 1), (2, ["--workers", "1"], 2),
-                                     (4, [], 2)):
+        # the usable CPUs, capped at two, decide
+        for cpus, workers in ((1, 1), (2, 2), (4, 2)):
             use_cpus(monkeypatch, cpus)
-            assert run_cli(*base, "--out", out, *flags) == 0
+            assert run_cli(*base, "--out", out) == 0
             timings = json.loads((out / "timings.json").read_text())
             assert timings["workers"] == workers
             assert timings["children_peak_rss_mb"] >= 0

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_ids
-from netcent import CascadeConfig, closeness_centrality
+from netcent import (CascadeConfig, closeness_centrality,
+                     preferential_attachment, random_digraph)
 from netcent import sweep
 from netcent.simulate import _trial_counts
 
@@ -84,3 +85,22 @@ def test_out_edges_lists_each_nodes_edges_with_its_owner(degrees, data):
     assert edges.tolist() == before.tolist() == [
         e for v in nodes.tolist() for e in range(out_ptr[v], out_ptr[v + 1])]
     assert owner.tolist() == np.repeat(np.arange(len(nodes)), fanout).tolist()
+
+
+@pytest.mark.parametrize("g", [graph_from_ids(1, []),
+                               graph_from_ids(4, [(2, 0), (0, 1), (3, 0)]),
+                               preferential_attachment(3_000, 10, seed=4),
+                               random_digraph(5_000, 7_500, seed=5)],
+                         ids=["no-edges", "tiny", "hubs", "sparse"])
+def test_in_order_matches_a_stable_sort_by_destination(g):
+    """The in-adjacency and ``Sweep.out_to_in`` sort (dst, src) keys,
+    which are distinct, so any sort gives the stable sort's order."""
+    src, dst, w = g.edge_arrays()
+    # the edges ascend by (src, dst), so a stable sort by dst alone
+    # orders them by (dst, src)
+    order = np.argsort(dst, kind="stable")
+    assert np.array_equal(g.in_src, src[order])
+    assert np.array_equal(g.in_w, w[order])
+    out_to_in = np.empty(g.num_edges, dtype=np.int64)
+    out_to_in[order] = np.arange(g.num_edges)
+    assert np.array_equal(sweep.Sweep(g).out_to_in, out_to_in)

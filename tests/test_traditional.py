@@ -59,6 +59,24 @@ def brandes_graphs(draw):
     return graph_from_ids(n, edges)
 
 
+def layered_dag(layers, size, seed):
+    """``layers`` levels of ``size`` nodes, each node pointing at 2 to 6
+    seeded nodes of the next level. Returns the graph and the exact
+    number of paths from node 0 to each node."""
+    rng = stream(seed)
+    edges = []
+    for level in range(layers - 1):
+        below = (level + 1) * size
+        for a in range(level * size, below):
+            heads = rng.choice(size, size=int(rng.integers(2, 7)),
+                               replace=False)
+            edges += [(a, below + int(b)) for b in heads]
+    paths = [1] + [0] * (layers * size - 1)
+    for a, b in sorted(edges):
+        paths[b] += paths[a]
+    return graph_from_ids(layers * size, edges), paths
+
+
 def tail_into_core(core):
     """A 30-node path into a hub, which points at every node of a complete
     digraph on ``core`` nodes; each core node also points at 5 seeded
@@ -292,7 +310,7 @@ class TestBetweenness:
                 force_width(mp, width)
                 check_betweenness()
 
-    @pytest.mark.parametrize("width", [3, 8, 64])
+    @pytest.mark.parametrize("width", [3, 5, 8, 33, 64])
     @pytest.mark.parametrize("sink_every", [None, 5])
     def test_batch_and_chunk_boundaries_match_oracle(self, monkeypatch,
                                                      width, sink_every):
@@ -300,8 +318,8 @@ class TestBetweenness:
         (64 sources); with ``sink_every``, one node in every
         ``sink_every`` has no out-edges, so batches skip sinks from their
         middle. Below 64 a chunk holds several batches, and each after
-        the first folds onto the chunk's running sum; width 3 splits keys
-        by divmod, the powers of two by shift and mask."""
+        the first folds onto the chunk's running sum. On 129 = 2^7 + 1
+        nodes a row's keys span 256, nearly half of them padding."""
         for count in (width - 1, width, width + 1, 63, 64, 65):
             n = count + 9
             edges = [(s, d) for s, d in random_edge_list(n, 4 * n, count)
@@ -319,6 +337,31 @@ class TestBetweenness:
             assert np.array_equal(
                 betweenness_centrality(sub, mode="exact").scores,
                 oracles.brandes_betweenness(sub, range(count)))
+        edges = [(s, d) for s, d in random_edge_list(129, 4 * 129, 7)
+                 if not sink_every or s % sink_every != 2]
+        g = graph_from_ids(129, edges)
+        assert np.array_equal(betweenness_centrality(g, mode="exact").scores,
+                              oracles.brandes_betweenness(g, range(g.n)))
+
+    @pytest.mark.parametrize("width", [3, 5, 64])
+    def test_rounded_path_counts_keep_the_per_source_order(self, monkeypatch,
+                                                           width):
+        """A layered DAG 40 levels deep whose path counts pass 2^53, so
+        sigma's sums round and their order shows: every batch row has the
+        per-source kernel's bytes, and the sum the oracle's."""
+        g, paths = layered_dag(layers=40, size=8, seed=width)
+        assert max(paths) > 2 ** 53
+        out_degree, in_degree = g.out_degrees(), g.in_degrees()
+        sources = np.flatnonzero(out_degree)
+        for first in range(0, sources.size, width):
+            batch = sources[first:first + width]
+            block = traditional._brandes_batch(g, out_degree, batch)
+            for row, s in zip(block, batch.tolist()):
+                assert np.array_equal(
+                    row, _brandes_from_source(g, out_degree, in_degree, s))
+        force_width(monkeypatch, width)
+        assert np.array_equal(betweenness_centrality(g, mode="exact").scores,
+                              oracles.brandes_betweenness(g, range(g.n)))
 
     def test_width_rule_picks_the_kernel(self, monkeypatch):
         # 90 nodes make two chunks: one CPU keeps both in this process
