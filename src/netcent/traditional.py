@@ -2,8 +2,8 @@
 
 All operations are pure functions over the immutable graph. Closeness
 and betweenness distances are unweighted hop counts by default: edge
-weights encode interaction frequency, not cost. A weighted mode
-(distance = 1/weight, Dijkstra) exists behind a flag.
+weights encode interaction frequency, not cost. A weighted closeness
+mode (distance = 1/weight) exists behind a flag.
 
 Exact all-pairs traversal is O(n(n+m)); above ``EXACT_NODE_LIMIT`` nodes
 the auto mode switches to seeded pivot sampling with
@@ -48,7 +48,6 @@ forward pass.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import os
 from dataclasses import asdict, dataclass
@@ -138,21 +137,22 @@ def power_iterate(step, x: np.ndarray, cfg: PowerIterationConfig, metric: str):
 
 # -- shared traversal kernels ---------------------------------------------
 
-def _dijkstra_distances(ptr, adj, w, source: int, n: int) -> np.ndarray:
-    """Weighted distances with cost 1/weight; inf = unreachable."""
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for i in range(ptr[u], ptr[u + 1]):
-            v = adj[i]
-            nd = d + 1.0 / w[i]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+def _weighted_distances(g: DirectedGraph, in_degree, cost, pivot: int):
+    """d(v, pivot) for every v at ``cost`` an edge, inf if unreachable, by
+    label-correcting rounds. fl(a + c) is monotone in a and costs are
+    positive, so every relaxation order ends at each node's minimum over
+    paths of the path's left-to-right sum."""
+    dist = np.full(g.n, np.inf)
+    dist[pivot] = 0.0
+    frontier = np.array([pivot])
+    while frontier.size:
+        edges, owner = out_edges(g.in_ptr, frontier, in_degree[frontier])
+        heads, reached = g.in_src[edges], dist[frontier][owner] + cost[edges]
+        better = np.flatnonzero(reached < dist[heads])
+        better = better[np.argsort(heads[better])]
+        firsts = np.flatnonzero(np.diff(heads[better], prepend=-1))
+        frontier = heads[better[firsts]]
+        dist[frontier] = np.minimum.reduceat(reached[better], firsts)
     return dist
 
 
@@ -337,12 +337,13 @@ def _hop_closeness_to(sweep: Sweep, pivots: np.ndarray) -> np.ndarray:
 
 
 def _weighted_closeness_to(g: DirectedGraph, pivots: np.ndarray) -> np.ndarray:
-    """Each node's sum of reciprocal Dijkstra distances to the pivots."""
+    """Each node's sum of reciprocal weighted distances to the pivots."""
+    in_degree, cost = np.diff(g.in_ptr), 1.0 / g.in_w
+
     def per_chunk(chunk):
         out = np.zeros(g.n)
         for p in chunk:
-            # reverse traversal from the pivot: d(v, p) for every v
-            d = _dijkstra_distances(g.in_ptr, g.in_src, g.in_w, int(p), g.n)
+            d = _weighted_distances(g, in_degree, cost, p)
             reach = np.isfinite(d) & (d > 0)
             out[reach] += 1.0 / d[reach]
         return out
@@ -363,9 +364,8 @@ def closeness_centrality(g: DirectedGraph, mode: str = "auto",
     Hop scores add count_L / L in ascending L from each node's distance
     histogram, so nodes with equal histograms score bit-identically and
     sampled mode with k = n equals exact bit for bit. Weighted closeness
-    runs every pivot's reverse Dijkstra through
-    ``_accumulate_over_sources``, exact mode with every node a pivot, so
-    there too k = n equals exact bit for bit.
+    sums its pivots' ``_weighted_distances`` in ``_accumulate_over_sources``,
+    exact mode with every node a pivot, so there too k = n equals exact.
     """
     n = g.n
     pivots, params = _resolve_pivots(n, mode, sample_size, seed, "closeness")

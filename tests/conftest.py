@@ -30,12 +30,15 @@ def random_edge_list(n, m, seed):
     return sorted(pairs)
 
 
-def graph_from_ids(n, edges, direction="info_flow"):
-    """Graph over ids 0..n-1 using zero-padded labels so ids match ranks."""
+def graph_from_ids(n, edges, direction="info_flow", weights=None):
+    """Graph over ids 0..n-1 using zero-padded labels so ids match ranks;
+    every edge weighs 1 unless ``weights`` are given."""
     width = len(str(max(n - 1, 1)))
     labels = [f"{i:0{width}d}" for i in range(n)]
+    if weights is None:
+        weights = np.ones(len(edges))
     return DirectedGraph(labels, [s for s, _ in edges], [d for _, d in edges],
-                         np.ones(len(edges)), direction=direction)
+                         weights, direction=direction)
 
 
 def random_graph(n, m, seed, direction="info_flow"):

@@ -5,6 +5,7 @@ dense matrices, exact integer/Fraction arithmetic, exhaustive
 enumeration) and shares no code with the package's fast paths.
 """
 
+import heapq
 from collections import deque
 from fractions import Fraction
 
@@ -189,6 +190,29 @@ def brandes_betweenness(g, sources):
             chunk += brandes_from_source(g, int(s))
         total += chunk
     return total
+
+
+def dijkstra_distances(ptr, adj, w, source, n):
+    """Distances from ``source`` along the CSR (ptr, adj) at cost 1/weight
+    an edge, inf = unreachable: a Python heap Dijkstra, one edge at a time.
+
+    Weighted closeness ran this per pivot before its vectorised
+    relaxation, which must give the same bytes.
+    """
+    dist = np.full(n, np.inf)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for i in range(ptr[u], ptr[u + 1]):
+            v = adj[i]
+            nd = d + 1.0 / w[i]
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
 
 
 def pagerank_dense(edges, n, damping=0.85, tol=1e-14, weights=None):

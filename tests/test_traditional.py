@@ -115,6 +115,51 @@ def count_tiers(mp, g):
     return counts
 
 
+# per-edge weight draws. Near the float maximum 1/w is so small that
+# fl(d + 1/w) == d once d is not tiny; below about 5.6e-309, 1/w overflows
+# to inf and the edge leads nowhere
+WEIGHT_DRAWS = {
+    "integer": lambda rng, k: rng.integers(1, 9, size=k).astype(float),
+    "uniform": lambda rng, k: rng.uniform(0.01, 10.0, size=k),
+    "lognormal": lambda rng, k: rng.lognormal(0.0, 8.0, size=k),
+    "huge": lambda rng, k: rng.uniform(1e307, np.finfo(float).max, size=k),
+    "tiny": lambda rng, k: rng.uniform(5e-324, 5e-309, size=k),
+}
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Digraphs on <= 40 nodes, possibly edgeless, with a cycle through
+    up to 8 drawn nodes and isolated nodes; each edge's weight comes from
+    one of up to three drawn WEIGHT_DRAWS, so one graph can mix them."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    pairs = set(draw(st.lists(st.tuples(node, node), max_size=120)))
+    ring = draw(st.lists(node, unique=True, max_size=8))
+    pairs |= set(zip(ring, ring[1:] + ring[:1]))
+    isolated = draw(st.sets(node, max_size=3))
+    edges = sorted((s, d) for s, d in pairs
+                   if s != d and s not in isolated and d not in isolated)
+    kinds = draw(st.lists(st.sampled_from(sorted(WEIGHT_DRAWS)), min_size=1,
+                          max_size=3, unique=True))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    kind = rng.integers(len(kinds), size=len(edges))
+    weights = np.empty(len(edges))
+    for i, name in enumerate(kinds):
+        weights[kind == i] = WEIGHT_DRAWS[name](rng, int((kind == i).sum()))
+    return graph_from_ids(n, edges, weights=weights)
+
+
+def weighted_distances(g, pivot):
+    """The package's distances to ``pivot`` and the heap oracle's."""
+    with np.errstate(over="ignore"):
+        cost = 1.0 / g.in_w
+        want = oracles.dijkstra_distances(g.in_ptr, g.in_src, g.in_w, pivot,
+                                          g.n)
+    return (traditional._weighted_distances(g, np.diff(g.in_ptr), cost, pivot),
+            want)
+
+
 class TestDegreeCentrality:
     def test_star_out_mode(self):
         g = from_edges([("c", f"l{i}") for i in range(4)])
@@ -225,6 +270,38 @@ class TestCloseness:
         first = closeness_centrality(g, mode="exact").scores
         second = closeness_centrality(g, mode="exact").scores
         assert np.array_equal(first, second)
+
+    @given(weighted_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_weighted_distances_equal_heap_oracle(self, g):
+        for pivot in range(g.n):
+            got, want = weighted_distances(g, pivot)
+            assert got.tobytes() == want.tobytes()
+
+    def test_weighted_distances_when_every_round_improves_every_node(
+            self, monkeypatch):
+        # node i has a chain edge to i - 1 at cost 1 and, for i >= 2, a
+        # direct edge to 0 at cost 2i: after round r node i >= r is at
+        # 2i - r + 1, so nodes 1..k improve in k rounds, k(k + 1)/2 times
+        k = 60
+        edges = [(i, i - 1) for i in range(1, k + 1)] + \
+                [(i, 0) for i in range(2, k + 1)]
+        weights = [1.0] * k + [1 / (2 * i) for i in range(2, k + 1)]
+        g = graph_from_ids(k + 1, edges, weights=weights)
+        expand = traditional.out_edges
+        frontiers = []
+
+        def counted(ptr, nodes, fanout):
+            frontiers.append(nodes.size)
+            return expand(ptr, nodes, fanout)
+
+        monkeypatch.setattr(traditional, "out_edges", counted)
+        got, want = weighted_distances(g, 0)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, np.arange(k + 1.0))
+        # the pivot, k improving rounds, and node k's last, empty expansion
+        assert len(frontiers) == k + 1
+        assert sum(frontiers) == 1 + k * (k + 1) // 2
 
     def test_sampled_weighted_full_pivots_matches_exact_weighted(self):
         g = from_edges([("a", "b", 2.0), ("b", "c", 4.0), ("c", "a", 1.0),
