@@ -175,10 +175,8 @@ def _cmd_compute(args) -> int:
     g = load_graph(cfg)
     attrs = NodeAttributes.from_csv(cfg.attributes) if cfg.attributes else None
     out_dir = Path(cfg.out)
-    for metric, sv in compute_metrics(g, cfg, attrs).items():
-        path = out_dir / f"{metric}.scores.csv"
-        _io.write_scores_csv(sv, path)
-        print(f"wrote {path}")
+    for metric in compute_metrics(g, cfg, attrs, out_dir):
+        print(f"wrote {out_dir / f'{metric}.scores.csv'}")
     return 0
 
 

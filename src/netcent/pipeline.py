@@ -263,6 +263,12 @@ def load_graph(cfg: RunConfig) -> DirectedGraph:
     return _io.read_edge_csv(cfg.input, direction=cfg.direction)
 
 
+def _betweenness(g: DirectedGraph, cfg: RunConfig, **kwargs) -> ScoreVector:
+    return betweenness_centrality(
+        g, mode=cfg.betweenness_mode, sample_size=cfg.betweenness_samples,
+        seed=derive_seed(cfg.seed, "betweenness_pivots"), **kwargs)
+
+
 def compute_metric(g: DirectedGraph, metric: str, cfg: RunConfig,
                    attrs: NodeAttributes | None = None) -> ScoreVector:
     """Run one metric with parameters and named sub-seeds from the config."""
@@ -274,9 +280,7 @@ def compute_metric(g: DirectedGraph, metric: str, cfg: RunConfig,
             seed=derive_seed(cfg.seed, "closeness_pivots"),
             weighted=cfg.closeness_weighted)
     if metric == "betweenness":
-        return betweenness_centrality(
-            g, mode=cfg.betweenness_mode, sample_size=cfg.betweenness_samples,
-            seed=derive_seed(cfg.seed, "betweenness_pivots"))
+        return _betweenness(g, cfg)
     if metric == "eigenvector":
         return eigenvector_centrality(
             g, PowerIterationConfig(tolerance=cfg.eig_tolerance,
@@ -298,36 +302,84 @@ def compute_metric(g: DirectedGraph, metric: str, cfg: RunConfig,
 
 
 def compute_metrics(g: DirectedGraph, cfg: RunConfig,
-                    attrs: NodeAttributes | None = None) -> dict[str, ScoreVector]:
-    """Every metric of ``cfg.metrics``, in that order, by metric name.
+                    attrs: NodeAttributes | None = None,
+                    out_dir: Path | None = None) -> dict[str, ScoreVector]:
+    """Every metric of ``cfg.metrics``, in that order, by metric name,
+    each written to ``out_dir / "<metric>.scores.csv"`` unless
+    ``out_dir`` is None.
 
     When closeness and betweenness are both asked for, both resolve to
     exact mode and closeness counts hops, one traversal serves both:
     betweenness' Brandes pass also sums each source's count_L / L, in
     the order ``closeness_centrality(g, "exact")`` adds them, so the
-    closeness scores are the same bytes. Any other run computes each
-    metric on its own through ``compute_metric``. A shared run never
-    calls ``closeness_centrality``, so the benchmark's traced runs count
+    closeness scores are the same bytes. Any other metric is computed
+    on its own through ``compute_metric``. A shared run never calls
+    ``closeness_centrality``, so the benchmark's traced runs count
     closeness inside the betweenness span and read
     ``traditional.closeness_s`` as 0.
+
+    Betweenness starts first, and this process computes and writes the
+    other metrics, in ``cfg.metrics`` order, while a forked worker
+    starts on its source chunks (``meanwhile``); their spans nest inside
+    the betweenness span. The errors wait until betweenness has finished,
+    and the one raised is the one the metrics run one after another
+    would raise: the first failing metric in ``cfg.metrics`` order, and
+    only then the first failing write.
     """
-    shared = ({"closeness", "betweenness"} <= set(cfg.metrics)
-              and not cfg.closeness_weighted
-              and resolves_exact(g.n, cfg.closeness_mode)
-              and resolves_exact(g.n, cfg.betweenness_mode))
+    order = {metric: i for i, metric in enumerate(cfg.metrics)}
+    traversal = ()
+    if "betweenness" in order:
+        traversal = ("betweenness",)
+        if ("closeness" in order and not cfg.closeness_weighted
+                and resolves_exact(g.n, cfg.closeness_mode)
+                and resolves_exact(g.n, cfg.betweenness_mode)):
+            traversal = ("closeness", "betweenness")
     vectors: dict[str, ScoreVector] = {}
-    for metric in cfg.metrics:
+    # (rank, exception): a metric's rank is its place in cfg.metrics, a
+    # write's comes after every metric's
+    failures = []
+
+    def write(metric):
+        if out_dir is None:
+            return
+        try:
+            _io.write_scores_csv(vectors[metric],
+                                 out_dir / f"{metric}.scores.csv")
+        except Exception as exc:
+            failures.append((len(order) + order[metric], exc))
+
+    def others():
+        for metric in cfg.metrics:
+            if metric in traversal:
+                continue
+            try:
+                vectors[metric] = compute_metric(g, metric, cfg, attrs)
+            except Exception as exc:
+                failures.append((order[metric], exc))
+                return
+            write(metric)
+            yield
+
+    # the loop runs what it can of them; whatever is left runs below
+    rest = others()
+    try:
+        if traversal:
+            harmonic = np.zeros(g.n) if "closeness" in traversal else None
+            vectors["betweenness"] = _betweenness(
+                g, cfg, harmonic=harmonic, meanwhile=lambda: rest)
+            if harmonic is not None:
+                vectors["closeness"] = ScoreVector(
+                    metric="closeness", labels=g.labels, scores=harmonic,
+                    params={"weighted": False, "mode": "exact"})
+    except Exception as exc:
+        failures.append((min(order[m] for m in traversal), exc))
+    for _ in rest:
+        pass
+    for metric in traversal:
         if metric in vectors:
-            continue
-        if shared and metric in ("closeness", "betweenness"):
-            harmonic = np.zeros(g.n)
-            vectors["betweenness"] = betweenness_centrality(
-                g, "exact", harmonic=harmonic)
-            vectors["closeness"] = ScoreVector(
-                metric="closeness", labels=g.labels, scores=harmonic,
-                params={"weighted": False, "mode": "exact"})
-        else:
-            vectors[metric] = compute_metric(g, metric, cfg, attrs)
+            write(metric)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return {metric: vectors[metric] for metric in cfg.metrics}
 
 
@@ -389,7 +441,8 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     are atomic. Stage failures raise PipelineError naming the stage.
 
     ``timings.json`` holds each stage's seconds, then ``workers``, the
-    most processes a source loop ran on (0: none ran), ``brandes_width``,
+    most processes a source loop kept computing at a time, this one
+    included while it ran the other metrics (0: none ran), ``brandes_width``,
     the sources per Brandes level pass betweenness ran (1: one at a time,
     0: betweenness did not run), and ``children_peak_rss_mb``, the
     largest reaped child's peak RSS.
@@ -411,13 +464,8 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     attrs = stage("attributes", lambda: (
         NodeAttributes.from_csv(cfg.attributes) if cfg.attributes else None))
 
-    def compute_all():
-        score_vectors = compute_metrics(g, cfg, attrs)
-        for metric, sv in score_vectors.items():
-            _io.write_scores_csv(sv, out_dir / f"{metric}.scores.csv")
-        return score_vectors
-
-    score_vectors = stage("metrics", compute_all)
+    score_vectors = stage("metrics",
+                          lambda: compute_metrics(g, cfg, attrs, out_dir))
 
     rankings = stage("rank", lambda: {m: top_k(sv, cfg.k)
                                       for m, sv in score_vectors.items()})

@@ -29,12 +29,15 @@ Betweenness and weighted closeness run one source loop,
 ``_accumulate_over_sources``: exact mode makes every node a pivot, in
 ascending order. Each fixed-size chunk of pivots sums its
 contributions in ascending pivot order, and the chunk sums are added in
-ascending chunk order. The chunks run in up to ``WORKERS`` forked
-worker processes, never more than the usable CPUs, and the parent
-still adds the chunk sums in ascending order, so any process count
-gives the same bytes. With one usable CPU (``taskset -c 0``), one
-chunk, or no ``os.fork`` and ``os.sched_getaffinity`` on the platform,
-they run serially in this process.
+ascending chunk order. Up to ``WORKERS`` processes compute at a time,
+never more than the usable CPUs: this one, while it does whatever
+other work its caller gave it (``meanwhile``), and forked workers,
+one more of which then takes its place. The workers take their chunks
+from one shared queue. This process still adds the chunk sums in
+ascending order, so any process count and any arrival order give the
+same bytes. With one usable CPU (``taskset -c 0``), one chunk, or no
+``os.fork`` and ``os.sched_getaffinity`` on the platform, they run
+serially in this process.
 
 Exact betweenness can also give exact hop closeness from its own
 forward pass (``harmonic``): each level's node count over its distance,
@@ -56,7 +59,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import rng as _rng
-from .errors import InvalidParameter, ZeroMatrix
+from .errors import DataError, InvalidParameter, ZeroMatrix
 from .graph import DEGREE_MODES, INFO_FLOW, DirectedGraph
 from .scores import ScoreVector
 from .sweep import (LANE, Sweep, bit_counts, out_edges, popcounts,
@@ -67,10 +70,12 @@ log = logging.getLogger(__name__)
 EXACT_NODE_LIMIT = 20_000
 SAMPLING_MODES = ("auto", "exact", "sampled")
 _SOURCE_CHUNK = 64
-# processes a source loop may use, fewer where fewer CPUs are usable
-# (worker_count). Each worker holds its own traversal scratch: on the
-# benchmark's sparse-exact input a worker's peak RSS reads about 41 MB,
-# so memory grows with the count; counts above 2 have not been measured
+# processes a source loop may keep computing at a time, the calling one
+# included while it runs its caller's other work, fewer where fewer CPUs
+# are usable (worker_count). Each worker holds its own traversal scratch:
+# on the benchmark's sparse-exact input a worker's peak RSS reads about
+# 41 MB, so memory grows with the count; counts above 2 have not been
+# measured
 WORKERS = 2
 # the most processes one source loop ran on since it was last set to 0;
 # run_pipeline reports it in timings.json
@@ -157,7 +162,8 @@ def _weighted_distances(g: DirectedGraph, in_degree, cost, pivot: int):
 
 
 def worker_count(chunks: int) -> int:
-    """Processes to run ``chunks`` source chunks on.
+    """Processes to compute ``chunks`` source chunks at a time, this one
+    included while it runs other work.
 
     That is ``WORKERS``, capped by the usable CPUs and by ``chunks``. It
     is 1, a serial run in this process, where the platform has no
@@ -168,99 +174,230 @@ def worker_count(chunks: int) -> int:
     return max(1, min(WORKERS, len(os.sched_getaffinity(0)), chunks))
 
 
-def _accumulate_over_sources(sources, per_chunk, shape):
+def _accumulate_over_sources(sources, per_chunk, shape, meanwhile=None):
     """Sum ``per_chunk``'s float arrays of ``shape`` in ascending chunk order.
 
-    With P = ``worker_count(chunks)`` above 1, chunk i runs in forked
-    worker i mod P. The worker sends back the chunk's partial sum as
-    raw float64 bytes. The parent adds the partials in ascending chunk
-    order, as the serial loop does, so every process count gives the
-    same bytes. It reads one partial at a time, so the rest wait in the
-    workers. Every worker is reaped before this returns, and on an
-    exception killed first.
+    ``meanwhile``, if given, is called once in this process before any
+    chunk runs here; each item its iterable yields marks a point where
+    partials that are ready get read. With P = ``worker_count(chunks)``
+    above 1, this process forks P - 1 workers and runs ``meanwhile``,
+    then forks one more worker in its own place, so P processes compute
+    at a time and this one's peak RSS holds no traversal scratch. The
+    workers take chunks from one queue, so whichever is free runs the
+    next chunk. A worker sends back each chunk's partial sum as raw
+    float64 bytes. The parent adds the partials in ascending chunk order
+    and holds any that arrive early, as the serial loop adds them, so
+    every process count and arrival order gives the same bytes. Where
+    chunks fail, the lowest failing chunk's exception is raised, as the
+    serial loop raises it. Every worker is reaped before this returns,
+    and on an exception killed first.
     """
     sources = np.asarray(sources, dtype=np.int64)
     chunks = [sources[first:first + _SOURCE_CHUNK]
               for first in range(0, sources.size, _SOURCE_CHUNK)]
-    total = np.zeros(shape)
     procs = worker_count(len(chunks))
     global workers_used
     workers_used = max(workers_used, procs)
-    if procs == 1:
-        for chunk in chunks:
-            total += per_chunk(chunk)
-        return total
-    # fork, not spawn: a worker starts with the graph already in memory,
-    # where spawn would import netcent again and copy the graph over.
-    # netcent starts no threads, and OpenBLAS shuts its pool down at fork
-    pids, pipes = [], []
-    try:
-        for w in range(procs):
-            # the read end joins pipes before the fork and the write end
-            # is closed whatever the fork does, so a failed fork leaks neither
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker(chunks[w::procs], per_chunk, write_fd,
-                            [pipe.fileno() for pipe in pipes])
-                pids.append(pid)
-            finally:
-                os.close(write_fd)
-        partial = np.empty(shape)
-        for i in range(len(chunks)):
-            _receive(pipes[i % procs], partial)
-            total += partial
-    except BaseException:
-        import signal
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
+    if procs > 1:
+        return _Pool(chunks, per_chunk, shape).run(procs, meanwhile)
+    for _ in meanwhile() if meanwhile is not None else ():
+        pass
+    total = np.zeros(shape)
+    for chunk in chunks:
+        total += per_chunk(chunk)
     return total
 
 
-def _worker(chunks, per_chunk, write_fd, readers):
+_ENDED = "a worker process ended before sending its result"
+# a message's 5-byte header: its kind, then the chunk it is about
+_PARTIAL, _FAILED, _DONE = range(3)
+# a result pipe holds this many bytes where the platform allows it, so a
+# worker seldom waits while the parent runs its other work: 4 partials of
+# the benchmark's 30k-node graph
+_PIPE_BYTES = 1 << 20
+
+
+class _Pool:
+    """One ``_accumulate_over_sources`` run on forked workers.
+
+    The queue is a pipe filled before the fork with 4-byte entries and
+    then closed for writing, so a read gets the next entry or, once
+    every entry is taken, end of file; a read of 4 bytes is atomic, so
+    no two processes take one entry. An entry names the first of
+    ``group`` consecutive chunks. The entries fit ``select.PIPE_BUF``
+    bytes, which any pipe holds, so filling the queue never blocks:
+    ``group`` is 1 up to 1024 chunks on Linux and grows above that.
+    """
+
+    def __init__(self, chunks, per_chunk, shape):
+        import select
+        self.chunks, self.per_chunk, self.shape = chunks, per_chunk, shape
+        self.group = -(-len(chunks) // (select.PIPE_BUF // 4))
+        # the partials added so far, in chunk order, and how many
+        self.total, self.added = np.zeros(shape), 0
+        # chunk index -> a partial that came early, or the exception it
+        # raised
+        self.received = {}
+        # result pipes of the workers yet to say they are done, by fd
+        self.live = {}
+        self.poll = select.poll()
+
+    def take(self, queue):
+        """A worker's next chunk indices, from the next queue entry; none
+        once the queue is empty."""
+        entry = os.read(queue, 4)
+        if not entry:
+            return range(0)
+        first = int.from_bytes(entry, "little")
+        return range(first, min(first + self.group, len(self.chunks)))
+
+    def queue(self) -> int:
+        """A new queue holding every entry; its read end."""
+        firsts = np.arange(0, len(self.chunks), self.group, dtype="<u4")
+        queue, fill = os.pipe()
+        try:
+            os.write(fill, firsts.tobytes())
+        finally:
+            os.close(fill)
+        return queue
+
+    def run(self, procs, meanwhile):
+        import signal
+        queue = self.queue()
+        pids, pipes = [], []
+        try:
+            # fork, not spawn: a worker starts with the graph already in
+            # memory, where spawn would import netcent again and copy the
+            # graph over. netcent starts no threads, and OpenBLAS shuts
+            # its pool down at fork
+            for _ in range(procs - 1):
+                self._fork(queue, pids, pipes)
+            for _ in meanwhile() if meanwhile is not None else ():
+                self._receive(block=False)
+            # the last worker takes this process's place: this one holds
+            # the run's other state, and a batch's scratch on top of it
+            # raised its peak RSS by a tenth on a 1000-node graph
+            self._fork(queue, pids, pipes)
+            while self.added < len(self.chunks):
+                # only an exception waits at the head of the chunk order
+                if self.added in self.received:
+                    raise self.received[self.added]
+                self._receive(block=True)
+            return self.total
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.close(queue)
+            for pipe in pipes:
+                pipe.close()
+            for pid in pids:
+                os.waitpid(pid, 0)
+
+    def _fork(self, queue, pids, pipes):
+        """Start one worker on ``queue``; its pid joins ``pids`` and its
+        result pipe ``pipes``. The read end joins ``pipes`` before the
+        fork and the write end is closed whatever the fork does, so a
+        failed fork leaks neither."""
+        import select
+        read_fd, write_fd = os.pipe()
+        pipes.append(open(read_fd, "rb", buffering=0))
+        try:
+            try:
+                import fcntl
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            except (ImportError, AttributeError, OSError):
+                pass  # not Linux, or over the system's pipe limits
+            pid = os.fork()
+            if pid == 0:
+                _worker(self, queue, write_fd,
+                        [pipe.fileno() for pipe in pipes])
+            pids.append(pid)
+        finally:
+            os.close(write_fd)
+        self.live[read_fd] = pipes[-1]
+        self.poll.register(read_fd, select.POLLIN)
+
+    def _receive(self, block: bool) -> None:
+        """Read every message the workers have ready; with ``block``,
+        wait for one first."""
+        while True:
+            if block and not self.live:
+                raise RuntimeError(_ENDED)
+            ready = self.poll.poll(None if block else 0)
+            if not ready:
+                return
+            block = False
+            for fd, _ in ready:
+                self._read_message(fd)
+
+    def _read_message(self, fd: int) -> None:
+        pipe = self.live[fd]
+        header = bytearray(5)
+        _read_into(pipe, header)
+        kind, chunk = header[0], int.from_bytes(header[1:], "little")
+        if kind == _PARTIAL:
+            self.received[chunk] = partial = np.empty(self.shape)
+            _read_into(pipe, partial)
+            while isinstance(self.received.get(self.added), np.ndarray):
+                self.total += self.received.pop(self.added)
+                self.added += 1
+            return
+        if kind == _FAILED:
+            import pickle
+            self.received[chunk] = pickle.loads(pipe.readall())
+        self.poll.unregister(fd)
+        del self.live[fd]
+
+
+def _read_into(pipe, buffer) -> None:
+    """Fill ``buffer`` from a worker's raw ``pipe``; end of file first is
+    an error."""
+    view = memoryview(buffer).cast("B")
+    while view.nbytes:
+        n = pipe.readinto(view)
+        if not n:
+            raise RuntimeError(_ENDED)
+        view = view[n:]
+
+
+def _header(kind: int, chunk: int) -> bytes:
+    return bytes((kind,)) + chunk.to_bytes(4, "little")
+
+
+def _worker(pool: _Pool, queue: int, write_fd: int, readers):
     """A forked worker's life; it never returns.
 
-    For each chunk it sends status byte 0 and the chunk's partial sum as
-    raw float64 bytes. An exception goes as status byte 1 and the
-    pickled exception. Nothing it writes to memory reaches the parent.
-    It closes its copies of the parent's ``readers``, so once the parent
-    is gone the next write raises BrokenPipeError and the worker exits.
+    It takes queue entries until the queue is empty and sends each
+    chunk's partial sum as raw float64 bytes after a header naming the
+    chunk, then a last header saying it is done. A chunk's exception
+    goes as a header and the pickled exception, and the worker stops
+    there. Nothing it writes to memory reaches the parent. It closes its
+    copies of the parent's ``readers``, so once the parent is gone the
+    next write raises BrokenPipeError and the worker exits.
     """
     status = 1
     try:
         for fd in readers:
             os.close(fd)
         with open(write_fd, "wb") as out:
-            try:
+            while chunks := pool.take(queue):
                 for chunk in chunks:
-                    partial = per_chunk(chunk)
-                    out.write(b"\0")
+                    try:
+                        partial = pool.per_chunk(pool.chunks[chunk])
+                    except BaseException as exc:
+                        import pickle
+                        out.write(_header(_FAILED, chunk)
+                                  + pickle.dumps(exc))
+                        return
+                    out.write(_header(_PARTIAL, chunk))
                     out.write(partial)
                     out.flush()
-                status = 0
-            except BaseException as exc:
-                import pickle
-                out.write(b"\1" + pickle.dumps(exc))
+            out.write(_header(_DONE, 0))
+        status = 0
     finally:
         os._exit(status)
-
-
-def _receive(pipe, partial: np.ndarray) -> None:
-    """Fill ``partial`` from a worker's next message; raise its exception."""
-    status = pipe.read(1)
-    if status == b"\1":
-        import pickle
-        raise pickle.loads(pipe.read())
-    if status != b"\0" or pipe.readinto(partial) != partial.nbytes:
-        raise RuntimeError("a worker process ended before sending its result")
 
 
 def resolves_exact(n: int, mode: str) -> bool:
@@ -337,15 +474,22 @@ def _hop_closeness_to(sweep: Sweep, pivots: np.ndarray) -> np.ndarray:
 
 
 def _weighted_closeness_to(g: DirectedGraph, pivots: np.ndarray) -> np.ndarray:
-    """Each node's sum of reciprocal weighted distances to the pivots."""
-    in_degree, cost = np.diff(g.in_ptr), 1.0 / g.in_w
+    """Each node's sum of reciprocal weighted distances to the pivots.
+
+    A weight whose 1/w overflows to inf makes its edge lead nowhere. A
+    sum that overflows stays inf, for the caller to reject.
+    """
+    in_degree = np.diff(g.in_ptr)
+    with np.errstate(over="ignore"):
+        cost = 1.0 / g.in_w
 
     def per_chunk(chunk):
         out = np.zeros(g.n)
-        for p in chunk:
-            d = _weighted_distances(g, in_degree, cost, p)
-            reach = np.isfinite(d) & (d > 0)
-            out[reach] += 1.0 / d[reach]
+        with np.errstate(over="ignore"):
+            for p in chunk:
+                d = _weighted_distances(g, in_degree, cost, p)
+                reach = np.isfinite(d) & (d > 0)
+                out[reach] += 1.0 / d[reach]
         return out
 
     return _accumulate_over_sources(pivots, per_chunk, g.n)
@@ -376,7 +520,16 @@ def closeness_centrality(g: DirectedGraph, mode: str = "auto",
     else:
         scores = _hop_closeness_to(Sweep(g.transpose()), pivots)
     if pivots.size < n:
-        scores *= n / pivots.size
+        with np.errstate(over="ignore"):
+            scores *= n / pivots.size
+    # only distances below 1/float max, from weights near it, overflow
+    overflow = np.flatnonzero(np.isinf(scores))
+    if overflow.size:
+        raise DataError(
+            f"closeness: the weighted closeness of node "
+            f"{g.labels[overflow[0]]!r} overflows: an edge weight near the "
+            f"float maximum puts a node at a distance whose reciprocal "
+            f"exceeds it")
     return ScoreVector(metric="closeness", labels=g.labels, scores=scores,
                        params={"weighted": weighted, **params})
 
@@ -596,7 +749,8 @@ def _width_for(n: int, m: int, depth: int, pulled: bool) -> int:
 
 def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
                            sample_size: int | None = None, seed: int = 0,
-                           harmonic: np.ndarray | None = None) -> ScoreVector:
+                           harmonic: np.ndarray | None = None, *,
+                           meanwhile=None) -> ScoreVector:
     """Freeman betweenness over ordered pairs, unnormalised.
 
     Exact mode runs Brandes accumulation from every source; sampled mode
@@ -618,6 +772,8 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
     the same bytes for any process count. A chunk's partial has one row
     of dependency sums and, with ``harmonic``, a second row holding its
     sources' closeness and 0.0 everywhere else; adding 0.0 is exact.
+    ``meanwhile`` goes to that loop: other work for this process to do
+    while a forked worker starts on the chunks.
     """
     n = g.n
     pivots, params = _resolve_pivots(n, mode, sample_size, seed,
@@ -648,7 +804,7 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
                 out[0] += row
         return out
 
-    sums = _accumulate_over_sources(pivots, per_chunk, (rows, n))
+    sums = _accumulate_over_sources(pivots, per_chunk, (rows, n), meanwhile)
     if harmonic is not None:
         harmonic += sums[1]
     scores = sums[0]

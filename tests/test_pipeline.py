@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ class TestRunPipeline:
 
     def test_worker_count_changes_nothing(self, forks, monkeypatch,
                                           tmp_path):
-        # 160 nodes: three 64-source chunks, so two workers both run
+        # 160 nodes: three 64-source chunks, so both workers may run some
         edges = tmp_path / "edges.csv"
         write_edge_csv(preferential_attachment(160, 3, seed=6), edges)
         base = ["run", "--input", edges, "--format", "edges", "--seed", "3",
@@ -513,6 +514,19 @@ class TestStandaloneCommands:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
 
+    def test_weighted_closeness_overflow_exits_2_naming_the_node(
+            self, tmp_path, capsys):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight\na,b,1.7976931348623157e308\n")
+        with warnings.catch_warnings():
+            # numpy's overflow warning would end the run as an internal error
+            warnings.simplefilter("error")
+            assert run_cli("run", "--input", edges, "--format", "edges",
+                           "--closeness-weighted",
+                           "--out", tmp_path / "out") == 2
+        assert "weighted closeness of node 'a' overflows" in \
+            capsys.readouterr().err
+
     def test_missing_report_file_is_data_error(self, tmp_path, capsys):
         assert run_cli("emit-plots", "--report", tmp_path / "gone.json",
                        "--out", tmp_path) == 2
@@ -610,6 +624,97 @@ class TestComputeMetrics:
             want = (tmp_path / name).read_bytes()
             assert (tmp_path / "c" / name).read_bytes() == want
             assert (tmp_path / "r" / name).read_bytes() == want
+
+
+    @pytest.mark.parametrize("settings,forked", [
+        ({}, 2),
+        ({"closeness_mode": "sampled", "closeness_samples": 90,
+          "betweenness_mode": "sampled", "betweenness_samples": 150}, 2),
+        # weighted closeness forks workers of its own inside betweenness'
+        ({"closeness_weighted": True}, 4),
+    ], ids=["shared", "sampled", "weighted"])
+    def test_overlapped_metrics_write_the_same_bytes(
+            self, forks, monkeypatch, tmp_path, settings, forked):
+        g = preferential_attachment(200, 3, seed=4)
+        cfg = RunConfig(**settings)
+        files = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            got = pipeline.compute_metrics(g, cfg, None, out)
+            assert list(got) == list(cfg.metrics)
+            files[cpus] = {path.name: path.read_bytes()
+                           for path in sorted(out.iterdir())}
+        assert len(forks) == forked
+        assert_no_child_left()
+        assert sorted(files[1]) == sorted(f"{metric}.scores.csv"
+                                          for metric in cfg.metrics)
+        assert files[1] == files[2]
+
+    @pytest.mark.parametrize("metrics,failing,raised", [
+        (("betweenness", "pc", "dic"), ("betweenness", "dic"), "betweenness"),
+        (("pc", "betweenness", "dic"), ("betweenness", "pc"), "pc"),
+        (("pc", "betweenness", "dic"), ("betweenness", "dic"), "betweenness"),
+        (("dic", "betweenness", "pc"), ("pc", "dic"), "dic"),
+        (("closeness", "pc", "betweenness"), ("betweenness", "pc"),
+         "betweenness"),
+        (("eigenvector", "betweenness"), ("eigenvector",), "eigenvector"),
+    ])
+    def test_first_failing_metric_is_raised(self, forks, monkeypatch,
+                                            tmp_path, metrics, failing,
+                                            raised):
+        # betweenness fails in its last chunk, on whichever process runs
+        # it; the overlapped metrics fail at once
+        g = preferential_attachment(200, 3, seed=4)
+        batch = traditional._brandes_batch
+
+        def failing_batch(g, out_degree, sources, *rest):
+            if sources.max() >= 192:
+                raise DataError("betweenness failed")
+            return batch(g, out_degree, sources, *rest)
+
+        def fail(name):
+            def metric(*args, **kwargs):
+                raise DataError(f"{name} failed")
+            return metric
+
+        if "betweenness" in failing:
+            monkeypatch.setattr(traditional, "_brandes_batch", failing_batch)
+        for name, function in (("pc", "propagation_centrality"),
+                               ("dic", "dic"),
+                               ("eigenvector", "eigenvector_centrality")):
+            if name in failing:
+                monkeypatch.setattr(pipeline, function, fail(name))
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(DataError, match=f"^{raised} failed$"):
+                pipeline.compute_metrics(g, RunConfig(metrics=metrics), None,
+                                         tmp_path)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_metric_comes_before_any_failing_write(
+            self, monkeypatch, tmp_path, cpus):
+        use_cpus(monkeypatch, cpus)
+        g = preferential_attachment(200, 3, seed=4)
+
+        def write(sv, path):
+            raise DataError(f"cannot write {path.name}")
+
+        def dic_fails(*args):
+            raise DataError("dic failed")
+
+        monkeypatch.setattr(pipeline._io, "write_scores_csv", write)
+        # pc's file is written first, betweenness' when it is done
+        with pytest.raises(DataError,
+                           match="^cannot write betweenness.scores.csv$"):
+            pipeline.compute_metrics(g, RunConfig(
+                metrics=("betweenness", "pc")), None, tmp_path)
+        monkeypatch.setattr(pipeline, "dic", dic_fails)
+        with pytest.raises(DataError, match="^dic failed$"):
+            pipeline.compute_metrics(g, RunConfig(
+                metrics=("pc", "betweenness", "dic")), None, tmp_path)
 
 
 class TestRunConfigValidation:

@@ -3,6 +3,9 @@ import hashlib
 import logging
 import math
 import os
+import select
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +33,13 @@ PULL_RULES = {"push": {"PULL_MIN_EDGES": math.inf},
               "default": {}}
 # sources per batched Brandes pass; 1 is the per-source kernel
 WIDTHS = (1, 2, 3, 64)
+
+
+def open_fds():
+    """This process's open fds, or None where there is no /proc to list."""
+    if not os.path.isdir("/proc/self/fd"):
+        return None
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 def force_width(mp, width):
@@ -302,6 +312,22 @@ class TestCloseness:
         # the pivot, k improving rounds, and node k's last, empty expansion
         assert len(frontiers) == k + 1
         assert sum(frontiers) == 1 + k * (k + 1) // 2
+
+    def test_weighted_closeness_that_overflows_is_a_data_error(self):
+        huge, tiny = np.finfo(float).max, 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # 1/tiny overflows to inf, so that edge leads nowhere
+            g = from_edges([("a", "b", tiny), ("c", "a", 1.0)])
+            scores = closeness_centrality(g, "exact", weighted=True).scores
+            assert scores.tolist() == [0.0, 0.0, 1.0]
+            # d(c, a) = 1/huge is subnormal, and 1/d overflows
+            g = from_edges([("a", "b", 1.0), ("c", "a", huge)])
+            for mode in ("exact", "sampled"):
+                with pytest.raises(DataError, match="^closeness: the weighted "
+                                   "closeness of node 'c' overflows"):
+                    closeness_centrality(g, mode, sample_size=2,
+                                         weighted=True)
 
     def test_sampled_weighted_full_pivots_matches_exact_weighted(self):
         g = from_edges([("a", "b", 2.0), ("b", "c", 4.0), ("c", "a", 1.0),
@@ -655,11 +681,18 @@ class TestSharedClosenessPass:
         assert not harmonic.any()
 
 
+def wait_for(read_fd):
+    """Block until a byte arrives on ``read_fd``, for at most 30 s."""
+    ready, _, _ = select.select([read_fd], [], [], 30)
+    assert ready and os.read(read_fd, 1), "no worker ran a chunk"
+
+
 class TestWorkers:
-    """Source chunks on forked workers: the serial run's bytes, and no
-    process left behind. 200 nodes make four 64-source chunks, so each
-    worker sums more than one; random digraphs have many equal shortest
-    paths, so a sum in another order would move the last bits."""
+    """Source chunks on forked workers: the serial run's bytes, the serial
+    run's error, and no process or fd left behind. 200 nodes make four
+    64-source chunks, so each worker may sum more than one; random
+    digraphs have many equal shortest paths, so a sum in another order
+    would move the last bits."""
 
     @pytest.mark.parametrize("width", [None, 1], ids=["batch", "per-source"])
     def test_exact_betweenness_same_bytes(self, forks, monkeypatch, width):
@@ -699,42 +732,140 @@ class TestWorkers:
         assert len(forks) == 2
         assert np.array_equal(*runs)
 
-    def test_worker_error_is_raised_in_the_parent(self, forks, monkeypatch):
-        g, _ = random_graph(200, 900, seed=8)
-        batch = traditional._brandes_batch
-
-        def failing(g, out_degree, sources, *rest):
-            # chunks 1 and 3 run on the second worker
-            if sources.min() >= 64:
-                raise DataError("no path past 64")
-            return batch(g, out_degree, sources, *rest)
-
-        monkeypatch.setattr(traditional, "_brandes_batch", failing)
-        with pytest.raises(DataError, match="^no path past 64$"):
-            betweenness_centrality(g, "exact")
-        assert len(forks) == 2
-        assert_no_child_left()
-
-    def test_worker_that_dies_silently_is_an_error(self, forks):
+    @pytest.mark.parametrize("procs", [1, 2, 3])
+    def test_partials_added_in_chunk_order_whatever_order_they_arrive(
+            self, forks, monkeypatch, procs):
+        # chunk i sleeps 10 (8 - i) ms, so the later chunks finish first; the
+        # partials span 12 orders of magnitude, so a sum in arrival order
+        # would move the last bits. With workers, none runs in this process
+        use_cpus(monkeypatch, procs)
+        monkeypatch.setattr(traditional, "WORKERS", procs)
+        chunks = 8
         parent = os.getpid()
 
         def per_chunk(chunk):
-            # chunk 1 runs on the second worker, which ends as an OOM
-            # kill would end it: without a message
-            if chunk[0] == 64 and os.getpid() != parent:
-                os._exit(9)
-            return np.zeros(200)
+            i = int(chunk[0]) // 64
+            time.sleep((chunks - i) / 100)
+            return stream(i).standard_normal(50) * 10.0 ** (3 * (i % 5))
 
-        with pytest.raises(RuntimeError, match="^a worker process ended "
-                           "before sending its result$"):
-            traditional._accumulate_over_sources(np.arange(200), per_chunk,
-                                                 200)
+        serial = np.zeros(50)
+        for first in range(0, 64 * chunks, 64):
+            serial += per_chunk(np.arange(first, first + 64))
+
+        def in_a_worker(chunk):
+            if procs > 1 and os.getpid() == parent:
+                raise AssertionError("a chunk ran in the parent")
+            return per_chunk(chunk)
+
+        got = traditional._accumulate_over_sources(np.arange(64 * chunks),
+                                                   in_a_worker, 50)
+        assert got.tobytes() == serial.tobytes()
+        assert len(forks) == (procs if procs > 1 else 0)
+        assert_no_child_left()
+
+    def test_worker_error_is_raised_in_the_parent(self, forks, monkeypatch):
+        g, _ = random_graph(200, 900, seed=8)
+        batch = traditional._brandes_batch
+        parent = os.getpid()
+        ran, tell = os.pipe()
+
+        def failing(g, out_degree, sources, *rest):
+            # the first worker takes chunk 0 while the parent waits, and
+            # fails; the one forked next fails on every other chunk
+            if os.getpid() != parent:
+                os.write(tell, b"\0")
+                raise DataError(f"no path past {sources.min()}")
+            return batch(g, out_degree, sources, *rest)
+
+        def meanwhile():
+            wait_for(ran)
+            yield
+
+        monkeypatch.setattr(traditional, "_brandes_batch", failing)
+        try:
+            with pytest.raises(DataError, match="^no path past 0$"):
+                betweenness_centrality(g, "exact", meanwhile=meanwhile)
+        finally:
+            os.close(ran)
+            os.close(tell)
         assert len(forks) == 2
         assert_no_child_left()
 
+    @pytest.mark.parametrize("procs", [1, 2, 3])
+    def test_lowest_failing_chunk_is_raised_whatever_order_errors_arrive(
+            self, forks, monkeypatch, procs):
+        # chunks 1, 2 and 3 fail, each naming itself; chunk 1 takes the
+        # longest, so with workers a higher chunk's error is in hand first
+        use_cpus(monkeypatch, procs)
+        monkeypatch.setattr(traditional, "WORKERS", procs)
+
+        def per_chunk(chunk):
+            i = int(chunk[0]) // 64
+            time.sleep(0.2 if i == 1 else 0.001)
+            if i:
+                raise DataError(f"chunk {i} failed")
+            return np.zeros(3)
+
+        fds = open_fds()
+        with pytest.raises(DataError, match="^chunk 1 failed$"):
+            traditional._accumulate_over_sources(np.arange(256), per_chunk, 3)
+        assert len(forks) == (procs if procs > 1 else 0)
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    def test_failing_meanwhile_kills_the_workers(self, forks):
+        fds = open_fds()
+
+        def per_chunk(chunk):
+            time.sleep(0.01)
+            return np.zeros(3)
+
+        def meanwhile():
+            yield
+            raise DataError("meanwhile failed")
+
+        with pytest.raises(DataError, match="^meanwhile failed$"):
+            traditional._accumulate_over_sources(np.arange(64 * 400),
+                                                 per_chunk, 3, meanwhile)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    def test_worker_that_dies_silently_is_an_error(self, forks):
+        fds = open_fds()
+        parent = os.getpid()
+        ran, tell = os.pipe()
+
+        def per_chunk(chunk):
+            # the first worker takes chunk 0 while the parent waits, and
+            # ends as an OOM kill would end it: without a message; so does
+            # the second
+            if os.getpid() != parent:
+                os.write(tell, b"\0")
+                os._exit(9)
+            return np.zeros(200)
+
+        def meanwhile():
+            wait_for(ran)
+            return ()
+
+        try:
+            with pytest.raises(RuntimeError, match="^a worker process ended "
+                               "before sending its result$"):
+                traditional._accumulate_over_sources(
+                    np.arange(200), per_chunk, 200, meanwhile)
+        finally:
+            os.close(ran)
+            os.close(tell)
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert open_fds() == fds
+
     def test_failed_fork_leaks_no_fd(self, forks, monkeypatch):
-        if not os.path.isdir("/proc/self/fd"):
+        if open_fds() is None:
             pytest.skip("no /proc to list this process's fds")
+        # the second fork, of the worker taking this process's place,
+        # fails after the first worker runs
         fork = os.fork
         calls = []
 
@@ -745,29 +876,43 @@ class TestWorkers:
             return fork()
 
         monkeypatch.setattr(os, "fork", fork_once)
-        fds = sorted(os.listdir("/proc/self/fd"))
+        fds = open_fds()
         with pytest.raises(OSError) as caught:
             traditional._accumulate_over_sources(
                 np.arange(200), lambda chunk: np.zeros(200), 200)
         assert caught.value.errno == errno.EAGAIN
         assert len(forks) == 1
         assert_no_child_left()
-        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert open_fds() == fds
 
     def test_worker_exits_at_its_next_write_once_the_parent_is_gone(self):
+        pool = traditional._Pool([np.arange(4)] * 100,
+                                 lambda chunk: np.zeros(1 << 16), 1 << 16)
+        queue = pool.queue()
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
             try:
-                traditional._worker([np.arange(4)] * 100,
-                                    lambda chunk: np.zeros(1 << 16),
-                                    write_fd, [read_fd])
+                traditional._worker(pool, queue, write_fd, [read_fd])
             finally:
                 os._exit(2)
+        os.close(queue)
         os.close(write_fd)
         os.close(read_fd)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 1
+
+    def test_queue_never_blocks_and_covers_every_chunk(self):
+        # above PIPE_BUF // 4 chunks an entry takes consecutive chunks
+        for count in (1, 2, 1023, 1024, 1025, 5000, 100_000):
+            pool = traditional._Pool([None] * count, None, 1)
+            queue = pool.queue()
+            try:
+                taken = [c for chunks in iter(lambda: pool.take(queue), range(0))
+                         for c in chunks]
+            finally:
+                os.close(queue)
+            assert taken == list(range(count)), count
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_worker_count_within_cpus_and_chunks(self, monkeypatch, cpus):
