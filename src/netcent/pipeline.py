@@ -302,11 +302,10 @@ def compute_metric(g: DirectedGraph, metric: str, cfg: RunConfig,
 
 
 def compute_metrics(g: DirectedGraph, cfg: RunConfig,
-                    attrs: NodeAttributes | None = None,
-                    out_dir: Path | None = None) -> dict[str, ScoreVector]:
+                    attrs: NodeAttributes | None,
+                    out_dir: Path) -> dict[str, ScoreVector]:
     """Every metric of ``cfg.metrics``, in that order, by metric name,
-    each written to ``out_dir / "<metric>.scores.csv"`` unless
-    ``out_dir`` is None.
+    each written to ``out_dir / "<metric>.scores.csv"``.
 
     When closeness and betweenness are both asked for, both resolve to
     exact mode and closeness counts hops, one traversal serves both:
@@ -318,66 +317,93 @@ def compute_metrics(g: DirectedGraph, cfg: RunConfig,
     closeness inside the betweenness span and read
     ``traditional.closeness_s`` as 0.
 
-    Betweenness starts first, and this process computes and writes the
-    other metrics, in ``cfg.metrics`` order, while a forked worker
-    starts on its source chunks (``meanwhile``); their spans nest inside
-    the betweenness span. The errors wait until betweenness has finished,
-    and the one raised is the one the metrics run one after another
-    would raise: the first failing metric in ``cfg.metrics`` order, and
-    only then the first failing write.
+    The source loops, each a traversal from every source on forked
+    workers, run one after another in ``cfg.metrics`` order: betweenness
+    (or the shared pass) and weighted closeness. This process computes
+    and writes the other metrics, in ``cfg.metrics`` order, while
+    betweenness' first worker starts on its source chunks
+    (``meanwhile``); their spans nest inside the betweenness span. The
+    error raised is the one the metrics run one after another would
+    raise: the first failing metric in ``cfg.metrics`` order, and only
+    then the first failing write. A metric ranked before every loop yet
+    to succeed fails at once and stops betweenness; the other errors
+    wait until betweenness has finished, since its own error may outrank
+    them. No metric ranked after a failure runs.
     """
     order = {metric: i for i, metric in enumerate(cfg.metrics)}
-    traversal = ()
+    loops = []
     if "betweenness" in order:
-        traversal = ("betweenness",)
+        loops.append(("betweenness",))
         if ("closeness" in order and not cfg.closeness_weighted
                 and resolves_exact(g.n, cfg.closeness_mode)
                 and resolves_exact(g.n, cfg.betweenness_mode)):
-            traversal = ("closeness", "betweenness")
+            loops[0] = ("closeness", "betweenness")
+    if "closeness" in order and cfg.closeness_weighted:
+        loops.append(("closeness",))
+
+    def rank(loop):
+        return min(order[metric] for metric in loop)
+
+    loops.sort(key=rank)
+    # the ranks of the loops yet to succeed, then one past every metric's
+    pending = [rank(loop) for loop in loops] + [len(order)]
     vectors: dict[str, ScoreVector] = {}
     # (rank, exception): a metric's rank is its place in cfg.metrics, a
     # write's comes after every metric's
     failures = []
 
     def write(metric):
-        if out_dir is None:
-            return
         try:
             _io.write_scores_csv(vectors[metric],
                                  out_dir / f"{metric}.scores.csv")
         except Exception as exc:
             failures.append((len(order) + order[metric], exc))
 
+    def outranked(rank):
+        return any(failed < rank for failed, _ in failures)
+
     def others():
         for metric in cfg.metrics:
-            if metric in traversal:
+            if any(metric in loop for loop in loops):
                 continue
+            if outranked(order[metric]):
+                return
             try:
                 vectors[metric] = compute_metric(g, metric, cfg, attrs)
             except Exception as exc:
                 failures.append((order[metric], exc))
+                if order[metric] < pending[0]:
+                    raise
                 return
             write(metric)
             yield
 
-    # the loop runs what it can of them; whatever is left runs below
+    # betweenness runs what it can of them; whatever is left runs below
     rest = others()
-    try:
-        if traversal:
-            harmonic = np.zeros(g.n) if "closeness" in traversal else None
-            vectors["betweenness"] = _betweenness(
-                g, cfg, harmonic=harmonic, meanwhile=lambda: rest)
-            if harmonic is not None:
-                vectors["closeness"] = ScoreVector(
-                    metric="closeness", labels=g.labels, scores=harmonic,
-                    params={"weighted": False, "mode": "exact"})
-    except Exception as exc:
-        failures.append((min(order[m] for m in traversal), exc))
+    for loop in loops:
+        if outranked(rank(loop)):
+            break
+        try:
+            if "betweenness" in loop:
+                harmonic = np.zeros(g.n) if "closeness" in loop else None
+                vectors["betweenness"] = _betweenness(
+                    g, cfg, harmonic=harmonic, meanwhile=rest)
+                if harmonic is not None:
+                    vectors["closeness"] = ScoreVector(
+                        metric="closeness", labels=g.labels, scores=harmonic,
+                        params={"weighted": False, "mode": "exact"})
+            else:
+                vectors["closeness"] = compute_metric(g, "closeness", cfg,
+                                                      attrs)
+        except Exception as exc:
+            # a metric raised from rest is in failures at its own, lower rank
+            failures.append((rank(loop), exc))
+            break
+        pending.pop(0)
+        for metric in loop:
+            write(metric)
     for _ in rest:
         pass
-    for metric in traversal:
-        if metric in vectors:
-            write(metric)
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return {metric: vectors[metric] for metric in cfg.metrics}

@@ -174,12 +174,13 @@ def worker_count(chunks: int) -> int:
     return max(1, min(WORKERS, len(os.sched_getaffinity(0)), chunks))
 
 
-def _accumulate_over_sources(sources, per_chunk, shape, meanwhile=None):
+def _accumulate_over_sources(sources, per_chunk, shape, meanwhile=()):
     """Sum ``per_chunk``'s float arrays of ``shape`` in ascending chunk order.
 
-    ``meanwhile``, if given, is called once in this process before any
-    chunk runs here; each item its iterable yields marks a point where
-    partials that are ready get read. With P = ``worker_count(chunks)``
+    ``meanwhile`` is iterated once in this process before any chunk runs
+    here; each item it yields marks a point where partials that are
+    ready get read. It starts no source loop of its own, whose workers
+    would compute next to this loop's. With P = ``worker_count(chunks)``
     above 1, this process forks P - 1 workers and runs ``meanwhile``,
     then forks one more worker in its own place, so P processes compute
     at a time and this one's peak RSS holds no traversal scratch. The
@@ -200,7 +201,7 @@ def _accumulate_over_sources(sources, per_chunk, shape, meanwhile=None):
     workers_used = max(workers_used, procs)
     if procs > 1:
         return _Pool(chunks, per_chunk, shape).run(procs, meanwhile)
-    for _ in meanwhile() if meanwhile is not None else ():
+    for _ in meanwhile:
         pass
     total = np.zeros(shape)
     for chunk in chunks:
@@ -272,7 +273,7 @@ class _Pool:
             # its pool down at fork
             for _ in range(procs - 1):
                 self._fork(queue, pids, pipes)
-            for _ in meanwhile() if meanwhile is not None else ():
+            for _ in meanwhile:
                 self._receive(block=False)
             # the last worker takes this process's place: this one holds
             # the run's other state, and a batch's scratch on top of it
@@ -750,7 +751,7 @@ def _width_for(n: int, m: int, depth: int, pulled: bool) -> int:
 def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
                            sample_size: int | None = None, seed: int = 0,
                            harmonic: np.ndarray | None = None, *,
-                           meanwhile=None) -> ScoreVector:
+                           meanwhile=()) -> ScoreVector:
     """Freeman betweenness over ordered pairs, unnormalised.
 
     Exact mode runs Brandes accumulation from every source; sampled mode
@@ -772,8 +773,8 @@ def betweenness_centrality(g: DirectedGraph, mode: str = "auto",
     the same bytes for any process count. A chunk's partial has one row
     of dependency sums and, with ``harmonic``, a second row holding its
     sources' closeness and 0.0 everywhere else; adding 0.0 is exact.
-    ``meanwhile`` goes to that loop: other work for this process to do
-    while a forked worker starts on the chunks.
+    ``meanwhile`` goes to that loop: an iterable of other work for this
+    process to do while a forked worker starts on the chunks.
     """
     n = g.n
     pivots, params = _resolve_pivots(n, mode, sample_size, seed,

@@ -185,10 +185,10 @@ class TestRunPipeline:
                 top_k(sv, 2).to_dict()["entries"]
 
     @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_removal_sets_read_rankings_to_k_only(self, k):
+    def test_removal_sets_read_rankings_to_k_only(self, tmp_path, k):
         g = preferential_attachment(200, 3, seed=2)
         cfg = RunConfig(k=k, seed=5)
-        vectors = pipeline.compute_metrics(g, cfg)
+        vectors = pipeline.compute_metrics(g, cfg, None, tmp_path)
         shallow = {m: top_k(sv, k) for m, sv in vectors.items()}
         deep = {m: top_k(sv, sv.n) for m, sv in vectors.items()}
         for strategy in ("traditional_union", "combined_union", "single:pc"):
@@ -569,11 +569,11 @@ class TestComputeMetrics:
         ({"metrics": ("betweenness", "pc")}, False),
     ])
     def test_shared_pass_exactly_when_both_exact_and_unweighted(
-            self, calls, settings, shared):
+            self, calls, tmp_path, settings, shared):
         g = preferential_attachment(120, 3, seed=4)
         cfg = RunConfig(**{"metrics": ("degree_total", "closeness",
                                        "betweenness", "pc"), **settings})
-        got = pipeline.compute_metrics(g, cfg)
+        got = pipeline.compute_metrics(g, cfg, None, tmp_path)
         assert list(got) == list(cfg.metrics)
         closeness = "closeness" in cfg.metrics
         betweenness = "betweenness" in cfg.metrics
@@ -586,23 +586,23 @@ class TestComputeMetrics:
                 (want.metric, want.labels, want.params)
             assert np.array_equal(sv.scores, want.scores), metric
 
-    def test_auto_mode_above_the_exact_limit_is_not_shared(self, calls,
-                                                          monkeypatch):
+    def test_auto_mode_above_the_exact_limit_is_not_shared(
+            self, calls, monkeypatch, tmp_path):
         g = preferential_attachment(120, 3, seed=4)
         monkeypatch.setattr(traditional, "EXACT_NODE_LIMIT", g.n - 1)
         pipeline.compute_metrics(g, RunConfig(
             metrics=("closeness", "betweenness"), closeness_mode="exact",
-            betweenness_samples=40))
+            betweenness_samples=40), None, tmp_path)
         assert calls == {"closeness": 1, "betweenness": 1, "shared": 0}
 
     def test_shared_pass_on_workers_gives_the_same_bytes(
-            self, forks, calls, monkeypatch):
+            self, forks, calls, monkeypatch, tmp_path):
         g = preferential_attachment(200, 3, seed=4)
         runs = []
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
             runs.append(pipeline.compute_metrics(g, RunConfig(
-                metrics=("closeness", "betweenness"))))
+                metrics=("closeness", "betweenness")), None, tmp_path))
         assert calls["shared"] == 2 and len(forks) == 2
         for metric in ("closeness", "betweenness"):
             assert np.array_equal(runs[0][metric].scores,
@@ -630,7 +630,7 @@ class TestComputeMetrics:
         ({}, 2),
         ({"closeness_mode": "sampled", "closeness_samples": 90,
           "betweenness_mode": "sampled", "betweenness_samples": 150}, 2),
-        # weighted closeness forks workers of its own inside betweenness'
+        # weighted closeness runs a source loop of its own
         ({"closeness_weighted": True}, 4),
     ], ids=["shared", "sampled", "weighted"])
     def test_overlapped_metrics_write_the_same_bytes(
@@ -651,27 +651,43 @@ class TestComputeMetrics:
                                           for metric in cfg.metrics)
         assert files[1] == files[2]
 
-    @pytest.mark.parametrize("metrics,failing,raised", [
-        (("betweenness", "pc", "dic"), ("betweenness", "dic"), "betweenness"),
-        (("pc", "betweenness", "dic"), ("betweenness", "pc"), "pc"),
-        (("pc", "betweenness", "dic"), ("betweenness", "dic"), "betweenness"),
-        (("dic", "betweenness", "pc"), ("pc", "dic"), "dic"),
+    @pytest.mark.parametrize("metrics,failing,raised,finishes", [
+        (("betweenness", "pc", "dic"), ("betweenness", "dic"), "betweenness",
+         False),
+        (("pc", "betweenness", "dic"), ("betweenness", "pc"), "pc", False),
+        (("pc", "betweenness", "dic"), ("betweenness", "dic"), "betweenness",
+         False),
+        (("dic", "betweenness", "pc"), ("pc", "dic"), "dic", False),
         (("closeness", "pc", "betweenness"), ("betweenness", "pc"),
-         "betweenness"),
-        (("eigenvector", "betweenness"), ("eigenvector",), "eigenvector"),
+         "betweenness", False),
+        (("eigenvector", "betweenness"), ("eigenvector",), "eigenvector",
+         False),
+        # closeness, in the shared pass, could still fail before it
+        (("closeness", "eigenvector", "betweenness"), ("eigenvector",),
+         "eigenvector", True),
+        (("betweenness", "dic"), ("dic",), "dic", True),
     ])
     def test_first_failing_metric_is_raised(self, forks, monkeypatch,
                                             tmp_path, metrics, failing,
-                                            raised):
+                                            raised, finishes):
         # betweenness fails in its last chunk, on whichever process runs
-        # it; the overlapped metrics fail at once
+        # it; the overlapped metrics fail at once. A metric ranked before
+        # every metric of the traversal stops betweenness, so its worker
+        # forked in this process's place never starts
         g = preferential_attachment(200, 3, seed=4)
         batch = traditional._brandes_batch
+        betweenness = pipeline.betweenness_centrality
+        finished = []
 
         def failing_batch(g, out_degree, sources, *rest):
             if sources.max() >= 192:
                 raise DataError("betweenness failed")
             return batch(g, out_degree, sources, *rest)
+
+        def counted_betweenness(*args, **kwargs):
+            sv = betweenness(*args, **kwargs)
+            finished.append(sv)
+            return sv
 
         def fail(name):
             def metric(*args, **kwargs):
@@ -680,6 +696,8 @@ class TestComputeMetrics:
 
         if "betweenness" in failing:
             monkeypatch.setattr(traditional, "_brandes_batch", failing_batch)
+        monkeypatch.setattr(pipeline, "betweenness_centrality",
+                            counted_betweenness)
         for name, function in (("pc", "propagation_centrality"),
                                ("dic", "dic"),
                                ("eigenvector", "eigenvector_centrality")):
@@ -690,6 +708,85 @@ class TestComputeMetrics:
             with pytest.raises(DataError, match=f"^{raised} failed$"):
                 pipeline.compute_metrics(g, RunConfig(metrics=metrics), None,
                                          tmp_path)
+        assert len(finished) == (2 if finishes else 0)
+        stopped = raised != "betweenness" and not finishes
+        assert len(forks) == (1 if stopped else 2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("metrics", [("closeness", "betweenness", "pc"),
+                                         ("betweenness", "closeness", "pc")])
+    def test_weighted_closeness_runs_its_own_loop_in_metrics_order(
+            self, forks, monkeypatch, tmp_path, metrics):
+        # never inside betweenness' meanwhile, where its workers would
+        # compute next to betweenness'; when it fails, no metric ranked
+        # after it runs
+        g = preferential_attachment(200, 3, seed=4)
+        cfg = RunConfig(metrics=metrics, closeness_weighted=True)
+        closeness = pipeline.closeness_centrality
+        betweenness = pipeline.betweenness_centrality
+        accumulate = traditional._accumulate_over_sources
+        seen, loops = [], []
+
+        def counted_loop(*args, **kwargs):
+            loops.append(None)
+            try:
+                return accumulate(*args, **kwargs)
+            finally:
+                loops.pop()
+
+        def watched(*args, **kwargs):
+            seen.append(("closeness", bool(loops)))
+            return closeness(*args, **kwargs)
+
+        def counted_betweenness(*args, **kwargs):
+            seen.append(("betweenness", bool(loops)))
+            return betweenness(*args, **kwargs)
+
+        monkeypatch.setattr(traditional, "_accumulate_over_sources",
+                            counted_loop)
+        monkeypatch.setattr(pipeline, "closeness_centrality", watched)
+        monkeypatch.setattr(pipeline, "betweenness_centrality",
+                            counted_betweenness)
+        pipeline.compute_metrics(g, cfg, None, tmp_path)
+        assert seen == [(metric, False) for metric in metrics[:2]]
+        assert len(forks) == 4
+
+        def failing(*args, **kwargs):
+            raise DataError("closeness failed")
+
+        propagation = pipeline.propagation_centrality
+
+        def pc(*args, **kwargs):
+            seen.append(("pc", bool(loops)))
+            return propagation(*args, **kwargs)
+
+        seen.clear()
+        monkeypatch.setattr(pipeline, "closeness_centrality", failing)
+        monkeypatch.setattr(pipeline, "propagation_centrality", pc)
+        with pytest.raises(DataError, match="^closeness failed$"):
+            pipeline.compute_metrics(g, cfg, None, tmp_path)
+        # pc runs only in betweenness' meanwhile, before closeness fails
+        ran = metrics[:metrics.index("closeness")]
+        assert seen == [("betweenness", False), ("pc", True)][:2 * len(ran)]
+        assert len(forks) == 4 + 2 * len(ran)
+        assert_no_child_left()
+
+    def test_no_loop_ranked_after_a_failing_metric_runs(
+            self, forks, monkeypatch, tmp_path):
+        g = preferential_attachment(200, 3, seed=4)
+        closeness = []
+
+        def pc_fails(*args, **kwargs):
+            raise DataError("pc failed")
+
+        monkeypatch.setattr(pipeline, "propagation_centrality", pc_fails)
+        monkeypatch.setattr(pipeline, "closeness_centrality",
+                            lambda *args, **kwargs: closeness.append(None))
+        with pytest.raises(DataError, match="^pc failed$"):
+            pipeline.compute_metrics(g, RunConfig(
+                metrics=("betweenness", "pc", "closeness"),
+                closeness_weighted=True), None, tmp_path)
+        assert not closeness
         assert len(forks) == 2
         assert_no_child_left()
 

@@ -784,7 +784,7 @@ class TestWorkers:
         monkeypatch.setattr(traditional, "_brandes_batch", failing)
         try:
             with pytest.raises(DataError, match="^no path past 0$"):
-                betweenness_centrality(g, "exact", meanwhile=meanwhile)
+                betweenness_centrality(g, "exact", meanwhile=meanwhile())
         finally:
             os.close(ran)
             os.close(tell)
@@ -826,7 +826,7 @@ class TestWorkers:
 
         with pytest.raises(DataError, match="^meanwhile failed$"):
             traditional._accumulate_over_sources(np.arange(64 * 400),
-                                                 per_chunk, 3, meanwhile)
+                                                 per_chunk, 3, meanwhile())
         assert len(forks) == 1
         assert_no_child_left()
         assert open_fds() == fds
@@ -847,13 +847,13 @@ class TestWorkers:
 
         def meanwhile():
             wait_for(ran)
-            return ()
+            yield from ()
 
         try:
             with pytest.raises(RuntimeError, match="^a worker process ended "
                                "before sending its result$"):
                 traditional._accumulate_over_sources(
-                    np.arange(200), per_chunk, 200, meanwhile)
+                    np.arange(200), per_chunk, 200, meanwhile())
         finally:
             os.close(ran)
             os.close(tell)
