@@ -68,15 +68,9 @@ def first_fault(*faults: RowError | None) -> RowError | None:
     return min(filter(None, faults), key=lambda f: f.row, default=None)
 
 
-def _first_empty(column: Sequence[str] | Cells) -> int | None:
-    if isinstance(column, Cells):
-        return None if column.length.all() else int(np.argmin(column.length))
-    return column.index("") if "" in column else None
-
-
-def missing(message: str, *columns: Sequence[str] | Cells) -> RowError | None:
+def missing(message: str, *columns: Cells) -> RowError | None:
     """A RowError for the first row where any column's cell is ``''``."""
-    rows = [row for row in map(_first_empty, columns) if row is not None]
+    rows = [int(np.argmin(col.length)) for col in columns if not col.length.all()]
     return RowError(min(rows), message) if rows else None
 
 
@@ -115,28 +109,21 @@ class Interactions:
     def __len__(self):
         return len(self.weight)
 
-    def extend(self, actor: Sequence[str] | Cells, target: Sequence[str] | Cells,
-               weight: Sequence[float]):
+    def extend(self, actor: Cells, target: Cells, weight: Sequence[float]):
         """Add rows given as equal-length columns.
 
-        ``actor`` and ``target`` are both strings or both :class:`Cells`
-        over one buffer. Raises RowError, adding nothing, for the first
-        row with an empty endpoint or a weight that is not finite and
-        positive (the endpoint first within a row).
+        ``actor`` and ``target`` are :class:`Cells` over one buffer.
+        Raises RowError, adding nothing, for the first row with an empty
+        endpoint or a weight that is not finite and positive (the
+        endpoint first within a row).
         """
         fault = first_fault(missing("missing actor or target", actor, target),
                             bad_weight(weight))
         if fault:
             raise fault
-        if isinstance(actor, Cells):
-            pairs = actor.interleave(target)
-        else:
-            strings = [None] * (2 * len(actor))
-            strings[::2], strings[1::2] = actor, target
-            pairs = Cells.of(strings)
+        pairs = actor.interleave(target)
         codes, new = self._table.intern(pairs)
-        self._labels += (pairs[new].strings() if isinstance(actor, Cells)
-                         else list(map(strings.__getitem__, new.tolist())))
+        self._labels += pairs[new].strings()
         self.actor.frombytes(codes[::2].tobytes())
         self.target.frombytes(codes[1::2].tobytes())
         self.weight.frombytes(np.asarray(weight, dtype=np.float64).tobytes())
@@ -147,9 +134,9 @@ class Interactions:
         records = list(records)
         cols = cls()
         try:
-            cols.extend([rec.actor or "" for rec in records],
-                        [rec.target or "" for rec in records],
-                        [rec.weight for rec in records])
+            pairs = Cells.of([label or "" for rec in records
+                              for label in (rec.actor, rec.target)])
+            cols.extend(pairs[::2], pairs[1::2], [rec.weight for rec in records])
         except RowError as exc:
             raise ParseError(f"record {exc}", line=exc.row + 1) from None
         return cols
@@ -355,7 +342,8 @@ def from_edges(edges, direction: str = INFO_FLOW,
     if not isinstance(edges, Interactions):
         triples, edges = list(edges), Interactions()
         try:
-            edges.extend([e[0] for e in triples], [e[1] for e in triples],
+            pairs = Cells.of([label for e in triples for label in (e[0], e[1])])
+            edges.extend(pairs[::2], pairs[1::2],
                          [float(e[2]) if len(e) > 2 else 1.0 for e in triples])
         except RowError as exc:
             s, d = triples[exc.row][:2]

@@ -9,9 +9,9 @@ The headered readers parse a file in blocks of whole lines. A block
 with no ``"``, ``#``, blank line or padding around a field takes the
 byte path: its UTF-8 text becomes one uint8 array, and its cells stay
 spans of it (:class:`~netcent.cells.Cells`). Any other block is split
-line by line. A number column whose cells in a block are all ASCII
-digits (at most 15, or empty where a default applies) is converted
-without ``float()``. Labels are interned by
+line by line into cells of one buffer. A number column whose cells in
+any block are all ASCII digits (at most 15, or empty where a default
+applies) is converted without ``float()``. Labels are interned by
 :class:`~netcent.cells.LabelTable`, so two labels name one node exactly
 when their UTF-8 bytes are equal.
 """
@@ -160,7 +160,8 @@ def _byte_cells(first, text, width, wanted):
 
 
 def _loose_cells(first, text, width, wanted):
-    """:func:`_byte_cells` for any block, one line at a time, as strings."""
+    """:func:`_byte_cells` for any block, split one line at a time into
+    cells of one buffer."""
     lines, cells, too_wide = [], [], None
     for lineno, raw in _data_lines(first, text):
         values = _split(raw)
@@ -170,7 +171,9 @@ def _loose_cells(first, text, width, wanted):
         lines.append(lineno)
         cells += [v.strip() for v in values]
         cells += [""] * (width - len(values))
-    return lines, [[""] * len(lines) if j is None else cells[j::width]
+    cells = Cells.of(cells)
+    none = np.zeros(len(lines), dtype=np.int64)
+    return lines, [Cells(cells.data, none, none) if j is None else cells[j::width]
                    for j in wanted], too_wide
 
 
@@ -178,12 +181,12 @@ def _read_csv(path, required, optional):
     """Yield (lines, columns) per block of data rows of a headered CSV.
 
     ``columns`` holds the stripped cells of the required then optional
-    columns, ``''`` where the header or a short row lacks one, as
-    :class:`Cells` for a clean block and strings otherwise; ``lines[i]``
-    is the file line of row i. Raises EmptyInput without a header, and
-    ParseError with the file line for a missing required column or,
-    once the rows before it are yielded, for a row with more fields
-    than the header.
+    columns as :class:`Cells` (spans of a clean block's bytes, or of one
+    buffer of any other block's cells split line by line), ``''`` where
+    the header or a short row lacks one; ``lines[i]`` is the file line
+    of row i. Raises EmptyInput without a header, and ParseError with
+    the file line for a missing required column or, once the rows
+    before it are yielded, for a row with more fields than the header.
     """
     blocks = _blocks(path)
     for first, text in blocks:
@@ -275,14 +278,11 @@ def _floats(cells, empty=None):
 
 
 def _numbers(cells, empty=None):
-    """:func:`_floats` for strings or :class:`Cells`; digit-only Cells
-    skip float()."""
-    if isinstance(cells, Cells):
-        values = _digits(cells, empty)
-        if values is not None:
-            return values, None
-        cells = cells.strings()
-    return _floats(cells, empty)
+    """:func:`_floats` for :class:`Cells`; digit-only cells skip float()."""
+    values = _digits(cells, empty)
+    if values is not None:
+        return values, None
+    return _floats(cells.strings(), empty)
 
 
 def _extend(path, lines, rows, fault, *columns):
@@ -402,7 +402,7 @@ def read_scores_csv(path, metric: str | None = None) -> ScoreVector:
         fault = first_fault(missing("missing node label", label), fault)
         if fault:
             raise ParseError(f"{path}: {fault}", line=lines[fault.row])
-        labels += label.strings() if isinstance(label, Cells) else label
+        labels += label.strings()
         values += list(score)
         rows += lines
     if not labels:

@@ -471,7 +471,9 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     included while it ran the other metrics (0: none ran), ``brandes_width``,
     the sources per Brandes level pass betweenness ran (1: one at a time,
     0: betweenness did not run), and ``children_peak_rss_mb``, the
-    largest reaped child's peak RSS.
+    largest reaped child's peak RSS. That peak counts the pages a child
+    shares with this process, so it is not what the workers add: a
+    worker forked after the other metrics ran counts their vectors too.
     """
     out_dir = Path(cfg.out)
     timings: dict[str, float] = {}

@@ -16,7 +16,7 @@ def pytest_runtest_makereport(item, call):
     rep = outcome.get_result()
     setattr(item, f"rep_{rep.when}", rep)
 
-from netcent import DirectedGraph, from_edges
+from netcent import DirectedGraph, cli, from_edges
 from netcent.rng import stream
 
 
@@ -28,6 +28,17 @@ def random_edge_list(n, m, seed):
     keep = src != dst
     pairs = {(int(s), int(d)) for s, d in zip(src[keep], dst[keep])}
     return sorted(pairs)
+
+
+def cli_failure(*argv):
+    """(the exception the subcommand raises, the exit code ``main`` gives)
+    for a command line that must fail; a stage's failure is unwrapped
+    from its PipelineError."""
+    argv = [str(a) for a in argv]
+    args = cli.build_parser(argv[0]).parse_args(argv)
+    with pytest.raises(Exception) as info:
+        cli._COMMANDS[argv[0]][-1](args)
+    return getattr(info.value, "cause", info.value), cli.main(argv)
 
 
 def graph_from_ids(n, edges, direction="info_flow", weights=None):

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from netcent import (DirectedGraph, EmptyInput, InteractionRecord, Interactions,
                      InvalidParameter, ParseError, ScoreVector, build_graph,
-                     from_edges, top_k)
+                     from_edges, preferential_attachment, top_k)
 from netcent import cells
 from netcent import io as ncio
 from netcent.io import EDGE_COLUMNS, INTERACTION_COLUMNS
@@ -293,6 +295,50 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+def _attributes_argv(tmp_path, text):
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_text(text)
+    scores = tmp_path / "pc.scores.csv"
+    scores.write_text("node_label,score\nu1,1.0\n")
+    return (lambda: ncio.read_attributes_csv(attrs),
+            ("correlate", "--scores", scores, "--attributes", attrs,
+             "--proxy", "retweet_count"))
+
+
+# each case fails a check of the io module: (make the call and, where a
+# command line reaches the check, its argv; the error, a part of its
+# message, its line, the exit code)
+IO_CHECKS = {
+    "attributes of comments only": (
+        lambda tmp: _attributes_argv(tmp, "# only\n\n# comments\n"),
+        EmptyInput, "no header row", None, 2),
+    "attributes not keyed by node": (
+        lambda tmp: _attributes_argv(tmp, "# ids\nlabel,retweet_count\nu1,3\n"),
+        ParseError, "first column must be 'node'", 2, 2),
+    # the write fails after the temp file is made
+    "write that raises": (
+        lambda tmp: (lambda: ncio.write_atomic(tmp / "out" / "x.json", None),
+                     None),
+        TypeError, "must be str", None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IO_CHECKS))
+def test_io_input_checks(tmp_path, capsys, case):
+    make, error, message, line, code = IO_CHECKS[case]
+    call, argv = make(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(error, match=re.escape(message)) as info:
+        call()
+    assert getattr(info.value, "line", None) == line
+    # a failed write leaves no temp file behind
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == \
+        [p for p in before if p.is_file()]
+    if argv:
+        assert main([str(a) for a in argv]) == code
+        assert message in capsys.readouterr().err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, netcent.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -454,6 +500,55 @@ def test_clean_blocks_parse_as_bytes(tmp_path):
     assert got[0] == list(dict.fromkeys(
         label for row in rows for label in row.split(",")[:2]))
     assert got[3][:3] == [1.0, 1.0, 7.0]
+
+
+def test_quoted_and_padded_copy_runs_to_the_same_bytes(tmp_path, monkeypatch):
+    # the copy's blocks all go line by line: its kind cells are quoted,
+    # some labels are quoted or padded, every seventh weight is padded and
+    # it holds a comment line
+    g = preferential_attachment(300, 3, seed=5)
+    src, dst, _ = g.edge_arrays()
+    label = [("é" if i % 5 else "u") + lab for i, lab in enumerate(g.labels)]
+    rows = [(label[d], label[s], kind, str(1600000000 + i),
+             "2.5" if i % 11 == 0 else str(1 + i % 3))
+            for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist()))
+            for kind in ("retweet", "mention")[:1 + i % 2]]
+    header = ",".join(INTERACTION_COLUMNS)
+    clean = [",".join(row) for row in rows]
+    loose = [",".join([f'"{a}"' if i % 5 == 0 else a,
+                       f" {t}\t" if i % 3 == 0 else t, f'"{kind}"', ts,
+                       f" {w}" if i % 7 == 0 else w])
+             for i, (a, t, kind, ts, w) in enumerate(rows)]
+    loose.insert(len(loose) // 2, "# exported in two parts")
+    monkeypatch.setattr(ncio, "BLOCK_CHARS", 4096)
+    outs, loose_blocks = [], []
+    for name, lines in (("clean", clean), ("loose", loose)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        outs.append(tmp_path / f"out-{name}")
+        with mock.patch.object(ncio, "_loose_cells",
+                               wraps=ncio._loose_cells) as split:
+            assert main(["run", "--input", str(path), "--out", str(outs[-1]),
+                         "--seed", "3", "--k", "5"]) == 0
+        loose_blocks.append(split.call_count)
+    assert loose_blocks[0] == 0 and loose_blocks[1] > 5
+    files = sorted(p.name for p in outs[0].iterdir() if p.name != "timings.json")
+    assert files == sorted(p.name for p in outs[1].iterdir()
+                           if p.name != "timings.json")
+    assert "overlap.json" in files and "pc.scores.csv" in files
+    for name in files:
+        got = [(out / name).read_bytes() for out in outs]
+        if name == "report.json":
+            got = [blank_paths(text, out) for text, out in zip(got, outs)]
+        assert got[0] == got[1], name
+
+
+def blank_paths(report, out):
+    """``report`` with its config's input and output paths blanked."""
+    data = json.loads(report)
+    assert data["config"]["out"] == str(out)
+    data["config"]["input"] = data["config"]["out"] = ""
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 REAL_HASH = cells.label_hash

@@ -1,11 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import graph_from_ids, random_graph
+from conftest import cli_failure, graph_from_ids, random_graph
 from netcent import (DicConfig, InvalidParameter, MissingAttribute, MvcConfig,
                      NodeAttributes, PcConfig, dic, from_edges, mvc,
                      propagation_centrality)
@@ -119,6 +120,27 @@ class TestMvc:
             impl_order = [sv.labels[i] for i in sv.ordering()]
             assert impl_order == oracles.sort_by_exact(exact, list(g.labels))
             assert oracles.is_valid_descending_order(impl_order, by_label)
+
+    @pytest.mark.parametrize("mode", ["out_degree", "total_degree"])
+    def test_exposure_modes_count_info_flow_neighbours(self, mode):
+        n, steps = 25, 4
+        g, edges = random_graph(n, 90, seed=8)
+        twin = graph_from_ids(n, [(d, s) for s, d in edges], "endorsement")
+        # distinct neighbours in the info-flow orientation, by brute force
+        senders = [len({s for s, d in edges if d == v}) for v in range(n)]
+        receivers = [len({d for s, d in edges if s == v}) for v in range(n)]
+        exposure = receivers if mode == "out_degree" else \
+            [a + b for a, b in zip(senders, receivers)]
+        from netcent.rng import stream
+        exact = oracles.mvc_exact(exposure, stream(77).random(n), steps)
+        cfg = MvcConfig(init="seeded_uniform", seed=77, steps=steps,
+                        exposure_mode=mode)
+        runs = [mvc(graph, None, cfg) for graph in (g, twin)]
+        for sv in runs:
+            assert sv.params["exposure_mode"] == mode
+            impl_order = [sv.labels[i] for i in sv.ordering()]
+            assert impl_order == oracles.sort_by_exact(exact, list(g.labels))
+        assert np.array_equal(runs[0].scores, runs[1].scores)
 
     def test_ranking_invariant_under_vul0_scaling(self):
         g, _ = random_graph(20, 70, seed=12)
@@ -278,3 +300,36 @@ class TestOrientationAwareDefaults:
     def test_deterministic(self):
         g, _ = random_graph(15, 60, seed=2)
         assert np.array_equal(dic(g).scores, dic(g).scores)
+
+
+def _negative_custom_column(tmp_path):
+    g = from_edges([("a", "b"), ("b", "c")])
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_text("node,suscept\na,0.5\nb,-0.25\nc,1\n")
+    path = tmp_path / "edges.csv"
+    path.write_text("src,dst\na,b\nb,c\n")
+    return (lambda: mvc(g, NodeAttributes.from_csv(attrs),
+                        MvcConfig(init="attribute", attribute="suscept")),
+            ("run", "--input", path, "--format", "edges", "--metrics", "mvc",
+             "--mvc-init", "attribute", "--mvc-attribute", "suscept",
+             "--attributes", attrs, "--out", tmp_path / "out"))
+
+
+# each case fails a check of the novel module: (make the call and the
+# command line reaching the check; the error, a part of its message, the
+# exit code)
+NOVEL_CHECKS = {
+    "mvc attribute init on a negative custom value": (
+        _negative_custom_column, InvalidParameter, "must be finite and >= 0", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOVEL_CHECKS))
+def test_novel_input_checks(tmp_path, capsys, case):
+    make, error, message, code = NOVEL_CHECKS[case]
+    call, argv = make(tmp_path)
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+    raised, exit_code = cli_failure(*argv)
+    assert type(raised) is error and message in str(raised)
+    assert exit_code == code

@@ -1,15 +1,16 @@
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import assert_no_child_left, use_cpus
-from netcent import (DataError, NothingToEmit, betweenness_centrality,
-                     closeness_centrality, pipeline, preferential_attachment,
-                     traditional)
+from conftest import assert_no_child_left, cli_failure, use_cpus
+from netcent import (DataError, InvalidParameter, NothingToEmit, UsageError,
+                     betweenness_centrality, closeness_centrality, pipeline,
+                     preferential_attachment, traditional)
 from netcent.cli import main
 from netcent.pipeline import (RunConfig, emit_plot_data, load_config_file,
                               run_pipeline)
@@ -301,6 +302,19 @@ class TestEmitPlots:
                        "--out", plots) == 0
         assert (plots / "venn_regions.csv").exists()
         assert (plots / "topk_bars.csv").exists()
+
+    def test_run_emit_plots_writes_what_the_command_writes(
+            self, interactions_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--input", interactions_csv, "--out", out,
+                       "--metrics", "degree_total,pc,dic", "--k", "3",
+                       "--emit-plots") == 0
+        plots = tmp_path / "plots"
+        assert run_cli("emit-plots", "--report", out / "report.json",
+                       "--out", plots) == 0
+        for name in ("venn_regions.csv", "topk_bars.csv"):
+            assert (out / name).read_bytes() == (plots / name).read_bytes()
+        assert (out / "topk_bars.csv").read_text().count("\n") == 1 + 3 * 3
 
     def test_label_utf8_cannot_encode_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "four.csv"
@@ -846,3 +860,59 @@ class TestRunConfigValidation:
         report = run_pipeline(cfg)
         assert [e["strategy"] for e in report.interventions] \
             == ["single:pc", "random"]
+
+
+# each command line fails a check of the cli module: (arguments after the
+# input, the error raised, a part of its message, the exit code)
+CLI_CHECKS = {
+    "run with no input": (("run",), UsageError, "input file is required", 1),
+    "strategy with no scores": (
+        ("simulate", "--input", "{input}", "--seeds", "u1",
+         "--strategy", "traditional_union"), UsageError, "needs --scores", 1),
+    "simulate with nothing to remove": (
+        ("simulate", "--input", "{input}", "--seeds", "u1"), UsageError,
+        "nothing to remove", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CHECKS))
+def test_cli_input_checks(interactions_csv, tmp_path, capsys, case):
+    argv, error, message, code = CLI_CHECKS[case]
+    argv = [a.format(input=interactions_csv) for a in argv]
+    raised, exit_code = cli_failure(*argv, "--out", tmp_path / "out")
+    assert type(raised) is error and message in str(raised)
+    assert exit_code == code
+
+
+# each case fails a check of the pipeline module: (RunConfig fields, or
+# run flags after the input; the error raised, a part of its message, and
+# the exit code of a run)
+PIPELINE_CHECKS = {
+    "unknown config key": ({"input": "x", "mystery": 1}, InvalidParameter,
+                           "unknown config keys: ['mystery']", None),
+    "correlate with no attributes": (
+        ("--metrics", "pc", "--correlate", "pc:retweet_count"),
+        InvalidParameter, "requires an attributes file", 1),
+    "correlate entry not metric:proxy": (
+        ("--metrics", "pc", "--correlate", "pc", "--attributes", "{attrs}"),
+        InvalidParameter, "'metric:proxy'", 1),
+    "simulate with no seeds": (
+        ("--metrics", "degree_total", "--simulate", "--ic-trials", "2"),
+        InvalidParameter, "needs sim_seeds or sim_random_seeds", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_CHECKS))
+def test_pipeline_input_checks(interactions_csv, tmp_path, capsys, case):
+    given, error, message, code = PIPELINE_CHECKS[case]
+    if isinstance(given, dict):
+        with pytest.raises(error, match=re.escape(message)):
+            RunConfig.from_dict(given)
+        return
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_text("node,retweet_count\nu1,3\nu2,5\n")
+    raised, exit_code = cli_failure(
+        "run", "--input", interactions_csv, "--out", tmp_path / "out",
+        *(a.format(attrs=attrs) for a in given))
+    assert type(raised) is error and message in str(raised)
+    assert exit_code == code
