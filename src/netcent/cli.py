@@ -231,7 +231,7 @@ def _cmd_run(args) -> int:
     report = run_pipeline(cfg)
     out = Path(cfg.out)
     print(f"report: {out / 'report.json'}")
-    for metric in report.metrics:
+    for metric in report["metrics"]:
         print(f"scores: {out / (metric + '.scores.csv')}")
     return 0
 

@@ -28,7 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cells import Cells, LabelTable
-from .errors import EmptyInput, InvalidNode, InvalidParameter, ParseError
+from .errors import (DataError, EmptyInput, InvalidNode, InvalidParameter,
+                     ParseError)
 
 log = logging.getLogger(__name__)
 
@@ -156,7 +157,8 @@ def _aggregate_edges(src, dst, w):
     new_edge[0] = True
     np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=new_edge[1:])
     starts = np.flatnonzero(new_edge)
-    agg_w = np.add.reduceat(w, starts)
+    with np.errstate(over="ignore"):  # the caller names an overflowed sum
+        agg_w = np.add.reduceat(w, starts)
     return src[starts], dst[starts], agg_w
 
 
@@ -183,7 +185,8 @@ class DirectedGraph:
     positions in it: the graph keeps the labels sorted and renumbers the
     edges to match, so node i is the i-th smallest label. Labels must be
     unique and encodable as UTF-8. Parallel edges aggregate by summed
-    weight; self-loops are dropped with a counted warning.
+    weight, and a sum that overflows raises DataError naming the edge;
+    self-loops are dropped with a counted warning.
     """
 
     __slots__ = (
@@ -218,9 +221,13 @@ class DirectedGraph:
         if self.self_loops_dropped:
             log.warning("dropped %d self-loop edge(s)", self.self_loops_dropped)
             src, dst, w = src[~loops], dst[~loops], w[~loops]
-        src, dst, w = _aggregate_edges(src, dst, w)
         if not np.all((w > 0) & (w < np.inf)):
             raise InvalidParameter("edge weights must be finite and positive")
+        src, dst, w = _aggregate_edges(src, dst, w)
+        if np.isinf(w).any():  # finite weights whose sum overflowed
+            i = np.argmax(w)
+            edge = self.labels[src[i]], self.labels[dst[i]]
+            raise DataError(f"edge {edge!r}: its summed weight overflows")
 
         self.out_ptr, self.out_dst, self.out_w = _csr_from_sorted(src, dst, w, self.n)
         # the (dst, src) keys are distinct, so any sort orders them alike

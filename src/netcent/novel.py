@@ -115,7 +115,8 @@ def propagation_centrality(g: DirectedGraph,
     reverse = (g.direction == INFO_FLOW) if cfg.reverse is None else cfg.reverse
     h = g.transpose() if reverse else g
     n = h.n
-    esrc, edst, ew = h.edge_arrays()
+    # h's edges grouped by target, as eigenvector_centrality reads them
+    edst, esrc, ew = h.transpose().edge_arrays()
     outdeg = h.out_degrees().astype(np.float64)
     dangling = outdeg == 0.0
     if cfg.weighted:
@@ -214,9 +215,9 @@ def _dic_iterate(g: DirectedGraph, steps: int,
     """Per-step max-rescaled cumulative influence vector (before min-max)."""
     if reverse is None:
         reverse = g.direction == ENDORSEMENT
-    h = g.transpose() if reverse else g
-    n = h.n
-    esrc, edst, _ = h.edge_arrays()
+    n = g.n
+    # the edges grouped by target, as eigenvector_centrality reads them
+    edst, esrc, _ = (g if reverse else g.transpose()).edge_arrays()
     s = np.ones(n)
     for _ in range(steps):
         received = np.bincount(edst, weights=s[esrc], minlength=n)

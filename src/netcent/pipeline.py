@@ -30,7 +30,7 @@ from .novel import (EXPOSURE_MODES, MVC_INITS, DicConfig, MvcConfig,
                     NodeAttributes, PcConfig, dic, mvc, propagation_centrality)
 from .rng import derive_seed, substream
 from .scores import METRICS, TRADITIONAL_METRICS, ScoreVector
-from .simulate import (MODELS, STRATEGIES, CascadeConfig,
+from .simulate import (MODELS, STRATEGIES, CascadeConfig, check_spread,
                        intervention_experiment, metric_removal_set)
 from .traditional import (SAMPLING_MODES, PowerIterationConfig,
                           betweenness_centrality, closeness_centrality,
@@ -90,7 +90,8 @@ class RunConfig:
 
     Each field declares its config-file key and command-line flag;
     command-line values override config-file values. The echo stored in
-    the report reproduces the run.
+    the report reproduces the run. Metric and cascade fields take their
+    defaults and, before ingest, their checks from the classes they feed.
     """
 
     input: str = _option("", "run", "input", help="input CSV path")
@@ -105,25 +106,28 @@ class RunConfig:
                                      help="node attributes CSV")
     emit_plots: bool = _option(False, "run", "emit_plots")
     # propagation centrality
-    pc_damping: float = _option(0.85, "pc", "damping")
-    pc_tolerance: float = _option(1e-10, "pc", "tolerance")
-    pc_max_iterations: int = _option(100, "pc", "max_iterations")
-    pc_weighted: bool = _option(False, "pc", "weighted")
+    pc_damping: float = _option(PcConfig.damping, "pc", "damping")
+    pc_tolerance: float = _option(PcConfig.tolerance, "pc", "tolerance")
+    pc_max_iterations: int = _option(PcConfig.max_iterations, "pc",
+                                     "max_iterations")
+    pc_weighted: bool = _option(PcConfig.weighted, "pc", "weighted")
     # None = orientation-aware default (endorsement direction carries rank)
-    pc_reverse: bool | None = _option(None, "pc", "reverse")
+    pc_reverse: bool | None = _option(PcConfig.reverse, "pc", "reverse")
     # eigenvector
-    eig_tolerance: float = _option(1e-10, "eigenvector", "tolerance")
-    eig_max_iterations: int = _option(100, "eigenvector", "max_iterations")
+    eig_tolerance: float = _option(PowerIterationConfig.tolerance,
+                                   "eigenvector", "tolerance")
+    eig_max_iterations: int = _option(PowerIterationConfig.max_iterations,
+                                      "eigenvector", "max_iterations")
     eig_reverse: bool | None = _option(None, "eigenvector", "reverse")
     # vulnerability centrality
-    mvc_steps: int = _option(5, "mvc", "steps")
-    mvc_init: str = _option("seeded_uniform", "mvc", "init", choices=MVC_INITS)
-    mvc_attribute: str = _option("vulnerability_0", "mvc", "attribute")
-    mvc_exposure: str = _option("in_degree", "mvc", "exposure_mode",
-                                choices=EXPOSURE_MODES)
+    mvc_steps: int = _option(MvcConfig.steps, "mvc", "steps")
+    mvc_init: str = _option(MvcConfig.init, "mvc", "init", choices=MVC_INITS)
+    mvc_attribute: str = _option(MvcConfig.attribute, "mvc", "attribute")
+    mvc_exposure: str = _option(MvcConfig.exposure_mode, "mvc",
+                                "exposure_mode", choices=EXPOSURE_MODES)
     # dynamic influence centrality
-    dic_steps: int = _option(10, "dic", "steps")
-    dic_reverse: bool | None = _option(None, "dic", "reverse")
+    dic_steps: int = _option(DicConfig.steps, "dic", "steps")
+    dic_reverse: bool | None = _option(DicConfig.reverse, "dic", "reverse")
     # shortest-path metrics
     betweenness_mode: str = _option("auto", "betweenness", "mode",
                                     choices=SAMPLING_MODES)
@@ -137,10 +141,11 @@ class RunConfig:
                                          help="metric:proxy pairs")
     # intervention simulation
     simulate: bool = _option(False, "simulate", "enabled")
-    sim_model: str = _option("independent_cascade", "simulate", "model",
+    sim_model: str = _option(CascadeConfig.model, "simulate", "model",
                              choices=MODELS)
-    sim_p: float = _option(0.1, "simulate", "p", flag="--ic-p")
-    sim_trials: int = _option(1000, "simulate", "trials", flag="--ic-trials")
+    sim_p: float = _option(CascadeConfig.p, "simulate", "p", flag="--ic-p")
+    sim_trials: int = _option(CascadeConfig.trials, "simulate", "trials",
+                              flag="--ic-trials")
     sim_seeds: tuple[str, ...] = _option(
         (), "simulate", "seeds", help="misinformation originator labels")
     sim_random_seeds: int = _option(
@@ -151,7 +156,8 @@ class RunConfig:
         "strategies")
     sim_budget: str = _option("equal", "simulate", "budget",
                               choices=BUDGET_MODES)
-    sim_weight_scaled: bool = _option(False, "simulate", "weight_scaled",
+    sim_weight_scaled: bool = _option(CascadeConfig.weight_scaled,
+                                      "simulate", "weight_scaled",
                                       flag="--ic-weight-scaled")
 
     def __post_init__(self):
@@ -184,6 +190,29 @@ class RunConfig:
                     f"bad strategy {entry!r}: expected one of {STRATEGIES}, "
                     f"with single:<metric> naming a computed metric")
         self.sim_strategies = tuple(strategies)
+        if self.correlate and not self.attributes:
+            raise InvalidParameter("correlation requires an attributes file")
+        for pair in self.correlate:
+            metric, _, proxy = pair.partition(":")
+            if not proxy or metric not in self.metrics:
+                raise InvalidParameter(
+                    f"correlate entries are 'metric:proxy' over computed "
+                    f"metrics, got {pair!r}")
+        # what compute_metric runs with: attributes, which to_dict() omits
+        self.eig_config = PowerIterationConfig(
+            tolerance=self.eig_tolerance,
+            max_iterations=self.eig_max_iterations)
+        self.pc_config = PcConfig(
+            damping=self.pc_damping, tolerance=self.pc_tolerance,
+            max_iterations=self.pc_max_iterations, weighted=self.pc_weighted,
+            reverse=self.pc_reverse)
+        self.mvc_config = MvcConfig(
+            init=self.mvc_init, seed=derive_seed(self.seed, "mvc_init"),
+            attribute=self.mvc_attribute, steps=self.mvc_steps,
+            exposure_mode=self.mvc_exposure)
+        self.dic_config = DicConfig(steps=self.dic_steps,
+                                    reverse=self.dic_reverse)
+        check_spread(self.sim_model, self.sim_p, self.sim_trials)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -235,27 +264,6 @@ def load_config_file(path) -> dict:
     return values
 
 
-@dataclass
-class AnalysisReport:
-    """Everything one run produced; to_report_dict() is the stable subset."""
-
-    version: str
-    config: dict
-    graph_summary: dict
-    metrics: dict
-    overlap: dict | None = None
-    correlations: list = field(default_factory=list)
-    interventions: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
-
-    def to_report_dict(self) -> dict:
-        # timings are wall-clock and excluded so reports stay byte-identical
-        return {"version": self.version, "config": self.config,
-                "graph": self.graph_summary, "metrics": self.metrics,
-                "overlap": self.overlap, "correlations": self.correlations,
-                "interventions": self.interventions}
-
-
 def load_graph(cfg: RunConfig) -> DirectedGraph:
     if cfg.format == "interactions":
         from .graph import build_graph
@@ -282,22 +290,14 @@ def compute_metric(g: DirectedGraph, metric: str, cfg: RunConfig,
     if metric == "betweenness":
         return _betweenness(g, cfg)
     if metric == "eigenvector":
-        return eigenvector_centrality(
-            g, PowerIterationConfig(tolerance=cfg.eig_tolerance,
-                                    max_iterations=cfg.eig_max_iterations),
-            reverse=cfg.eig_reverse)
+        return eigenvector_centrality(g, cfg.eig_config,
+                                      reverse=cfg.eig_reverse)
     if metric == "pc":
-        return propagation_centrality(
-            g, PcConfig(damping=cfg.pc_damping, tolerance=cfg.pc_tolerance,
-                        max_iterations=cfg.pc_max_iterations,
-                        weighted=cfg.pc_weighted, reverse=cfg.pc_reverse))
+        return propagation_centrality(g, cfg.pc_config)
     if metric == "mvc":
-        return mvc(g, attrs, MvcConfig(
-            init=cfg.mvc_init, seed=derive_seed(cfg.seed, "mvc_init"),
-            attribute=cfg.mvc_attribute, steps=cfg.mvc_steps,
-            exposure_mode=cfg.mvc_exposure))
+        return mvc(g, attrs, cfg.mvc_config)
     if metric == "dic":
-        return dic(g, DicConfig(steps=cfg.dic_steps, reverse=cfg.dic_reverse))
+        return dic(g, cfg.dic_config)
     raise InvalidParameter(f"unknown metric {metric!r}")
 
 
@@ -458,8 +458,9 @@ def _run_interventions(g: DirectedGraph, rankings, cfg: RunConfig) -> list:
             for s, res in zip(cfg.sim_strategies, results)]
 
 
-def run_pipeline(cfg: RunConfig) -> AnalysisReport:
-    """Execute every configured stage and write the output files.
+def run_pipeline(cfg: RunConfig) -> dict:
+    """Execute every configured stage, write the output files, and
+    return the dict written as ``report.json``.
 
     Outputs land in ``cfg.out``: one ``<metric>.scores.csv`` per metric,
     ``overlap.json`` when two or more metrics ran, ``report.json``,
@@ -498,55 +499,36 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
     rankings = stage("rank", lambda: {m: top_k(sv, cfg.k)
                                       for m, sv in score_vectors.items()})
 
-    overlap_dict = None
+    # timings are wall-clock and stay out, so reports are byte-identical
+    report = {"version": _pkg_version, "config": cfg.to_dict(),
+              "graph": {"nodes": g.n, "edges": g.num_edges,
+                        "direction": g.direction,
+                        "self_loops_dropped": g.self_loops_dropped},
+              "metrics": {m: _metric_summary(sv, rankings[m])
+                          for m, sv in score_vectors.items()},
+              "overlap": None, "correlations": [], "interventions": []}
+
     traditional_present = [m for m in score_vectors if m in TRADITIONAL_METRICS]
     if len(score_vectors) >= 2 and traditional_present:
         def build_overlap():
-            report = overlap_report(rankings, traditional_present)
-            _io.write_json(report.to_dict(), out_dir / "overlap.json")
-            return report.to_dict()
+            overlap = overlap_report(rankings, traditional_present).to_dict()
+            _io.write_json(overlap, out_dir / "overlap.json")
+            return overlap
 
-        overlap_dict = stage("overlap", build_overlap)
+        report["overlap"] = stage("overlap", build_overlap)
 
-    correlations = []
     if cfg.correlate:
-        def run_correlations():
-            if attrs is None:
-                raise InvalidParameter("correlation requires an attributes file")
-            out = []
-            for pair in cfg.correlate:
-                metric, _, proxy = pair.partition(":")
-                if not proxy or metric not in score_vectors:
-                    raise InvalidParameter(
-                        f"correlate entries are 'metric:proxy' over computed "
-                        f"metrics, got {pair!r}")
-                out.append(rank_correlation(score_vectors[metric], attrs,
-                                            proxy).to_dict())
-            return out
+        report["correlations"] = stage("correlate", lambda: [
+            rank_correlation(score_vectors[metric], attrs, proxy).to_dict()
+            for metric, _, proxy in (pair.partition(":")
+                                     for pair in cfg.correlate)])
 
-        correlations = stage("correlate", run_correlations)
-
-    interventions = []
     if cfg.simulate:
-        interventions = stage("simulate",
-                              lambda: _run_interventions(g, rankings, cfg))
-
-    report = AnalysisReport(
-        version=_pkg_version,
-        config=cfg.to_dict(),
-        graph_summary={"nodes": g.n, "edges": g.num_edges,
-                       "direction": g.direction,
-                       "self_loops_dropped": g.self_loops_dropped},
-        metrics={m: _metric_summary(sv, rankings[m])
-                 for m, sv in score_vectors.items()},
-        overlap=overlap_dict,
-        correlations=correlations,
-        interventions=interventions,
-        timings=timings,
-    )
+        report["interventions"] = stage(
+            "simulate", lambda: _run_interventions(g, rankings, cfg))
 
     def write_report():
-        _io.write_json(report.to_report_dict(), out_dir / "report.json")
+        _io.write_json(report, out_dir / "report.json")
         timings["workers"] = _traditional.workers_used
         timings["brandes_width"] = _traditional.width_used
         try:
@@ -557,7 +539,7 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
             # the workers' peak, which this process's own rusage leaves out
             timings["children_peak_rss_mb"] = resource.getrusage(
                 resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-        _io.write_json(report.timings, out_dir / "timings.json")
+        _io.write_json(timings, out_dir / "timings.json")
 
     stage("report", write_report)
     if cfg.emit_plots:
@@ -568,7 +550,7 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
 def emit_plot_data(report, out_dir) -> list[Path]:
     """Write tabular series for external figure rendering.
 
-    ``report`` is an AnalysisReport, its dict, or the path of its
+    ``report`` is the dict ``run_pipeline`` returns, or the path of its
     ``report.json``; a file that is not JSON, that holds a string UTF-8
     cannot encode, or that lacks a key or type a report has raises
     DataError naming it. ``venn_regions.csv`` holds one row per overlap
@@ -576,9 +558,7 @@ def emit_plot_data(report, out_dir) -> list[Path]:
     per-metric top-k bars.
     """
     path = "report"
-    if isinstance(report, AnalysisReport):
-        report = report.to_report_dict()
-    elif isinstance(report, (str, Path)):
+    if isinstance(report, (str, Path)):
         path = report
         try:
             with _io.open_input(path) as fh:

@@ -51,6 +51,15 @@ STRATEGIES = ("traditional_union", "combined_union", "single", "random")
 _ONES = np.uint64(2**64 - 1)
 
 
+def check_spread(model: str, p: float, trials: int):
+    """Raise InvalidParameter for a p or trial count the cascade can't run."""
+    if model == "independent_cascade":
+        if not 0.0 < p <= 1.0:
+            raise InvalidParameter("activation probability must be in (0, 1]")
+        if trials < 1:
+            raise InvalidParameter("trials must be >= 1")
+
+
 @dataclass
 class CascadeConfig:
     """Spread model choice plus the misinformation originator set."""
@@ -68,11 +77,7 @@ class CascadeConfig:
         if not self.seeds:
             raise InvalidParameter("seed set must be non-empty")
         self.seeds = tuple(sorted(set(self.seeds)))
-        if self.model == "independent_cascade":
-            if not 0.0 < self.p <= 1.0:
-                raise InvalidParameter("activation probability must be in (0, 1]")
-            if self.trials < 1:
-                raise InvalidParameter("trials must be >= 1")
+        check_spread(self.model, self.p, self.trials)
 
     def to_dict(self) -> dict:
         d = {"model": self.model, "seeds": list(self.seeds)}
@@ -267,7 +272,7 @@ def metric_removal_set(rankings: Mapping[str, RankingTable], strategy: str,
     ``budget`` (or ``k``) labels uniformly without replacement from
     ``universe``, seeded.
 
-    ``budget`` makes strategies comparable at equal total size: a set
+    ``budget`` (>= 1) makes strategies comparable at equal total size: a set
     larger than the budget is truncated along the merged best-rank
     order; a smaller one is padded with seeded neutral filler drawn
     uniformly from the rest of ``universe``, so the comparison isolates
@@ -275,6 +280,8 @@ def metric_removal_set(rankings: Mapping[str, RankingTable], strategy: str,
     """
     if strategy not in STRATEGIES:
         raise InvalidParameter(f"strategy must be one of {STRATEGIES}")
+    if budget is not None and budget < 1:
+        raise InvalidParameter(f"budget must be >= 1, got {budget}")
 
     if strategy == "random":
         size = budget if budget is not None else k

@@ -836,9 +836,10 @@ def eigenvector_centrality(g: DirectedGraph,
     cfg = cfg or PowerIterationConfig()
     if reverse is None:
         reverse = g.direction == INFO_FLOW
-    h = g.transpose() if reverse else g
-    n = h.n
-    esrc, edst, ew = h.edge_arrays()
+    n = g.n
+    # the iterated orientation's edges grouped by target, so each step
+    # adds into sorted targets, each target's terms by ascending source
+    edst, esrc, ew = (g if reverse else g.transpose()).edge_arrays()
     params = {**asdict(cfg), "reverse": reverse, "eigenvalue": 0.0}
 
     def step(x):

@@ -12,7 +12,10 @@ import pytest
 
 import netcent.cli
 from netcent.errors import InvalidParameter
+from netcent.novel import DicConfig, MvcConfig, PcConfig
 from netcent.pipeline import RunConfig, load_config_file
+from netcent.simulate import CascadeConfig
+from netcent.traditional import PowerIterationConfig
 
 # (section, key, raw value, field, parsed value); every value differs
 # from the field's default
@@ -75,8 +78,9 @@ FLAGS = [
     (METRIC_COMMANDS, ["--attributes", "attrs.csv"], "attributes",
      "attrs.csv"),
     ((RUN,), ["--emit-plots"], "emit_plots", True),
-    ((RUN,), ["--correlate", "pc:age,dic:age"], "correlate",
-     ("pc:age", "dic:age")),
+    # correlation needs an attributes file, which RunConfig checks
+    ((RUN,), ["--correlate", "pc:age,dic:age", "--attributes", "attrs.csv"],
+     "correlate", ("pc:age", "dic:age")),
     ((RUN,), ["--simulate"], "simulate", True),
     ((RUN,), ["--sim-seeds", "u1,u2"], "sim_seeds", ("u1", "u2")),
     ((SIMULATE,), ["--seeds", "u1,u2"], "sim_seeds", ("u1", "u2")),
@@ -238,6 +242,35 @@ def test_file_value_outside_its_choices_fails_before_ingest(
                               (section, key, raw)]))
     assert netcent.cli.main(["run", "--config", str(ini)]) == 1
     assert raw in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a bad value of each run parameter, and the call to the class that owns
+# its check
+BAD_VALUES = [
+    (["--pc-damping", "1.5"], lambda: PcConfig(damping=1.5)),
+    (["--pc-tolerance", "0"], lambda: PcConfig(tolerance=0)),
+    (["--eig-max-iterations", "0"],
+     lambda: PowerIterationConfig(max_iterations=0)),
+    (["--mvc-steps", "0"], lambda: MvcConfig(steps=0)),
+    (["--dic-steps", "0"], lambda: DicConfig(steps=0)),
+    (["--ic-p", "1.5"], lambda: CascadeConfig(seeds=("u1",), p=1.5)),
+    (["--ic-trials", "0"], lambda: CascadeConfig(seeds=("u1",), trials=0)),
+    (["--correlate", "pc:age"], lambda: RunConfig(correlate=("pc:age",))),
+]
+
+
+@pytest.mark.parametrize("flag,owner", BAD_VALUES,
+                         ids=[" ".join(f) for f, _ in BAD_VALUES])
+def test_bad_value_fails_before_ingest(tmp_path, capsys, flag, owner):
+    """Reading the missing input would exit 2; exit 1 with the owning
+    class's message shows the value was checked first."""
+    with pytest.raises(InvalidParameter) as owned:
+        owner()
+    out = tmp_path / "out"
+    assert netcent.cli.main(["run", "--input", str(tmp_path / "missing.csv"),
+                             "--out", str(out), *flag]) == 1
+    assert f"error: {owned.value}\n" in capsys.readouterr().err
     assert not out.exists()
 
 

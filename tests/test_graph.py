@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_graph
-from netcent import (DirectedGraph, EmptyInput, InteractionRecord, Interactions,
-                     InvalidNode, InvalidParameter, ParseError, build_graph,
-                     from_edges)
+from netcent import (DataError, DirectedGraph, EmptyInput, InteractionRecord,
+                     Interactions, InvalidNode, InvalidParameter, ParseError,
+                     build_graph, from_edges)
 
 
 def rec(actor, target, kind="retweet"):
@@ -250,6 +250,38 @@ def test_record_with_non_finite_weight_names_line(w):
     with pytest.raises(ParseError) as exc:
         build_graph([rec("a", "b"), InteractionRecord("b", "c", weight=w)])
     assert exc.value.line == 2
+
+
+# each case fails a check of the graph module: (the call, the error, a
+# part of its message)
+GRAPH_CHECKS = {
+    "unknown direction": (
+        lambda: DirectedGraph(["a", "b"], [0], [1], [1.0], "sideways"),
+        InvalidParameter, "unknown direction 'sideways'"),
+    "edge endpoint out of range": (
+        lambda: DirectedGraph(["a", "b"], [0], [2], [1.0]),
+        InvalidNode, "edge endpoint outside node range"),
+    "degree with a bad mode": (
+        lambda: from_edges([("a", "b")]).degree(0, "sideways"),
+        InvalidParameter, "degree mode must be one of"),
+    "no edges and no nodes": (lambda: from_edges([]), EmptyInput,
+                              "no edges and no nodes"),
+    "unknown convention": (
+        lambda: build_graph([rec("a", "b")], "sideways"),
+        InvalidParameter, "unknown direction convention 'sideways'"),
+    "summed weight overflows": (
+        lambda: DirectedGraph(["a", "b", "c"], [0, 2, 0], [1, 1, 1],
+                              [1e308, 1.0, 1e308]),
+        DataError, "edge ('a', 'b'): its summed weight overflows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_CHECKS))
+def test_graph_input_checks(case):
+    call, error, message = GRAPH_CHECKS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and message in str(raised.value)
 
 
 def test_columns_and_records_build_the_same_graph():

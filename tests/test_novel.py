@@ -316,11 +316,17 @@ def _negative_custom_column(tmp_path):
 
 
 # each case fails a check of the novel module: (make the call and the
-# command line reaching the check; the error, a part of its message, the
-# exit code)
+# command line reaching the check, None where the run's own choices
+# check comes first; the error, a part of its message, the exit code)
 NOVEL_CHECKS = {
     "mvc attribute init on a negative custom value": (
         _negative_custom_column, InvalidParameter, "must be finite and >= 0", 1),
+    "mvc unknown init": (
+        lambda tmp_path: (lambda: MvcConfig(init="zero"), None),
+        InvalidParameter, "mvc init must be one of", None),
+    "mvc unknown exposure mode": (
+        lambda tmp_path: (lambda: MvcConfig(exposure_mode="degree"), None),
+        InvalidParameter, "exposure mode must be one of", None),
 }
 
 
@@ -330,6 +336,8 @@ def test_novel_input_checks(tmp_path, capsys, case):
     call, argv = make(tmp_path)
     with pytest.raises(error, match=re.escape(message)):
         call()
+    if argv is None:
+        return
     raised, exit_code = cli_failure(*argv)
     assert type(raised) is error and message in str(raised)
     assert exit_code == code

@@ -54,8 +54,8 @@ class TestRunPipeline:
         cfg = RunConfig(input=str(interactions_csv), metrics=("degree_total",),
                         out=str(out), k=3)
         report = run_pipeline(cfg)
-        assert list(report.metrics) == ["degree_total"]
-        assert report.overlap is None
+        assert list(report["metrics"]) == ["degree_total"]
+        assert report["overlap"] is None
         data = json.loads((out / "report.json").read_text())
         assert data["overlap"] is None
         assert not (out / "overlap.json").exists()
@@ -182,7 +182,7 @@ class TestRunPipeline:
         assert sorted(calls) == [("degree_total", 2), ("pc", 2)]
         for metric in cfg.metrics:
             sv = read_scores_csv(out / f"{metric}.scores.csv")
-            assert report.metrics[metric]["top"] == \
+            assert report["metrics"][metric]["top"] == \
                 top_k(sv, 2).to_dict()["entries"]
 
     @pytest.mark.parametrize("k", [1, 3, 10])
@@ -194,7 +194,8 @@ class TestRunPipeline:
         deep = {m: top_k(sv, sv.n) for m, sv in vectors.items()}
         for strategy in ("traditional_union", "combined_union", "single:pc"):
             natural = len(pipeline.removal_for(g, deep, strategy, cfg, None))
-            for budget in (None, natural - 1, natural, natural + 5):
+            # a budget is at least 1
+            for budget in (None, max(natural - 1, 1), natural, natural + 5):
                 assert pipeline.removal_for(g, shallow, strategy, cfg, budget) \
                     == pipeline.removal_for(g, deep, strategy, cfg, budget)
 
@@ -220,8 +221,8 @@ class TestRunPipeline:
                         metrics=("pc", "dic"), attributes=str(attrs),
                         correlate=("pc:retweet_count",), seed=1)
         report = run_pipeline(cfg)
-        assert len(report.correlations) == 1
-        entry = report.correlations[0]
+        assert len(report["correlations"]) == 1
+        entry = report["correlations"][0]
         assert entry["metric"] == "pc" and entry["n_effective"] == 9
         assert -1.0 <= entry["rho"] <= 1.0
 
@@ -478,7 +479,7 @@ class TestStandaloneCommands:
                         simulate=True, sim_random_seeds=2, sim_p=0.4,
                         sim_trials=150,
                         sim_strategies=("traditional_union", "combined_union"))
-        entry = run_pipeline(cfg).interventions[0]
+        entry = run_pipeline(cfg)["interventions"][0]
         scores = sorted(out.glob("*.scores.csv"))
         natural = metric_removal_set(
             {sv.metric: top_k(sv, sv.n) for sv in map(read_scores_csv, scores)},
@@ -540,6 +541,40 @@ class TestStandaloneCommands:
                            "--out", tmp_path / "out") == 2
         assert "weighted closeness of node 'a' overflows" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,fmt,text", [
+        # info flow runs target -> actor, so both files hold the edge b -> a
+        ("run", "interactions", "actor,target,kind,timestamp,weight\n"
+         "a,b,x,,1e308\na,b,x,,1e308\nc,a,x,,1\n"),
+        ("ingest", "edges", "src,dst,weight\nb,a,1e308\nb,a,1e308\nc,a,1\n"),
+    ], ids=["run-interactions", "ingest-edges"])
+    def test_summed_weight_overflow_exits_2_naming_the_edge(
+            self, tmp_path, capsys, command, fmt, text):
+        data = tmp_path / "data.csv"
+        # each row passes its own checks; the two rows' sum overflows
+        data.write_text(text)
+        with warnings.catch_warnings():
+            # numpy's overflow warning would end the run as an internal error
+            warnings.simplefilter("error")
+            assert run_cli(command, "--input", data, "--format", fmt,
+                           "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "edge ('b', 'a'): its summed weight overflows" in err
+        assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_simulate_budget_below_one_is_a_usage_error(
+            self, interactions_csv, tmp_path, budget):
+        assert run_cli("compute", "--input", interactions_csv,
+                       "--metrics", "degree_total,closeness",
+                       "--out", tmp_path) == 0
+        raised, exit_code = cli_failure(
+            "simulate", "--input", interactions_csv, "--seeds", "u1",
+            "--strategy", "traditional_union", "--budget", budget,
+            "--scores", *sorted(tmp_path.glob("*.scores.csv")))
+        assert type(raised) is InvalidParameter
+        assert f"budget must be >= 1, got {budget}" in str(raised)
+        assert exit_code == 1
 
     def test_missing_report_file_is_data_error(self, tmp_path, capsys):
         assert run_cli("emit-plots", "--report", tmp_path / "gone.json",
@@ -858,7 +893,7 @@ class TestRunConfigValidation:
                         sim_model="reachability", sim_seeds=("u1", "u4"),
                         sim_strategies=("single:pc", "random"))
         report = run_pipeline(cfg)
-        assert [e["strategy"] for e in report.interventions] \
+        assert [e["strategy"] for e in report["interventions"]] \
             == ["single:pc", "random"]
 
 
@@ -884,12 +919,17 @@ def test_cli_input_checks(interactions_csv, tmp_path, capsys, case):
     assert exit_code == code
 
 
-# each case fails a check of the pipeline module: (RunConfig fields, or
+# each case fails a check of the pipeline module: (a library call, or
 # run flags after the input; the error raised, a part of its message, and
 # the exit code of a run)
 PIPELINE_CHECKS = {
-    "unknown config key": ({"input": "x", "mystery": 1}, InvalidParameter,
-                           "unknown config keys: ['mystery']", None),
+    "unknown config key": (
+        lambda: RunConfig.from_dict({"input": "x", "mystery": 1}),
+        InvalidParameter, "unknown config keys: ['mystery']", None),
+    "compute an unknown metric": (
+        lambda: pipeline.compute_metric(preferential_attachment(10, 2, seed=1),
+                                        "katz", RunConfig()),
+        InvalidParameter, "unknown metric 'katz'", None),
     "correlate with no attributes": (
         ("--metrics", "pc", "--correlate", "pc:retweet_count"),
         InvalidParameter, "requires an attributes file", 1),
@@ -905,9 +945,9 @@ PIPELINE_CHECKS = {
 @pytest.mark.parametrize("case", sorted(PIPELINE_CHECKS))
 def test_pipeline_input_checks(interactions_csv, tmp_path, capsys, case):
     given, error, message, code = PIPELINE_CHECKS[case]
-    if isinstance(given, dict):
+    if callable(given):
         with pytest.raises(error, match=re.escape(message)):
-            RunConfig.from_dict(given)
+            given()
         return
     attrs = tmp_path / "attrs.csv"
     attrs.write_text("node,retweet_count\nu1,3\nu2,5\n")

@@ -170,6 +170,26 @@ class TestOverlapReport:
             == plain.coverage_gain_pct
 
 
+# each case fails a check of the scores module: (the call, the error, a
+# part of its message)
+SCORES_CHECKS = {
+    "score vector of the wrong length": (
+        lambda: ScoreVector("pc", ("a", "b"), [1.0]), InvalidParameter,
+        "score vector length must equal node count"),
+    "score that is not finite": (
+        lambda: ScoreVector("pc", ("a", "b"), [1.0, np.nan]), InvalidParameter,
+        "scores must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCORES_CHECKS))
+def test_scores_input_checks(case):
+    call, error, message = SCORES_CHECKS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and message in str(raised.value)
+
+
 def make_attrs(labels, values, column="retweet_count"):
     return NodeAttributes({column: dict(zip(labels, values))})
 

@@ -391,6 +391,43 @@ class TestLiveWords:
         assert spread_volume(g, cfg) == 1.0
 
 
+# each case fails a check of the simulate module: (the call, the error,
+# a part of its message)
+SIMULATE_CHECKS = {
+    "unknown model": (lambda: CascadeConfig(seeds=("a",), model="sir"),
+                      InvalidParameter, "model must be one of"),
+    "random with no budget or k": (
+        lambda: metric_removal_set({}, "random", universe=["a", "b"], seed=1),
+        InvalidParameter, "random strategy needs a positive budget or k"),
+    "random with no universe": (
+        lambda: metric_removal_set({}, "random", k=2, seed=1),
+        InvalidParameter, "random strategy needs the node universe"),
+    "no rankings for the strategy": (
+        lambda: metric_removal_set({}, "traditional_union"),
+        InvalidParameter, "no rankings available for strategy"),
+    "budget 0": (
+        lambda: metric_removal_set(fixture_rankings(), "traditional_union",
+                                   budget=0),
+        InvalidParameter, "budget must be >= 1, got 0"),
+    "budget -1": (
+        lambda: metric_removal_set(fixture_rankings(), "traditional_union",
+                                   budget=-1),
+        InvalidParameter, "budget must be >= 1, got -1"),
+    "random with budget 0": (
+        lambda: metric_removal_set({}, "random", k=2, budget=0,
+                                   universe=["a", "b"], seed=1),
+        InvalidParameter, "budget must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CHECKS))
+def test_simulate_input_checks(case):
+    call, error, message = SIMULATE_CHECKS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and message in str(raised.value)
+
+
 class TestMetricRemovalSet:
     def test_traditional_union_is_29_nodes(self):
         got = metric_removal_set(fixture_rankings(), "traditional_union")

@@ -170,6 +170,26 @@ def weighted_distances(g, pivot):
             want)
 
 
+# each case fails a check of the traditional module: (the call, the
+# error, a part of its message)
+TRADITIONAL_CHECKS = {
+    "unknown sampling mode": (
+        lambda: closeness_centrality(from_edges([("a", "b")]), mode="fast"),
+        InvalidParameter, "closeness: mode must be one of"),
+    "unknown degree mode": (
+        lambda: degree_centrality(from_edges([("a", "b")]), "sideways"),
+        InvalidParameter, "degree mode must be one of"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRADITIONAL_CHECKS))
+def test_traditional_input_checks(case):
+    call, error, message = TRADITIONAL_CHECKS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and message in str(raised.value)
+
+
 class TestDegreeCentrality:
     def test_star_out_mode(self):
         g = from_edges([("c", f"l{i}") for i in range(4)])
