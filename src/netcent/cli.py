@@ -21,7 +21,7 @@ from . import __version__
 from .errors import NetcentError, UsageError, exit_code_for
 from .novel import NodeAttributes
 from .pipeline import (RunConfig, boolean, cascade_config, compute_metrics,
-                       emit_plot_data, load_config_file, load_graph,
+                       emit_plot_data, flag_of, load_config_file, load_graph,
                        option_parser, removal_for, run_pipeline, str_list)
 from .ranking import overlap_report, rank_correlation, top_k
 from .scores import TRADITIONAL_METRICS
@@ -51,8 +51,7 @@ def _add_config_flags(p, names, spellings=None):
     for name in names:
         f = _CONFIG_FIELDS[name]
         section, key = f.metadata["ini"]
-        flag = ((spellings or {}).get(name) or f.metadata["flag"]
-                or "--" + name.replace("_", "-"))
+        flag = (spellings or {}).get(name) or flag_of(name)
         help = f"{f.metadata['help']} ([{section}] {key})".lstrip()
         parse = option_parser(f)
         if parse is boolean and f.default is False:

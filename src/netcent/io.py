@@ -1,7 +1,9 @@
 """File formats: interaction CSV, edge-list CSV, score CSV, attributes CSV.
 
-All CSVs are UTF-8 and comma-separated; lines starting with ``#`` are
-ignored everywhere. A label list is UTF-8 with one label per line.
+All CSVs are UTF-8 and comma-separated; a byte order mark at the start
+of a CSV is skipped, and lines starting with ``#`` are ignored
+everywhere. A header may not name a column twice. A label list is UTF-8
+with one label per line.
 Writers go through an atomic temp-file + rename so a failed run never
 leaves a truncated file behind.
 
@@ -75,11 +77,12 @@ def _blocks(path):
     r"""Yield (first line number, text) for runs of whole lines of the file.
 
     Line ends are read as ``\n`` whichever of ``\n``, ``\r\n`` or ``\r``
-    the file uses, and each text ends with one. A byte that is not UTF-8
-    raises ParseError as its run is yielded, after the runs before it.
+    the file uses, and each text ends with one. A byte order mark at the
+    start of the file is dropped. A byte that is not UTF-8 raises
+    ParseError as its run is yielded, after the runs before it.
     """
     with open_input(path, errors="surrogateescape") as fh:
-        lineno, tail = 1, ""
+        lineno, tail = 1, fh.read(1).removeprefix("\ufeff")
         for chunk in iter(lambda: fh.read(BLOCK_CHARS), ""):
             text = tail + chunk
             cut = text.rfind("\n") + 1
@@ -185,8 +188,9 @@ def _read_csv(path, required, optional):
     buffer of any other block's cells split line by line), ``''`` where
     the header or a short row lacks one; ``lines[i]`` is the file line
     of row i. Raises EmptyInput without a header, and ParseError with
-    the file line for a missing required column or, once the rows
-    before it are yielded, for a row with more fields than the header.
+    the file line for a repeated or missing required column or, once
+    the rows before it are yielded, for a row with more fields than the
+    header.
     """
     blocks = _blocks(path)
     for first, text in blocks:
@@ -197,6 +201,7 @@ def _read_csv(path, required, optional):
         raise EmptyInput(f"{path}: no header row")
     header_line, header_raw = head
     header = [h.strip().lower() for h in _split(header_raw)]
+    _check_unique(path, header_line, header)
     for col in required:
         if col not in header:
             raise ParseError(f"{path}: missing required column {col!r}",
@@ -219,6 +224,17 @@ def _read_csv(path, required, optional):
             line, fields = too_wide
             raise ParseError(f"{path}: row has {fields} fields, header has "
                              f"{width}", line=line)
+
+
+def _check_unique(path, line, header):
+    """Raise ParseError at the header's ``line`` for a column name given
+    twice; blank names, which no reader looks up, may repeat."""
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise ParseError(f"{path}: column {name!r} repeats", line=line)
+        if name:
+            seen.add(name)
 
 
 def _digits(cells, empty):
@@ -456,6 +472,7 @@ def read_attributes_csv(path) -> dict[str, dict[str, float]]:
     header = [h.strip() for h in next(csv.reader([header_raw]))]
     if not header or header[0].lower() != "node":
         raise ParseError(f"{path}: first column must be 'node'", line=header_line_no)
+    _check_unique(path, header_line_no, header)
     columns: dict[str, dict[str, float]] = {c: {} for c in header[1:]}
     nodes = set()
     for lineno, raw in rows:

@@ -165,15 +165,17 @@ class RunConfig:
             choices = f.metadata["choices"]
             value = getattr(self, f.name)
             if choices and value not in choices:
-                raise InvalidParameter(
-                    f"{f.name} must be one of {choices}, got {value!r}")
+                raise _bad(f.name, f"{f.name} must be one of {choices}, "
+                                   f"got {value!r}")
         if self.k < 1:
-            raise InvalidParameter("k must be >= 1")
+            raise _bad("k", "k must be >= 1")
+        if not self.metrics:
+            raise _bad("metrics", "no metric named")
         resolved = []
         for name in self.metrics:
             name = METRIC_ALIASES.get(name, name)
             if name not in METRICS:
-                raise InvalidParameter(f"unknown metric {name!r}")
+                raise _bad("metrics", f"unknown metric {name!r}")
             if name not in resolved:
                 resolved.append(name)
         self.metrics = tuple(resolved)
@@ -186,33 +188,48 @@ class RunConfig:
             elif name in STRATEGIES and name != "single" and not colon:
                 strategies.append(name)
             else:
-                raise InvalidParameter(
-                    f"bad strategy {entry!r}: expected one of {STRATEGIES}, "
-                    f"with single:<metric> naming a computed metric")
+                raise _bad("sim_strategies",
+                           f"bad strategy {entry!r}: expected one of "
+                           f"{STRATEGIES}, with single:<metric> naming a "
+                           f"computed metric")
         self.sim_strategies = tuple(strategies)
         if self.correlate and not self.attributes:
-            raise InvalidParameter("correlation requires an attributes file")
+            raise _bad("correlate", "correlation requires an attributes file")
         for pair in self.correlate:
             metric, _, proxy = pair.partition(":")
             if not proxy or metric not in self.metrics:
-                raise InvalidParameter(
-                    f"correlate entries are 'metric:proxy' over computed "
-                    f"metrics, got {pair!r}")
+                raise _bad("correlate",
+                           f"correlate entries are 'metric:proxy' over "
+                           f"computed metrics, got {pair!r}")
         # what compute_metric runs with: attributes, which to_dict() omits
-        self.eig_config = PowerIterationConfig(
-            tolerance=self.eig_tolerance,
-            max_iterations=self.eig_max_iterations)
-        self.pc_config = PcConfig(
-            damping=self.pc_damping, tolerance=self.pc_tolerance,
-            max_iterations=self.pc_max_iterations, weighted=self.pc_weighted,
-            reverse=self.pc_reverse)
-        self.mvc_config = MvcConfig(
-            init=self.mvc_init, seed=derive_seed(self.seed, "mvc_init"),
-            attribute=self.mvc_attribute, steps=self.mvc_steps,
-            exposure_mode=self.mvc_exposure)
-        self.dic_config = DicConfig(steps=self.dic_steps,
-                                    reverse=self.dic_reverse)
-        check_spread(self.sim_model, self.sim_p, self.sim_trials)
+        self.eig_config = self._build(
+            PowerIterationConfig, tolerance="eig_tolerance",
+            max_iterations="eig_max_iterations")
+        self.pc_config = self._build(
+            PcConfig, damping="pc_damping", tolerance="pc_tolerance",
+            max_iterations="pc_max_iterations", weighted="pc_weighted",
+            reverse="pc_reverse")
+        self.mvc_config = dataclasses.replace(self._build(
+            MvcConfig, init="mvc_init", attribute="mvc_attribute",
+            steps="mvc_steps", exposure_mode="mvc_exposure"),
+            seed=derive_seed(self.seed, "mvc_init"))
+        self.dic_config = self._build(DicConfig, steps="dic_steps",
+                                      reverse="dic_reverse")
+        _flagged("sim_p", lambda: check_spread(
+            self.sim_model, self.sim_p, CascadeConfig.trials))
+        _flagged("sim_trials", lambda: check_spread(
+            self.sim_model, CascadeConfig.p, self.sim_trials))
+
+    def _build(self, cls, **fields):
+        """``cls`` with each named attribute read from its RunConfig field.
+
+        Each attribute is first checked alone, beside ``cls``'s other
+        defaults, so a bad value's error names the flag that set it.
+        """
+        values = {attr: getattr(self, name) for attr, name in fields.items()}
+        for attr, name in fields.items():
+            _flagged(name, lambda: cls(**{attr: values[attr]}))
+        return cls(**values)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -237,12 +254,33 @@ class RunConfig:
         return cls(**kwargs)
 
 
+def flag_of(name: str) -> str:
+    """The command-line flag of RunConfig field ``name``."""
+    return (_FIELDS[name].metadata["flag"]
+            or "--" + name.replace("_", "-"))
+
+
+def _bad(name: str, message: str) -> InvalidParameter:
+    """The error for a bad value of field ``name``, naming its flag."""
+    return InvalidParameter(f"{flag_of(name)}: {message}")
+
+
+def _flagged(name: str, check) -> None:
+    """Run ``check``; its InvalidParameter is raised again naming the
+    flag of field ``name``."""
+    try:
+        check()
+    except InvalidParameter as exc:
+        raise _bad(name, str(exc)) from None
+
+
 def option_parser(f: dataclasses.Field):
     """The function that turns a file value or flag into field ``f``."""
     return f.metadata["parse"] or _PARSERS[f.type]
 
 
-_FILE_KEYS = {f.metadata["ini"]: f for f in dataclasses.fields(RunConfig)}
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_FILE_KEYS = {f.metadata["ini"]: f for f in _FIELDS.values()}
 
 
 def load_config_file(path) -> dict:

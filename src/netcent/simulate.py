@@ -28,6 +28,15 @@ set: a treated run clears the live bits of every edge touching a removed
 node and drops removed seeds, so no trial's treated spread exceeds its
 baseline, and each paired difference has its own standard error.
 
+Lanes are independent jobs, so they run as chunks of the source loop
+betweenness uses (``traditional._accumulate_over_sources``), one lane
+to a chunk up to ``_LANE_CHUNKS`` lanes: with two usable CPUs this
+process forks one worker and both take lanes from one queue. The
+removal sets are checked, each run's keep mask built and the push index
+sorted before the fork. A chunk's counts are integers, which add
+exactly, so every process count gives the same counts. Reachability
+(one lane) and at most 64 trials (one chunk) run here, without a fork.
+
 Node identity in this module is the node *label*: removal sets come from
 rankings, and seed sets are given by label.
 """
@@ -40,6 +49,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import rng as _rng
+from . import traditional as _traditional
 from .errors import InvalidParameter
 from .graph import DirectedGraph
 from .ranking import RankingTable
@@ -49,6 +59,10 @@ from .sweep import LANE, Sweep, bit_counts
 MODELS = ("independent_cascade", "reachability")
 STRATEGIES = ("traditional_union", "combined_union", "single", "random")
 _ONES = np.uint64(2**64 - 1)
+# the most chunks a cascade's lanes run in, one lane to a chunk up to
+# this many lanes: each chunk's block spans every trial, so a chunk per
+# lane would move blocks quadratic in the trial count
+_LANE_CHUNKS = 64
 
 
 def check_spread(model: str, p: float, trials: int):
@@ -150,19 +164,32 @@ def _live_words(prob: np.ndarray, m: int, random_raw) -> np.ndarray:
     return live
 
 
-def _lanes(sweep: Sweep, cfg: CascadeConfig):
-    """Yield (live, width) per lane: bit j of live[e] is trial j's edge e."""
+def _lane(sweep: Sweep, cfg: CascadeConfig, prob: np.ndarray, lane: int):
+    """(live, width) of one lane: bit j of live[e] is trial 64*lane + j's
+    edge e. ``prob`` holds each edge's probability, or p for every edge."""
     if cfg.model == "reachability":
-        yield np.ones(sweep.m, dtype=np.uint64), 1
-        return
+        return np.ones(sweep.m, dtype=np.uint64), 1
+    width = min(LANE, cfg.trials - lane * LANE)
+    words = _rng.trial_stream(cfg.seed, lane).bit_generator.random_raw
+    live = _live_words(prob, sweep.m, words)
+    live &= np.uint64(2**width - 1)
+    return live, width
+
+
+def _spread_setup(sweep: Sweep, cfg: CascadeConfig):
+    """(trials, lanes, prob) of a run: its trial and lane counts, and the
+    edge probabilities ``_lane`` draws with."""
+    trials = 1 if cfg.model == "reachability" else cfg.trials
     prob = (1.0 - (1.0 - cfg.p) ** sweep.w if cfg.weight_scaled
             else np.array([cfg.p], dtype=np.float64))
-    for lane, first in enumerate(range(0, cfg.trials, LANE)):
-        width = min(LANE, cfg.trials - first)
-        words = _rng.trial_stream(cfg.seed, lane).bit_generator.random_raw
-        live = _live_words(prob, sweep.m, words)
-        live &= np.uint64(2**width - 1)
-        yield live, width
+    return trials, -(-trials // LANE), prob
+
+
+def _lanes(sweep: Sweep, cfg: CascadeConfig):
+    """Yield (live, width) per lane: bit j of live[e] is trial j's edge e."""
+    _, lanes, prob = _spread_setup(sweep, cfg)
+    for lane in range(lanes):
+        yield _lane(sweep, cfg, prob, lane)
 
 
 def _spread(sweep: Sweep, seed_ids: np.ndarray, live: np.ndarray,
@@ -181,6 +208,10 @@ def _trial_counts(g: DirectedGraph, cfg: CascadeConfig,
 
     A treated run drops removed seeds and clears the live bits of every
     edge touching a removed node, so each trial's runs share its draws.
+    Lanes run as chunks of ``_accumulate_over_sources``, this process
+    taking its share: a chunk's (runs, trials) block holds its lanes'
+    counts in their columns and 0.0 elsewhere, and counts below 2^53 add
+    exactly, so the sum is the counts side by side.
     """
     sweep = Sweep(g)
     seed_ids = _node_ids(g, cfg.seeds)
@@ -193,11 +224,23 @@ def _trial_counts(g: DirectedGraph, cfg: CascadeConfig,
         runs.append((seed_ids[~gone[seed_ids]],
                      np.where(gone[sweep.src] | gone[sweep.dst], np.uint64(0),
                               _ONES)))
-    counts = [[] for _ in runs]
-    for live, width in _lanes(sweep, cfg):
-        for out, (ids, keep) in zip(counts, runs):
-            out.append(_spread(sweep, ids, live & keep, width))
-    return [np.concatenate(c) for c in counts]
+    trials, lanes, prob = _spread_setup(sweep, cfg)
+    if lanes > 1:
+        sweep.out_to_in  # sorted once here, not once in each worker
+
+    def per_chunk(chunk):
+        block = np.zeros((len(runs), trials))
+        for lane in chunk.tolist():
+            live, width = _lane(sweep, cfg, prob, lane)
+            for row, (ids, keep) in zip(block, runs):
+                row[lane * LANE:lane * LANE + width] = _spread(
+                    sweep, ids, live & keep, width)
+        return block
+
+    counts = _traditional._accumulate_over_sources(
+        np.arange(lanes), per_chunk, (len(runs), trials),
+        size=-(-lanes // _LANE_CHUNKS), take_part=True)
+    return list(counts.astype(np.int64))
 
 
 def _standard_error(x: np.ndarray) -> float | None:

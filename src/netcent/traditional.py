@@ -25,15 +25,17 @@ source, and the chunk's sum adds the rows in source order. Both kernels
 add every term in the same order, so they give the same bytes; a source
 without out-edges adds nothing and is skipped.
 
-Betweenness and weighted closeness run one source loop,
-``_accumulate_over_sources``: exact mode makes every node a pivot, in
-ascending order. Each fixed-size chunk of pivots sums its
-contributions in ascending pivot order, and the chunk sums are added in
-ascending chunk order. Up to ``WORKERS`` processes compute at a time,
-never more than the usable CPUs: this one, while it does whatever
-other work its caller gave it (``meanwhile``), and forked workers,
-one more of which then takes its place. The workers take their chunks
-from one shared queue. This process still adds the chunk sums in
+Betweenness, weighted closeness and the cascade lanes of
+:mod:`netcent.simulate` run one source loop, ``_accumulate_over_sources``:
+exact mode makes every node a pivot, in ascending order. Each chunk of
+pivots (64 of them; one cascade lane) sums its contributions in
+ascending pivot order, and the chunk sums are added in ascending chunk
+order. Up to ``WORKERS`` processes compute at a time, never more than
+the usable CPUs: this one, while it does whatever other work its caller
+gave it (``meanwhile``), and forked workers, one more of which then
+takes its place; for cascade lanes, whose scratch is a few words per
+edge, this process takes chunks itself instead. Every process takes its
+chunks from one shared queue. This process adds the chunk sums in
 ascending order, so any process count and any arrival order give the
 same bytes. With one usable CPU (``taskset -c 0``), one chunk, or no
 ``os.fork`` and ``os.sched_getaffinity`` on the platform, they run
@@ -174,33 +176,38 @@ def worker_count(chunks: int) -> int:
     return max(1, min(WORKERS, len(os.sched_getaffinity(0)), chunks))
 
 
-def _accumulate_over_sources(sources, per_chunk, shape, meanwhile=()):
+def _accumulate_over_sources(sources, per_chunk, shape, meanwhile=(),
+                             size=_SOURCE_CHUNK, take_part=False):
     """Sum ``per_chunk``'s float arrays of ``shape`` in ascending chunk order.
 
-    ``meanwhile`` is iterated once in this process before any chunk runs
-    here; each item it yields marks a point where partials that are
-    ready get read. It starts no source loop of its own, whose workers
-    would compute next to this loop's. With P = ``worker_count(chunks)``
-    above 1, this process forks P - 1 workers and runs ``meanwhile``,
-    then forks one more worker in its own place, so P processes compute
-    at a time and this one's peak RSS holds no traversal scratch. The
-    workers take chunks from one queue, so whichever is free runs the
-    next chunk. A worker sends back each chunk's partial sum as raw
-    float64 bytes. The parent adds the partials in ascending chunk order
-    and holds any that arrive early, as the serial loop adds them, so
-    every process count and arrival order gives the same bytes. Where
-    chunks fail, the lowest failing chunk's exception is raised, as the
-    serial loop raises it. Every worker is reaped before this returns,
-    and on an exception killed first.
+    A chunk holds ``size`` consecutive sources. ``meanwhile`` is iterated
+    once in this process before any chunk runs here; each item it yields
+    marks a point where partials that are ready get read. It starts no
+    source loop of its own, whose workers would compute next to this
+    loop's. With P = ``worker_count(chunks)`` above 1, this process forks
+    P - 1 workers and runs ``meanwhile``, then forks one more worker in
+    its own place, so P processes compute at a time and this one's peak
+    RSS holds no traversal scratch. With ``take_part``, for chunks whose
+    scratch is small, this process takes chunks itself in place of that
+    last worker. The processes take chunks from one queue, so whichever
+    is free runs the next chunk. A worker sends back
+    each chunk's partial sum as raw float64 bytes. The parent adds the
+    partials in ascending chunk order and holds any that arrive early,
+    as the serial loop adds them, so every process count and arrival
+    order gives the same bytes. Where chunks fail, the lowest failing
+    chunk's exception is raised, as the serial loop raises it. Every
+    worker is reaped before this returns, and on an exception killed
+    first.
     """
     sources = np.asarray(sources, dtype=np.int64)
-    chunks = [sources[first:first + _SOURCE_CHUNK]
-              for first in range(0, sources.size, _SOURCE_CHUNK)]
+    chunks = [sources[first:first + size]
+              for first in range(0, sources.size, size)]
     procs = worker_count(len(chunks))
     global workers_used
     workers_used = max(workers_used, procs)
     if procs > 1:
-        return _Pool(chunks, per_chunk, shape).run(procs, meanwhile)
+        return _Pool(chunks, per_chunk, shape).run(procs, meanwhile,
+                                                   take_part)
     for _ in meanwhile:
         pass
     total = np.zeros(shape)
@@ -262,7 +269,7 @@ class _Pool:
             os.close(fill)
         return queue
 
-    def run(self, procs, meanwhile):
+    def run(self, procs, meanwhile, take_part):
         import signal
         queue = self.queue()
         pids, pipes = [], []
@@ -275,10 +282,14 @@ class _Pool:
                 self._fork(queue, pids, pipes)
             for _ in meanwhile:
                 self._receive(block=False)
-            # the last worker takes this process's place: this one holds
-            # the run's other state, and a batch's scratch on top of it
-            # raised its peak RSS by a tenth on a 1000-node graph
-            self._fork(queue, pids, pipes)
+            if take_part:
+                self._take_part(queue)
+            else:
+                # the last worker takes this process's place: this one
+                # holds the run's other state, and a batch's scratch on
+                # top of it raised its peak RSS by a tenth on a 1000-node
+                # graph
+                self._fork(queue, pids, pipes)
             while self.added < len(self.chunks):
                 # only an exception waits at the head of the chunk order
                 if self.added in self.received:
@@ -320,6 +331,28 @@ class _Pool:
         self.live[read_fd] = pipes[-1]
         self.poll.register(read_fd, select.POLLIN)
 
+    def _take_part(self, queue) -> None:
+        """Run chunks from ``queue`` here until it is empty, as a worker
+        runs them, reading the workers' messages after each. A chunk's
+        exception waits for its turn and stops this process taking more,
+        as it stops a worker."""
+        while chunks := self.take(queue):
+            for chunk in chunks:
+                try:
+                    partial = self.per_chunk(self.chunks[chunk])
+                except Exception as exc:
+                    self.received[chunk] = exc
+                    return
+                self._add(chunk, partial)
+                self._receive(block=False)
+
+    def _add(self, chunk: int, partial: np.ndarray) -> None:
+        """Hold ``partial``, then add every held partial whose turn it is."""
+        self.received[chunk] = partial
+        while isinstance(self.received.get(self.added), np.ndarray):
+            self.total += self.received.pop(self.added)
+            self.added += 1
+
     def _receive(self, block: bool) -> None:
         """Read every message the workers have ready; with ``block``,
         wait for one first."""
@@ -339,11 +372,9 @@ class _Pool:
         _read_into(pipe, header)
         kind, chunk = header[0], int.from_bytes(header[1:], "little")
         if kind == _PARTIAL:
-            self.received[chunk] = partial = np.empty(self.shape)
+            partial = np.empty(self.shape)
             _read_into(pipe, partial)
-            while isinstance(self.received.get(self.added), np.ndarray):
-                self.total += self.received.pop(self.added)
-                self.added += 1
+            self._add(chunk, partial)
             return
         if kind == _FAILED:
             import pickle

@@ -278,11 +278,12 @@ def test_criterion_8_pipeline_determinism(tmp_path, monkeypatch, forks):
             "--ic-trials", "200"]
     assert cli_main(base) == 0
     first = (out / "report.json").read_bytes()
-    assert len(forks) == 2
+    # two for betweenness' chunks, one for the cascades' four lanes
+    assert len(forks) == 3
     use_cpus(monkeypatch, 1)
     assert cli_main(base) == 0
     assert (out / "report.json").read_bytes() == first
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert json.loads(first)["interventions"]
 
 

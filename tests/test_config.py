@@ -264,13 +264,15 @@ BAD_VALUES = [
                          ids=[" ".join(f) for f, _ in BAD_VALUES])
 def test_bad_value_fails_before_ingest(tmp_path, capsys, flag, owner):
     """Reading the missing input would exit 2; exit 1 with the owning
-    class's message shows the value was checked first."""
+    class's message, after the flag, shows the value was checked first."""
     with pytest.raises(InvalidParameter) as owned:
         owner()
     out = tmp_path / "out"
     assert netcent.cli.main(["run", "--input", str(tmp_path / "missing.csv"),
                              "--out", str(out), *flag]) == 1
-    assert f"error: {owned.value}\n" in capsys.readouterr().err
+    # RunConfig's own checks name the flag themselves
+    message = str(owned.value).removeprefix(f"{flag[0]}: ")
+    assert f"error: {flag[0]}: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -185,6 +185,68 @@ def test_interactions_csv_missing_column(tmp_path):
         ncio.read_interactions_csv(p)
 
 
+def _rows(read, path):
+    """What a reader gives for ``path``, in a form == compares."""
+    got = read(path)
+    if isinstance(got, Interactions):
+        return table(got)
+    if isinstance(got, ScoreVector):
+        return list(got.labels), got.scores.tolist()
+    return got
+
+
+@pytest.mark.parametrize("read,text", [
+    (ncio.read_interactions_csv, "actor,target\na,b\nb,c\n"),
+    (ncio.read_edge_csv, "src,dst\na,b\nb,c\n"),
+    (ncio.read_scores_csv, "node_label,score\na,2.0\nb,1.0\n"),
+    (ncio.read_attributes_csv, "node,retweet_count\na,2\nb,1\n"),
+])
+def test_byte_order_mark_before_the_header_is_skipped(tmp_path, read, text):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert _rows(read, marked) == _rows(read, plain)
+
+
+def test_cli_reads_a_byte_order_marked_file(tmp_path, capsys):
+    p = tmp_path / "i.csv"
+    p.write_bytes(b"\xef\xbb\xbfactor,target\na,b\nb,c\n")
+    assert main(["run", "--input", str(p), "--out", str(tmp_path / "out"),
+                 "--metrics", "degree"]) == 0
+    assert (tmp_path / "out" / "degree_total.scores.csv").read_text() \
+        .splitlines()[1:] == ["b,2.0", "a,1.0", "c,1.0"]
+
+
+@pytest.mark.parametrize("read,text,line", [
+    (ncio.read_interactions_csv, "# a comment\nactor,Actor ,target\na,b,c\n",
+     2),
+    (ncio.read_edge_csv, "src,dst,SRC\na,b,c\n", 1),
+    (ncio.read_scores_csv, "node_label,score,score\na,1.0,2.0\n", 1),
+    (ncio.read_attributes_csv, "\nnode,retweet_count, retweet_count\na,1,2\n",
+     2),
+])
+def test_repeated_header_name_fails_at_the_header(tmp_path, read, text, line):
+    p = tmp_path / "in.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError, match="column '[a-z_]+' repeats") as exc:
+        read(p)
+    assert exc.value.line == line
+
+
+def test_cli_rejects_a_repeated_header_name_with_exit_2(tmp_path, capsys):
+    p = tmp_path / "i.csv"
+    p.write_text("actor,actor,target\na,b,c\n")
+    assert main(["run", "--input", str(p), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert "line 1: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_blank_header_names_may_repeat(tmp_path):
+    assert table(read_text(tmp_path, "actor,target,,\na,b,,\n")) \
+        == [("a", "b", 1.0)]
+
+
 def test_interactions_csv_empty(tmp_path):
     p = tmp_path / "i.csv"
     p.write_text("actor,target\n# nothing\n")

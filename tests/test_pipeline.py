@@ -79,7 +79,9 @@ class TestRunPipeline:
 
     def test_worker_count_changes_nothing(self, forks, monkeypatch,
                                           tmp_path):
-        # 160 nodes: three 64-source chunks, so both workers may run some
+        # 160 nodes: three 64-source chunks, so both workers may run some;
+        # 120 trials make two cascade lanes, one for this process and one
+        # for a worker
         edges = tmp_path / "edges.csv"
         write_edge_csv(preferential_attachment(160, 3, seed=6), edges)
         base = ["run", "--input", edges, "--format", "edges", "--seed", "3",
@@ -96,7 +98,7 @@ class TestRunPipeline:
             outputs[cpus] = {path.name: path.read_bytes()
                              for path in sorted(out.iterdir())
                              if path.name != "timings.json"}
-        assert len(forks) == 4
+        assert len(forks) == 6
         assert set(outputs[1]) >= {"report.json", "betweenness.scores.csv",
                                    "closeness.scores.csv"}
         assert outputs[1] == outputs[2] == outputs[4]
@@ -940,6 +942,35 @@ PIPELINE_CHECKS = {
         ("--metrics", "degree_total", "--simulate", "--ic-trials", "2"),
         InvalidParameter, "needs sim_seeds or sim_random_seeds", 1),
 }
+
+
+# each run flag value fails before ingest, with exit code 1 and this message
+BAD_FLAG_VALUES = {
+    "--mvc-steps 0": "--mvc-steps: steps must be >= 1",
+    "--dic-steps 0": "--dic-steps: steps must be >= 1",
+    "--pc-tolerance 0": "--pc-tolerance: tolerance must be positive",
+    "--eig-tolerance 0": "--eig-tolerance: tolerance must be positive",
+    "--pc-max-iterations 0": "--pc-max-iterations: max_iterations must be >= 1",
+    "--eig-max-iterations 0":
+        "--eig-max-iterations: max_iterations must be >= 1",
+    "--pc-damping 1.5": "--pc-damping: damping must be in (0, 1)",
+    "--ic-p 1.5": "--ic-p: activation probability must be in (0, 1]",
+    "--ic-trials 0": "--ic-trials: trials must be >= 1",
+    "--metrics ,": "--metrics: no metric named",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(BAD_FLAG_VALUES))
+def test_bad_flag_value_names_its_flag_before_ingest(tmp_path, capsys, flags):
+    # the input does not exist, so a check made after ingest would exit 2
+    message = BAD_FLAG_VALUES[flags]
+    raised, exit_code = cli_failure(
+        "run", "--input", tmp_path / "missing.csv", "--out", tmp_path / "out",
+        *flags.split())
+    assert type(raised) is InvalidParameter and str(raised) == message
+    assert exit_code == 1
+    assert capsys.readouterr().err == f"netcent: error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", sorted(PIPELINE_CHECKS))

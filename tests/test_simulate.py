@@ -1,4 +1,6 @@
 import math
+import os
+import select
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,11 +11,12 @@ from hypothesis import strategies as st
 
 import netcent.rng
 import oracles
-from conftest import random_graph
-from netcent import (CascadeConfig, DirectedGraph, InvalidNode,
+from conftest import (assert_no_child_left, random_edge_list, random_graph,
+                      use_cpus)
+from netcent import (CascadeConfig, DataError, DirectedGraph, InvalidNode,
                      InvalidParameter, from_edges,
                      intervention_experiment, metric_removal_set,
-                     spread_volume)
+                     simulate, spread_volume, traditional)
 from netcent.rng import stream
 from netcent.simulate import MODELS, _lanes, _trial_counts
 from netcent.sweep import Sweep, popcounts
@@ -243,6 +246,8 @@ class TestInterventionExperiment:
         assert len({res.treated_volume for res in shared}) == 3
 
     def test_every_removal_set_shares_each_trial_stream(self, monkeypatch):
+        # draws made in a forked worker never reach this list
+        use_cpus(monkeypatch, 1)
         g, _ = random_graph(60, 150, seed=31)
         cfg = CascadeConfig(seeds=(g.labels[0], g.labels[1]), p=0.3,
                             trials=150, seed=13)
@@ -389,6 +394,125 @@ class TestLiveWords:
         assert not any(live.any() for live, _ in _lanes(Sweep(g), cfg))
         assert raw_draws == []
         assert spread_volume(g, cfg) == 1.0
+
+
+def fan_out_case():
+    """A 60-node weighted graph and three removal sets, one holding a seed."""
+    edges = random_edge_list(60, 150, seed=31)
+    g = weighted_graph(60, edges, 0.5 + 3.0 * stream(31).random(len(edges)))
+    return g, [[], [g.labels[4]], [g.labels[7], g.labels[0]]]
+
+
+def lane_configs(g):
+    seeds = (g.labels[0], g.labels[1])
+    ic = [CascadeConfig(seeds=seeds, p=0.3, trials=trials, seed=13)
+          for trials in (1, 63, 64, 65, 200)]
+    return ic + [CascadeConfig(seeds=seeds, p=0.3, trials=200, seed=13,
+                               weight_scaled=True),
+                 CascadeConfig(seeds=seeds, model="reachability")]
+
+
+class TestLaneFanOut:
+    """Cascade lanes as chunks of the source loop: the serial run's
+    counts on any process count, the lowest failing lane's error, and no
+    process left behind."""
+
+    @pytest.mark.parametrize("procs", [1, 2, 3])
+    def test_same_counts_on_any_process_count(self, forks, monkeypatch,
+                                              procs):
+        g, removals = fan_out_case()
+        use_cpus(monkeypatch, 1)
+        serial = [(_trial_counts(g, cfg, removals),
+                   intervention_experiment(g, removals, cfg))
+                  for cfg in lane_configs(g)]
+        assert not forks
+        use_cpus(monkeypatch, procs)
+        monkeypatch.setattr(traditional, "WORKERS", procs)
+        expected_forks = 0
+        for cfg, (counts, results) in zip(lane_configs(g), serial):
+            got = _trial_counts(g, cfg, removals)
+            assert [c.dtype for c in got] == [np.dtype(np.int64)] * 4
+            assert [c.tobytes() for c in got] \
+                == [c.tobytes() for c in counts]
+            assert intervention_experiment(g, removals, cfg) == results
+            # one lane, 64 trials or fewer, runs here without a fork
+            lanes = -(-cfg.trials // 64) if cfg.model != "reachability" else 1
+            expected_forks += 2 * (min(procs, lanes) - 1)
+        assert len(forks) == expected_forks
+        assert_no_child_left()
+
+    def test_lanes_grouped_into_fewer_chunks_give_the_same_counts(
+            self, forks, monkeypatch):
+        # 200 trials make four lanes; two chunks take two lanes each, so
+        # three usable CPUs fork one worker, not two
+        g, removals = fan_out_case()
+        cfg = lane_configs(g)[-2]
+        use_cpus(monkeypatch, 1)
+        serial = _trial_counts(g, cfg, removals)
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(traditional, "WORKERS", 3)
+        monkeypatch.setattr(simulate, "_LANE_CHUNKS", 2)
+        grouped = _trial_counts(g, cfg, removals)
+        assert [c.tobytes() for c in grouped] == [c.tobytes() for c in serial]
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_bad_removal_sets_raise_before_any_fork(self, forks):
+        g, _ = fan_out_case()
+        cfg = lane_configs(g)[-2]
+        with pytest.raises(InvalidParameter, match="bare string"):
+            _trial_counts(g, cfg, ["n4"])
+        with pytest.raises(InvalidNode):
+            _trial_counts(g, cfg, [["n4", "nobody"]])
+        assert not forks
+
+    @pytest.mark.parametrize("procs", [2, 3])
+    @pytest.mark.parametrize("where", ["worker", "parent", "both"])
+    def test_lowest_failing_lane_is_raised(self, forks, monkeypatch, procs,
+                                           where):
+        # lanes fail in ``where``, each naming itself, and a process takes
+        # no lane after its first fails. A worker sends its failing lane
+        # down a pipe; unless only this process fails, its first lane waits
+        # until a worker has failed, so a worker's error is in hand. With
+        # "both", this process then fails on its next lane, a higher one
+        use_cpus(monkeypatch, procs)
+        monkeypatch.setattr(traditional, "WORKERS", procs)
+        g, removals = fan_out_case()
+        cfg = CascadeConfig(seeds=(g.labels[0],), p=0.3, trials=8 * 64,
+                            seed=13)
+        parent = os.getpid()
+        lane_of = simulate._lane
+        failed, tell = os.pipe()
+        taken, failed_here = [], []
+
+        def failing(sweep, cfg, prob, lane):
+            if os.getpid() != parent:
+                if where != "parent":
+                    os.write(tell, bytes((lane,)))
+                    raise DataError(f"lane {lane} failed")
+                return lane_of(sweep, cfg, prob, lane)
+            taken.append(lane)
+            if where == "parent" or (where == "both" and len(taken) == 2):
+                failed_here.append(lane)
+                raise DataError(f"lane {lane} failed")
+            if len(taken) == 1:
+                assert select.select([failed], [], [], 30)[0]
+            return lane_of(sweep, cfg, prob, lane)
+
+        monkeypatch.setattr(simulate, "_lane", failing)
+        try:
+            with pytest.raises(DataError) as raised:
+                intervention_experiment(g, removals, cfg)
+        finally:
+            os.close(tell)
+        with os.fdopen(failed, "rb") as pipe:
+            by_workers = list(pipe.read())
+        if where == "both":
+            assert failed_here and min(by_workers) < failed_here[0]
+        lowest = min(by_workers + failed_here)
+        assert str(raised.value) == f"lane {lowest} failed"
+        assert len(forks) == procs - 1
+        assert_no_child_left()
 
 
 # each case fails a check of the simulate module: (the call, the error,
